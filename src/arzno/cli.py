@@ -79,12 +79,14 @@ def _read_model(path: str | Path):
 
 
 def _sim_stats(tr) -> dict:
+    """Summary norms of a run; the decay ratio is None (JSON null) when the
+    initial state is the equilibrium, where no ratio exists."""
     init = max(tr.u_norm[0], tr.v_norm[0])
     final = max(tr.u_norm[-1], tr.v_norm[-1])
     return {
         "initial_norm": float(init),
         "final_norm": float(final),
-        "final_over_initial": float(final / init) if init > 0 else 0.0,
+        "final_over_initial": float(final / init) if init > 0 else None,
         "u_norm_final": float(tr.u_norm[-1]),
         "v_norm_final": float(tr.v_norm[-1]),
         "e_norm_final": float(tr.e_norm[-1]),
@@ -120,6 +122,7 @@ def cmd_simulate(args, cfg) -> int:
         tr.write_refresh_csv(out / "refresh.csv", comments=comments)
 
     stats = _sim_stats(tr)
+    ratio = stats["final_over_initial"]
     report = {
         "mode": mode,
         "config_hash": chash,
@@ -127,16 +130,14 @@ def cmd_simulate(args, cfg) -> int:
         **stats,
     }
     if mode == "open-loop":
-        report["amplitude_ratio"] = stats["final_over_initial"]
+        report["amplitude_ratio"] = ratio
     else:
-        report["converged"] = stats["final_over_initial"] <= 0.02
+        report["converged"] = None if ratio is None else ratio <= 0.02
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
 
     log.info("%s run finished in %.2fs; artifacts in %s", mode, wall, out)
-    print(
-        f"{mode}: final/initial state norm = "
-        f"{stats['final_over_initial']:.3e} (wall {wall:.2f}s) -> {out}"
-    )
+    shown = "undefined (zero initial state)" if ratio is None else f"{ratio:.3e}"
+    print(f"{mode}: final/initial state norm = {shown} (wall {wall:.2f}s) -> {out}")
     return EXIT_OK
 
 

@@ -193,23 +193,38 @@ def _mirror(tri: np.ndarray) -> np.ndarray:
     return np.where(idx[:, None] >= idx[None, :], tri, tri.T)
 
 
+# The interpolation operator and the grid's quadrature weights depend only
+# on (mesh.n, n_x); cache them across refreshes like the solver's geometry.
+_GRID_OPS_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _grid_ops(mesh: TriMesh, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Mesh-to-grid interpolation operator P and grid Volterra weights w.
+
+    Column m of P is the linear interpolant of the m-th unit vector, so
+    P @ f equals np.interp(g.x, mesh.x, f) up to rounding.
+    """
+    key = (mesh.n, g.n_x)
+    ops = _GRID_OPS_CACHE.get(key)
+    if ops is not None:
+        return ops
+    interp = np.column_stack([np.interp(g.x, mesh.x, e) for e in np.eye(mesh.n)])
+    w = _volterra_weights(g.n_x + 1, g.dx)
+    interp.setflags(write=False)
+    w.setflags(write=False)
+    ops = _GRID_OPS_CACHE[key] = (interp, w)
+    return ops
+
+
 def _rows_on_grid(tri: np.ndarray, mesh: TriMesh, g: GridSpec) -> np.ndarray:
-    """Kernel values K(x_i, xi_j) at all state-grid node pairs xi_j <= x_i."""
-    work = _mirror(tri)
-    h = mesh.dx
-    xq = g.x[:, None] / h
-    yq = g.x[None, :] / h
-    i0 = np.minimum(xq.astype(int), mesh.n - 2)
-    j0 = np.minimum(yq.astype(int), mesh.n - 2)
-    fx = xq - i0
-    fy = yq - j0
-    vals = (
-        (1.0 - fx) * (1.0 - fy) * work[i0, j0]
-        + (1.0 - fx) * fy * work[i0, j0 + 1]
-        + fx * (1.0 - fy) * work[i0 + 1, j0]
-        + fx * fy * work[i0 + 1, j0 + 1]
-    )
-    return np.tril(vals)
+    """Kernel values K(x_i, xi_j) at all state-grid node pairs.
+
+    The separable bilinear interpolant P K P^T of the mirrored table; only
+    entries with xi_j <= x_i are kernel values, the rest are its mirror
+    image and are zeroed by the quadrature weights.
+    """
+    interp = _grid_ops(mesh, g)[0]
+    return interp @ _mirror(tri) @ interp.T
 
 
 def _edge_rows(kp: KernelPair, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -234,15 +249,16 @@ class _ActiveKernels:
 
 
 def _grid_caches(kp: KernelPair, g: GridSpec) -> _ActiveKernels:
-    ku = _rows_on_grid(kp.ku, kp.mesh, g)
-    kv = _rows_on_grid(kp.kv, kp.mesh, g)
-    ku[-1], kv[-1] = _edge_rows(kp, g)
-    w = _volterra_weights(g.n_x + 1, g.dx)
-    m_v = w * kv
+    w = _grid_ops(kp.mesh, g)[1]
+    m_u = w * _rows_on_grid(kp.ku, kp.mesh, g)
+    m_v = w * _rows_on_grid(kp.kv, kp.mesh, g)
+    ku_row, kv_row = _edge_rows(kp, g)
+    m_u[-1] = w[-1] * ku_row
+    m_v[-1] = w[-1] * kv_row
     denom = 1.0 - m_v[-1, -1]
     if abs(denom) < 1e-8:
         raise ArithmeticError("implicit boundary solve is singular")
-    return _ActiveKernels(kp=kp, m_u=w * ku, m_v=m_v, denom=denom)
+    return _ActiveKernels(kp=kp, m_u=m_u, m_v=m_v, denom=denom)
 
 
 def _check_grid(i: IdentifierState, g: GridSpec) -> None:

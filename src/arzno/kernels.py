@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from arzno.model import LinearizedParams
+from arzno.model import LinearizedParams, unit_nodes
 
 __all__ = [
     "ConvergenceError",
@@ -68,7 +68,8 @@ class TriMesh:
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n)
+        """Node coordinates along one side; read-only, shared per n."""
+        return unit_nodes(self.n)
 
     @property
     def dx(self) -> float:

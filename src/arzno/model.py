@@ -9,6 +9,7 @@ lambda/L and mu/L.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,18 @@ __all__ = [
     "to_riemann",
     "from_riemann",
 ]
+
+
+@lru_cache(maxsize=64)
+def unit_nodes(n: int) -> np.ndarray:
+    """The n uniform nodes of [0, 1] as one shared, read-only array.
+
+    Grids and kernel meshes serve their coordinates from here, so the
+    control loop does not rebuild the same linspace several times a step.
+    """
+    x = np.linspace(0.0, 1.0, n)
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from arzno.model import LinearizedParams
+from arzno.model import LinearizedParams, unit_nodes
 
 __all__ = [
     "CFLError",
@@ -57,8 +57,11 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n_x < 16:
             raise ValueError("n_x must be at least 16")
-        if self.dt <= 0 or self.t_end < 0:
-            raise ValueError("dt must be positive and t_end non-negative")
+        if not (self.dt > 0 and 0 <= self.t_end < np.inf):
+            raise ValueError("dt must be positive and t_end finite and non-negative")
+        steps = round(self.t_end / self.dt)
+        if abs(steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError("t_end must be a multiple of dt")
 
     @property
     def dx(self) -> float:
@@ -66,8 +69,11 @@ class GridSpec:
 
     @property
     def x(self) -> np.ndarray:
-        """Node coordinates, n_x + 1 points including both boundaries."""
-        return np.linspace(0.0, 1.0, self.n_x + 1)
+        """Node coordinates, n_x + 1 points including both boundaries.
+
+        Read-only and shared by every grid with the same n_x.
+        """
+        return unit_nodes(self.n_x + 1)
 
     @property
     def n_steps(self) -> int:

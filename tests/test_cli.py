@@ -116,10 +116,17 @@ def test_config_errors_exit_1(fast_env, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setenv("ARZNO_GRID_N_X", "sixty")
     assert main(["simulate", "--mode", "exact"]) == 1
+    monkeypatch.delenv("ARZNO_GRID_N_X")
+
+    # 0.25 s is not a whole number of 0.1 s steps.
+    monkeypatch.setenv("ARZNO_GRID_T_END", "0.25")
+    assert main(["simulate", "--mode", "exact", "--out", "x"]) == 1
+    assert "t_end must be a multiple of dt" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_2(fast_env, capsys, monkeypatch):
-    monkeypatch.setenv("ARZNO_GRID_DT", "30")
+    # dt = 2 s divides the 2 s horizon but breaks the CFL bound.
+    monkeypatch.setenv("ARZNO_GRID_DT", "2")
     assert main(["simulate", "--mode", "exact", "--out", "x"]) == 2
     assert "numerical failure" in capsys.readouterr().err
 
@@ -140,3 +147,20 @@ def test_io_errors_exit_3(fast_env, capsys):
 def test_simulate_requires_known_mode(fast_env, capsys):
     assert main(["simulate", "--mode", "magic"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode,key", [("exact", "converged"), ("open-loop", "amplitude_ratio")]
+)
+def test_zero_initial_state_reports_no_decay_ratio(
+    fast_env, capsys, monkeypatch, mode, key
+):
+    # At equilibrium nothing decays: the ratio and the verdict are
+    # undefined, not a perfect 0.0 that reads as convergence.
+    monkeypatch.setenv("ARZNO_CONTROLLER_IC", "zero")
+    assert main(["simulate", "--mode", mode, "--out", "z"]) == 0
+    report = json.loads((fast_env / "z" / "report.json").read_text())
+    assert report["initial_norm"] == 0.0
+    assert report["final_over_initial"] is None
+    assert report[key] is None
+    assert "undefined" in capsys.readouterr().out

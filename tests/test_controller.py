@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from arzno import controller
 from arzno.controller import (
     ControllerConfig,
     SolverKernelSource,
@@ -11,7 +12,7 @@ from arzno.controller import (
     initial_plant_state,
     run_closed_loop,
 )
-from arzno.kernels import KernelPair, TriMesh, solve_kernels
+from arzno.kernels import KernelPair, TriMesh, _volterra_weights, solve_kernels
 from arzno.model import to_riemann
 from arzno.sim import GridSpec, IdentifierState
 
@@ -257,3 +258,63 @@ def test_solver_source_threads_its_options(lp):
     ref = solve_kernels(np.full(9, -0.019), lp, mesh, tol=1e-10, c_bound=0.02)
     np.testing.assert_array_equal(kp.ku, ref.ku)
     np.testing.assert_array_equal(kp.kv, ref.kv)
+
+
+def _four_corner_rows(tri: np.ndarray, mesh: TriMesh, g: GridSpec) -> np.ndarray:
+    """Reference: bilinear gather of the four mesh corners around each
+    grid node pair, on the mirrored table, lower triangle kept."""
+    work = controller._mirror(tri)
+    h = mesh.dx
+    xq = g.x[:, None] / h
+    yq = g.x[None, :] / h
+    i0 = np.minimum(xq.astype(int), mesh.n - 2)
+    j0 = np.minimum(yq.astype(int), mesh.n - 2)
+    fx = xq - i0
+    fy = yq - j0
+    vals = (
+        (1.0 - fx) * (1.0 - fy) * work[i0, j0]
+        + (1.0 - fx) * fy * work[i0, j0 + 1]
+        + fx * (1.0 - fy) * work[i0 + 1, j0]
+        + fx * fy * work[i0 + 1, j0 + 1]
+    )
+    return np.tril(vals)
+
+
+@pytest.mark.parametrize(
+    "mesh_n,n_x",
+    [(41, 60), (9, 50), (81, 16)],
+    ids=["default", "mesh-coarser", "mesh-finer"],
+)
+def test_grid_tables_match_four_corner_interpolation(lp, mesh_n, n_x):
+    g = GridSpec(n_x=n_x, dt=0.1, t_end=1.0)
+    mesh = TriMesh(mesh_n)
+    kp = solve_kernels(lp.c_samples(mesh_n), lp, mesh)
+    for tri in (kp.ku, kp.kv):
+        got = np.tril(controller._rows_on_grid(tri, mesh, g))
+        want = _four_corner_rows(tri, mesh, g)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    # The control row and the implicit-solve denominator come from
+    # _edge_rows alone and must not carry any rounding of the tables.
+    ac = controller._grid_caches(kp, g)
+    w_last = _volterra_weights(g.n_x + 1, g.dx)[-1]
+    ku_row, kv_row = controller._edge_rows(kp, g)
+    m_v_last = w_last * kv_row
+    assert np.array_equal(ac.m_u[-1], w_last * ku_row)
+    assert np.array_equal(ac.m_v[-1], m_v_last)
+    assert ac.denom == 1.0 - m_v_last[-1]
+
+
+def test_closed_loop_matches_four_corner_tables(params, monkeypatch):
+    # The tables feed only the V1/V2 diagnostics; every state, estimate
+    # and control value must be bit-identical to a loop run on the
+    # reference gather, and the functionals equal to rounding.
+    g = GridSpec(n_x=60, dt=0.1, t_end=5.0)
+    cfg = ControllerConfig()
+    new = run_closed_loop(params, cfg, g)
+    monkeypatch.setattr(controller, "_rows_on_grid", _four_corner_rows)
+    ref = run_closed_loop(params, cfg, g)
+    for name in ("u", "v", "u_hat", "v_hat", "c_hat", "control"):
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+    for name in ("v1", "v2", "v_lyap", "v4"):
+        np.testing.assert_allclose(getattr(new, name), getattr(ref, name), rtol=1e-12)

@@ -1,8 +1,12 @@
 """Upwind stepper, identifier, and adaptation-law properties."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from arzno.kernels import TriMesh
 from arzno.model import LinearizedParams
 from arzno.sim import (
     CFLError,
@@ -41,6 +45,45 @@ def test_grid_validation():
         GridSpec(dt=0.0)
     with pytest.raises(ValueError):
         GridSpec(t_end=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(t_end=float("inf"))
+    # A horizon between two steps would be silently rounded to one.
+    with pytest.raises(ValueError, match="multiple"):
+        GridSpec(dt=0.1, t_end=0.25)
+
+
+@pytest.mark.parametrize(
+    "t_end,steps",
+    # The shipped, dataset and test horizons, and the bench command's
+    # harvest horizons (refreshes x 0.1 s cadence).
+    [(300.0, 3000), (50.0, 500), (10.0, 100), (2.0, 20), (3 * 0.1, 3),
+     (200 * 0.1, 200), (0.0, 0)],
+)
+def test_grid_horizons_on_the_step_lattice(t_end, steps):
+    assert GridSpec(n_x=60, dt=0.1, t_end=t_end).n_steps == steps
+
+
+def test_node_coordinates_are_cached_and_read_only():
+    g = GridSpec(n_x=60, dt=0.1, t_end=1.0)
+    mesh = TriMesh(41)
+    for x, n in ((g.x, 61), (mesh.x, 41)):
+        np.testing.assert_array_equal(x, np.linspace(0.0, 1.0, n))
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+    assert g.x is g.x and mesh.x is mesh.x
+    assert GridSpec(n_x=40).x is TriMesh(41).x
+
+    g2 = dataclasses.replace(g, n_x=32)
+    assert g2.x.size == 33 and g.x.size == 61
+
+    # The coordinates are not instance state: equality, hashing and
+    # pickling (gen-dataset --jobs ships grids to worker processes) see
+    # only the three fields.
+    assert vars(g) == {"n_x": 60, "dt": 0.1, "t_end": 1.0}
+    assert g == GridSpec(n_x=60, dt=0.1, t_end=1.0) and g != g2
+    assert hash(g) == hash(GridSpec(n_x=60, dt=0.1, t_end=1.0))
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g) and back.x is g.x
 
 
 def test_cfl_number_value(lp):
