@@ -315,6 +315,8 @@ def cmd_bench(args, cfg) -> int:
     chash = cfgmod.config_hash(cfg)
     opts = cfgmod.bench_options(cfg)
     n = opts["n"] if args.n is None else args.n
+    if n < 0:
+        raise UsageError(f"--n {n}: the sample count must be non-negative")
     out = Path(args.out or "bench.json")
     if n == 0:
         report = {"config_hash": chash, "n": 0, "samples": []}

@@ -283,8 +283,12 @@ def deeponet_options(cfg: dict) -> dict:
 
 
 def bench_options(cfg: dict) -> dict:
-    return {
+    opts = {
         "n": _get(cfg, "bench", "n", int, "an integer"),
         "warmup": _get(cfg, "bench", "warmup", int, "an integer"),
         "seed": _get(cfg, "bench", "seed", int, "an integer"),
     }
+    for key in ("n", "warmup"):
+        if opts[key] < 0:
+            raise ConfigError(f"[bench] {key} = {opts[key]}: must be non-negative")
+    return opts

@@ -8,7 +8,10 @@ refreshed from the current coupling estimate on a fixed cadence, the
 plant and identifier advance by upwind steps, and the estimate adapts
 under projection.  The boundary value entering a step is solved
 implicitly (the quadrature includes the endpoint being set), which
-makes the transformed boundary z(1, t) vanish identically.
+makes the transformed boundary z(1, t) vanish identically.  The loop
+only stores the state histories (and z, which needs the kernels active
+at each step); norms, Lyapunov functionals and physical fields are
+derived from them in one vectorized pass after the last step.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -59,8 +62,6 @@ __all__ = [
     "SolverKernelSource",
     "SimTrace",
     "initial_plant_state",
-    "control_value",
-    "backstepping_transform",
     "transform_on_mesh",
     "inverse_transform_on_mesh",
     "run_closed_loop",
@@ -261,20 +262,8 @@ def _grid_caches(kp: KernelPair, g: GridSpec) -> _ActiveKernels:
     return _ActiveKernels(kp=kp, m_u=m_u, m_v=m_v, denom=denom)
 
 
-def _check_grid(i: IdentifierState, g: GridSpec) -> None:
-    if i.u_hat.shape != (g.n_x + 1,):
-        raise ValueError("identifier fields do not match the grid")
-
-
-def control_value(kp: KernelPair, i: IdentifierState, g: GridSpec) -> float:
-    """Boundary feedback from the x = 1 kernel row and identifier fields."""
-    _check_grid(i, g)
-    ac = _grid_caches(kp, g)
-    return float(ac.m_u[-1] @ i.u_hat + ac.m_v[-1] @ i.v_hat)
-
-
-def backstepping_transform(
-    kp: KernelPair, i: IdentifierState, g: GridSpec
+def _transform(
+    ac: _ActiveKernels, u_hat: np.ndarray, v_hat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transformed fields (w, z) of the identifier state on the grid.
 
@@ -282,14 +271,6 @@ def backstepping_transform(
     Lyapunov functionals; z(1) vanishes when the boundary carries the
     matching control value.
     """
-    _check_grid(i, g)
-    ac = _grid_caches(kp, g)
-    return _transform(ac, i.u_hat, i.v_hat)
-
-
-def _transform(
-    ac: _ActiveKernels, u_hat: np.ndarray, v_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
     return u_hat.copy(), v_hat - ac.m_u @ u_hat - ac.m_v @ v_hat
 
 
@@ -353,77 +334,60 @@ class SimTrace:
 
     def write_csv(self, path: str | Path, comments: tuple[str, ...] = ()) -> None:
         """Per-step table: norms, control, functionals, kernel timing."""
-        cols = (
-            "t,u_norm,v_norm,e_norm,eps_norm,U,V1,V2,V3,V4,S,kernel_ns"
-        )
-        lines = [f"# {c}" for c in comments]
-        lines.append(cols)
-        for k in range(len(self.t)):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(self.t[k]),
-                        _fmt(self.u_norm[k]),
-                        _fmt(self.v_norm[k]),
-                        _fmt(self.e_norm[k]),
-                        _fmt(self.eps_norm[k]),
-                        _fmt(self.control[k]),
-                        _fmt(self.v1[k]),
-                        _fmt(self.v2[k]),
-                        _fmt(self.v3[k]),
-                        _fmt(self.v4[k]),
-                        _fmt(self.s_norm[k]),
-                        str(int(self.kernel_ns[k])),
-                    ]
+        _write_table(
+            path,
+            comments,
+            "t,u_norm,v_norm,e_norm,eps_norm,U,V1,V2,V3,V4,S,kernel_ns",
+            [
+                (
+                    self.t, self.u_norm, self.v_norm, self.e_norm,
+                    self.eps_norm, self.control, self.v1, self.v2, self.v3,
+                    self.v4, self.s_norm, self.kernel_ns,
                 )
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+            ],
+        )
 
     def write_refresh_csv(
         self, path: str | Path, comments: tuple[str, ...] = ()
     ) -> None:
         """Per-refresh table: wall time and kernel drift rates."""
-        lines = [f"# {c}" for c in comments]
-        lines.append("t,kernel_ns,dku_dt,dkv_dt")
-        for k in range(len(self.refresh_t)):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(self.refresh_t[k]),
-                        str(int(self.refresh_ns[k])),
-                        _fmt(self.dku_dt[k]),
-                        _fmt(self.dkv_dt[k]),
-                    ]
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        _write_table(
+            path,
+            comments,
+            "t,kernel_ns,dku_dt,dkv_dt",
+            [(self.refresh_t, self.refresh_ns, self.dku_dt, self.dkv_dt)],
+        )
 
     def write_fields_csv(
         self, path: str | Path, comments: tuple[str, ...] = ()
     ) -> None:
         """Long-format field history: t, x, u, v, rho, speed per row."""
-        lines = [f"# {c}" for c in comments]
-        lines.append("t,x,u,v,rho,speed")
-        for k in range(len(self.t)):
-            tk = _fmt(self.t[k])
-            for j in range(len(self.x)):
-                lines.append(
-                    ",".join(
-                        [
-                            tk,
-                            _fmt(self.x[j]),
-                            _fmt(self.u[k, j]),
-                            _fmt(self.v[k, j]),
-                            _fmt(self.rho[k, j]),
-                            _fmt(self.speed[k, j]),
-                        ]
-                    )
-                )
-        Path(path).write_text("\n".join(lines) + "\n")
+        blocks = (
+            (np.full(len(self.x), tk), self.x, uk, vk, rk, sk)
+            for tk, uk, vk, rk, sk in zip(
+                self.t, self.u, self.v, self.rho, self.speed
+            )
+        )
+        _write_table(path, comments, "t,x,u,v,rho,speed", blocks)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _write_table(
+    path: str | Path,
+    comments: tuple[str, ...],
+    header: str,
+    blocks: Iterable[tuple[np.ndarray, ...]],
+) -> None:
+    """Stream a CSV: comment lines, the header, then the rows of each block.
+
+    A block is a tuple of equal-length columns; values are written with
+    repr, so floats round-trip exactly and integer columns stay integers.
+    """
+    with open(path, "w") as f:
+        f.writelines(f"# {c}\n" for c in comments)
+        f.write(header + "\n")
+        for block in blocks:
+            for row in zip(*(col.tolist() for col in block)):
+                f.write(",".join(map(repr, row)) + "\n")
 
 
 def run_closed_loop(
@@ -481,33 +445,14 @@ def run_closed_loop(
         t=0.0,
     )
 
-    const = derive_constants(lp)
-    c_true = np.asarray(lp.c(g.x))
     n = g.n_x + 1
     rows = g.n_steps + 1
 
-    cols = {
-        name: np.empty(rows)
-        for name in (
-            "t",
-            "u_norm",
-            "v_norm",
-            "e_norm",
-            "eps_norm",
-            "c_err_norm",
-            "control",
-            "v1",
-            "v2",
-            "v_lyap",
-            "v3",
-            "v4",
-            "s_norm",
-        )
-    }
+    t = np.empty(rows)
     kernel_ns = np.zeros(rows, dtype=np.int64)
     hist = {
         name: np.empty((rows, n))
-        for name in ("u", "v", "u_hat", "v_hat", "c_hat", "rho", "speed")
+        for name in ("u", "v", "u_hat", "v_hat", "c_hat", "z")
     }
     refresh_t: list[float] = []
     refresh_ns: list[int] = []
@@ -517,36 +462,16 @@ def run_closed_loop(
     ac: _ActiveKernels | None = None
 
     def record(k: int) -> None:
-        e = s.u - i.u_hat
-        eps = s.v - i.v_hat
-        c_tilde = c_true - i.c_hat
-        cols["t"][k] = s.t
-        cols["u_norm"][k] = l2_norm(s.u, g)
-        cols["v_norm"][k] = l2_norm(s.v, g)
-        cols["e_norm"][k] = l2_norm(e, g)
-        cols["eps_norm"][k] = l2_norm(eps, g)
-        cols["c_err_norm"][k] = l2_norm(c_tilde, g)
-        cols["control"][k] = s.v[-1]
-        cols["v3"][k] = lyapunov_v3(e, eps, c_tilde, cfg.gamma, cfg.gamma1, g)
-        if ac is None:
-            cols["v1"][k] = np.nan
-            cols["v2"][k] = np.nan
-            cols["v_lyap"][k] = np.nan
-            cols["v4"][k] = np.nan
-        else:
-            w_f, z_f = _transform(ac, i.u_hat, i.v_hat)
-            v1, v2, v_l = lyapunov_v1_v2(w_f, z_f, const, g)
-            cols["v1"][k] = v1
-            cols["v2"][k] = v2
-            cols["v_lyap"][k] = v_l
-            cols["v4"][k] = v_l + cols["v3"][k]
-        cols["s_norm"][k] = global_norm_S(s.u, s.v, i.u_hat, i.v_hat, c_tilde, g)
+        t[k] = s.t
         hist["u"][k] = s.u
         hist["v"][k] = s.v
         hist["u_hat"][k] = i.u_hat
         hist["v_hat"][k] = i.v_hat
         hist["c_hat"][k] = i.c_hat
-        hist["rho"][k], hist["speed"][k] = from_riemann(lp, g.x, s.u, s.v)
+        # z is the one recorded quantity that needs the kernels active at
+        # row k; every other column is derived from the histories below.
+        if ac is not None:
+            hist["z"][k] = _transform(ac, i.u_hat, i.v_hat)[1]
 
     def refresh(k: int) -> None:
         nonlocal ac
@@ -600,31 +525,42 @@ def run_closed_loop(
 
     record(g.n_steps)
 
+    u, v, u_hat, v_hat = hist["u"], hist["v"], hist["u_hat"], hist["v_hat"]
+    e = u - u_hat
+    eps = v - v_hat
+    c_tilde = lp.c(g.x) - hist["c_hat"]
+    v3 = lyapunov_v3(e, eps, c_tilde, cfg.gamma, cfg.gamma1, g)
+    if source is None:
+        v1, v2, v_lyap = np.full((3, rows), np.nan)
+    else:
+        v1, v2, v_lyap = lyapunov_v1_v2(u_hat, hist["z"], derive_constants(lp), g)
+    rho, speed = from_riemann(lp, g.x, u, v)
+
     return SimTrace(
         x=g.x.copy(),
-        t=cols["t"],
-        u_norm=cols["u_norm"],
-        v_norm=cols["v_norm"],
-        e_norm=cols["e_norm"],
-        eps_norm=cols["eps_norm"],
-        c_err_norm=cols["c_err_norm"],
-        control=cols["control"],
-        v1=cols["v1"],
-        v2=cols["v2"],
-        v_lyap=cols["v_lyap"],
-        v3=cols["v3"],
-        v4=cols["v4"],
-        s_norm=cols["s_norm"],
+        t=t,
+        u_norm=l2_norm(u, g),
+        v_norm=l2_norm(v, g),
+        e_norm=l2_norm(e, g),
+        eps_norm=l2_norm(eps, g),
+        c_err_norm=l2_norm(c_tilde, g),
+        control=v[:, -1].copy(),
+        v1=v1,
+        v2=v2,
+        v_lyap=v_lyap,
+        v3=v3,
+        v4=v_lyap + v3,
+        s_norm=global_norm_S(u, v, u_hat, v_hat, c_tilde, g),
         kernel_ns=kernel_ns,
         refresh_t=np.asarray(refresh_t),
         refresh_ns=np.asarray(refresh_ns, dtype=np.int64),
         dku_dt=np.asarray(dku_dt),
         dkv_dt=np.asarray(dkv_dt),
-        u=hist["u"],
-        v=hist["v"],
-        u_hat=hist["u_hat"],
-        v_hat=hist["v_hat"],
+        u=u,
+        v=v,
+        u_hat=u_hat,
+        v_hat=v_hat,
         c_hat=hist["c_hat"],
-        rho=hist["rho"],
-        speed=hist["speed"],
+        rho=rho,
+        speed=speed,
     )

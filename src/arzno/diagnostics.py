@@ -5,6 +5,10 @@ norms of the transformed fields (w, z); the identifier functional V3
 adds weighted output errors and the estimate error.  The constants
 (a, delta, k) are derived from the plant coefficients with a
 configurable safety margin.
+
+Each functional takes single nodal fields and returns a float, or
+(rows, n_x + 1) stacks of fields (a run's histories) and returns one
+value per row.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from arzno.model import LinearizedParams
-from arzno.sim import GridSpec
+from arzno.sim import GridSpec, _as_fields
 
 __all__ = [
     "LyapunovConstants",
@@ -68,11 +72,12 @@ def derive_constants(
     return LyapunovConstants(a=a, delta=delta, k=k)
 
 
-def _weighted_sq(field: np.ndarray, weight: np.ndarray, g: GridSpec) -> float:
-    field = np.asarray(field, dtype=float)
-    if field.shape != (g.n_x + 1,):
-        raise ValueError("field does not match the grid")
-    return float(np.trapezoid(weight * field * field, dx=g.dx))
+def _weighted_sq(
+    field: np.ndarray, weight: np.ndarray, g: GridSpec
+) -> float | np.ndarray:
+    field = _as_fields(field, g)
+    out = np.trapezoid(weight * field * field, dx=g.dx, axis=-1)
+    return float(out) if field.ndim == 1 else out
 
 
 def lyapunov_v1_v2(

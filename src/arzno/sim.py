@@ -145,12 +145,22 @@ class IdentifierState:
             raise ValueError("initial c_hat violates |c_hat| <= c_bar")
 
 
-def l2_norm(field: np.ndarray, g: GridSpec) -> float:
-    """Trapezoid-rule L2 norm of a nodal field over [0, 1]."""
+def _as_fields(field: np.ndarray, g: GridSpec) -> np.ndarray:
+    """A nodal field, or a (rows, n_x + 1) stack of them, as floats."""
     field = np.asarray(field, dtype=float)
-    if field.shape != (g.n_x + 1,):
+    if field.ndim not in (1, 2) or field.shape[-1] != g.n_x + 1:
         raise ValueError("field does not match the grid")
-    return float(np.sqrt(np.trapezoid(field * field, dx=g.dx)))
+    return field
+
+
+def l2_norm(field: np.ndarray, g: GridSpec) -> float | np.ndarray:
+    """Trapezoid-rule L2 norm of a nodal field over [0, 1].
+
+    A (rows, n_x + 1) stack of fields gives the norm of each row.
+    """
+    field = _as_fields(field, g)
+    out = np.sqrt(np.trapezoid(field * field, dx=g.dx, axis=-1))
+    return float(out) if field.ndim == 1 else out
 
 
 def regressor_norm2(s: PlantState, g: GridSpec) -> float:

@@ -124,6 +124,16 @@ def test_config_errors_exit_1(fast_env, tmp_path, capsys, monkeypatch):
     assert "t_end must be a multiple of dt" in capsys.readouterr().err
 
 
+def test_negative_bench_counts_exit_1(fast_env, capsys, monkeypatch):
+    # A negative count would slice the samples from the end or leave none.
+    assert main(["bench", "--n", "-2", "--out", "b.json"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    monkeypatch.setenv("ARZNO_BENCH_WARMUP", "-3")
+    assert main(["bench", "--n", "0", "--out", "b.json"]) == 1
+    assert "[bench] warmup = -3" in capsys.readouterr().err
+    assert not (fast_env / "b.json").exists()
+
+
 def test_numerical_failure_exits_2(fast_env, capsys, monkeypatch):
     # dt = 2 s divides the 2 s horizon but breaks the CFL bound.
     monkeypatch.setenv("ARZNO_GRID_DT", "2")

@@ -109,6 +109,15 @@ def test_build_train_and_option_views():
     assert bench == {"n": 100, "warmup": 5, "seed": 0}
 
 
+@pytest.mark.parametrize("key", ["n", "warmup"])
+def test_bench_counts_must_be_non_negative(monkeypatch, key):
+    monkeypatch.setenv(f"ARZNO_BENCH_{key.upper()}", "-3")
+    with pytest.raises(ConfigError, match=rf"\[bench\] {key} = -3"):
+        bench_options(load_config())
+    monkeypatch.setenv(f"ARZNO_BENCH_{key.upper()}", "0")
+    assert bench_options(load_config())[key] == 0
+
+
 def test_hidden_widths_parse_from_csv(monkeypatch):
     monkeypatch.setenv("ARZNO_DEEPONET_HIDDEN", "16,16,8")
     assert deeponet_options(load_config())["hidden"] == (16, 16, 8)

@@ -7,27 +7,25 @@ from arzno import controller
 from arzno.controller import (
     ControllerConfig,
     SolverKernelSource,
-    backstepping_transform,
-    control_value,
     initial_plant_state,
     run_closed_loop,
 )
+from arzno.diagnostics import (
+    derive_constants,
+    global_norm_S,
+    lyapunov_v1_v2,
+    lyapunov_v3,
+)
 from arzno.kernels import KernelPair, TriMesh, _volterra_weights, solve_kernels
-from arzno.model import to_riemann
-from arzno.sim import GridSpec, IdentifierState
+from arzno.model import derive_linearized, from_riemann, to_riemann
+from arzno.sim import GridSpec, l2_norm
 
 
-def _ident_from_trace(tr, k: int, cfg: ControllerConfig) -> IdentifierState:
-    return IdentifierState(
-        u_hat=tr.u_hat[k].copy(),
-        v_hat=tr.v_hat[k].copy(),
-        c_hat=tr.c_hat[k].copy(),
-        rho_gain=cfg.rho_gain,
-        gamma=cfg.gamma,
-        gamma1=cfg.gamma1,
-        c_bar=cfg.c_bar,
-        t=tr.t[k],
-    )
+def _control_and_transform(kp, u_hat, v_hat, g):
+    """The loop's boundary value for these fields, and their (w, z)."""
+    ac = controller._grid_caches(kp, g)
+    u_next = (ac.m_u[-1] @ u_hat + ac.m_v[-1] @ v_hat) / ac.denom
+    return u_next, controller._transform(ac, u_hat, v_hat)
 
 
 def test_transformed_boundary_vanishes_along_trajectory(params, lp):
@@ -43,7 +41,8 @@ def test_transformed_boundary_vanishes_along_trajectory(params, lp):
         kp = solve_kernels(
             c_mesh, lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter, c_bound=cfg.c_bar
         )
-        _, z = backstepping_transform(kp, _ident_from_trace(tr, k, cfg), g)
+        ac = controller._grid_caches(kp, g)
+        _, z = controller._transform(ac, tr.u_hat[k], tr.v_hat[k])
         scale = max(1.0, float(np.max(np.abs(z))))
         assert abs(z[-1]) <= 1e-12 * scale
 
@@ -70,15 +69,12 @@ def test_control_value_zero_kernels_and_transform_identity(lp):
         lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r,
     )
     rng = np.random.default_rng(2)
-    ident = IdentifierState(
-        u_hat=rng.standard_normal(g.n_x + 1),
-        v_hat=rng.standard_normal(g.n_x + 1),
-        c_hat=np.zeros(g.n_x + 1),
-    )
-    assert control_value(kp, ident, g) == 0.0
-    w, z = backstepping_transform(kp, ident, g)
-    np.testing.assert_array_equal(w, ident.u_hat)
-    np.testing.assert_array_equal(z, ident.v_hat)
+    u_hat = rng.standard_normal(g.n_x + 1)
+    v_hat = rng.standard_normal(g.n_x + 1)
+    u_next, (w, z) = _control_and_transform(kp, u_hat, v_hat, g)
+    assert u_next == 0.0
+    np.testing.assert_array_equal(w, u_hat)
+    np.testing.assert_array_equal(z, v_hat)
 
 
 def test_control_value_constant_kernel_quadrature(lp):
@@ -90,12 +86,12 @@ def test_control_value_constant_kernel_quadrature(lp):
         mesh=mesh, ku=np.tril(np.ones((11, 11))), kv=np.zeros((11, 11)),
         lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r,
     )
-    ident = IdentifierState(
-        u_hat=np.full(g.n_x + 1, 2.0),
-        v_hat=np.zeros(g.n_x + 1),
-        c_hat=np.zeros(g.n_x + 1),
+    u_next, (_, z) = _control_and_transform(
+        kp, np.full(g.n_x + 1, 2.0), np.zeros(g.n_x + 1), g
     )
-    assert control_value(kp, ident, g) == pytest.approx(2.0, rel=1e-12)
+    assert u_next == pytest.approx(2.0, rel=1e-12)
+    # z(1) = v_hat(1) - U: the transform's last row is the control row.
+    assert z[-1] == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_actuation_respects_transport_deadtime(params):
@@ -318,3 +314,123 @@ def test_closed_loop_matches_four_corner_tables(params, monkeypatch):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
     for name in ("v1", "v2", "v_lyap", "v4"):
         np.testing.assert_allclose(getattr(new, name), getattr(ref, name), rtol=1e-12)
+
+
+def _per_step_reference(tr, lp, cfg: ControllerConfig, g: GridSpec, kernels):
+    """The per-step record() arithmetic the loop used to run on every row.
+
+    Row k > 0 carries the kernels of the last refresh before step k, row 0
+    those of the initial refresh; with no kernels (open loop) the
+    kernel functionals are NaN.
+    """
+    const = derive_constants(lp)
+    c_true = np.asarray(lp.c(g.x))
+    every = cfg.refresh_every(g)
+    rows = len(tr.t)
+    names = (
+        "u_norm", "v_norm", "e_norm", "eps_norm", "c_err_norm", "control",
+        "v1", "v2", "v_lyap", "v3", "v4", "s_norm",
+    )
+    cols = {name: np.empty(rows) for name in names}
+    cols["rho"], cols["speed"] = np.empty_like(tr.u), np.empty_like(tr.u)
+    for k in range(rows):
+        u, v, u_hat, v_hat = tr.u[k], tr.v[k], tr.u_hat[k], tr.v_hat[k]
+        e = u - u_hat
+        eps = v - v_hat
+        c_tilde = c_true - tr.c_hat[k]
+        cols["u_norm"][k] = l2_norm(u, g)
+        cols["v_norm"][k] = l2_norm(v, g)
+        cols["e_norm"][k] = l2_norm(e, g)
+        cols["eps_norm"][k] = l2_norm(eps, g)
+        cols["c_err_norm"][k] = l2_norm(c_tilde, g)
+        cols["control"][k] = v[-1]
+        cols["v3"][k] = lyapunov_v3(e, eps, c_tilde, cfg.gamma, cfg.gamma1, g)
+        if not kernels:
+            for name in ("v1", "v2", "v_lyap", "v4"):
+                cols[name][k] = np.nan
+        else:
+            ac = controller._grid_caches(kernels[max(k - 1, 0) // every], g)
+            w_f, z_f = controller._transform(ac, u_hat, v_hat)
+            v1, v2, v_l = lyapunov_v1_v2(w_f, z_f, const, g)
+            cols["v1"][k] = v1
+            cols["v2"][k] = v2
+            cols["v_lyap"][k] = v_l
+            cols["v4"][k] = v_l + cols["v3"][k]
+        cols["s_norm"][k] = global_norm_S(u, v, u_hat, v_hat, c_tilde, g)
+        cols["rho"][k], cols["speed"][k] = from_riemann(lp, g.x, u, v)
+    return cols
+
+
+@pytest.mark.parametrize(
+    "refresh_dt,open_loop",
+    [(0.1, False), (0.3, False), (0.1, True)],
+    ids=["default-cadence", "refresh-between-rows", "open-loop"],
+)
+def test_history_pass_matches_per_step_record(params, refresh_dt, open_loop):
+    g = GridSpec(n_x=60, dt=0.1, t_end=20.0)
+    cfg = ControllerConfig(kernel_refresh_dt=refresh_dt)
+    kernels = []
+    tr = run_closed_loop(
+        params, cfg, g, open_loop=open_loop,
+        on_refresh=lambda t, c_mesh, kp, ns: kernels.append(kp),
+    )
+    ref = _per_step_reference(tr, derive_linearized(params), cfg, g, kernels)
+    for name in (
+        "u_norm", "v_norm", "e_norm", "eps_norm", "c_err_norm", "control",
+        "v3", "s_norm", "rho", "speed",
+    ):
+        assert np.array_equal(getattr(tr, name), ref[name]), name
+        assert getattr(tr, name).dtype == np.float64, name
+    for name in ("v1", "v2", "v_lyap", "v4"):
+        got = getattr(tr, name)
+        assert np.all(np.isnan(got)) == open_loop, name
+        np.testing.assert_allclose(got, ref[name], rtol=1e-12, err_msg=name)
+
+
+def _fmt(v: float) -> str:
+    return repr(float(v))
+
+
+def _per_cell_csvs(tr, comments: tuple[str, ...]) -> dict[str, str]:
+    """Reference: the three artifacts built cell by cell and joined."""
+    head = [f"# {c}" for c in comments]
+    trace = head + ["t,u_norm,v_norm,e_norm,eps_norm,U,V1,V2,V3,V4,S,kernel_ns"]
+    for k in range(len(tr.t)):
+        cells = [
+            tr.t[k], tr.u_norm[k], tr.v_norm[k], tr.e_norm[k], tr.eps_norm[k],
+            tr.control[k], tr.v1[k], tr.v2[k], tr.v3[k], tr.v4[k], tr.s_norm[k],
+        ]
+        trace.append(",".join([_fmt(c) for c in cells] + [str(int(tr.kernel_ns[k]))]))
+    refresh = head + ["t,kernel_ns,dku_dt,dkv_dt"]
+    for k in range(len(tr.refresh_t)):
+        refresh.append(",".join([
+            _fmt(tr.refresh_t[k]), str(int(tr.refresh_ns[k])),
+            _fmt(tr.dku_dt[k]), _fmt(tr.dkv_dt[k]),
+        ]))
+    fields = head + ["t,x,u,v,rho,speed"]
+    for k in range(len(tr.t)):
+        for j in range(len(tr.x)):
+            fields.append(",".join(_fmt(c) for c in (
+                tr.t[k], tr.x[j], tr.u[k, j], tr.v[k, j], tr.rho[k, j],
+                tr.speed[k, j],
+            )))
+    return {
+        name: "\n".join(lines) + "\n"
+        for name, lines in (
+            ("trace.csv", trace), ("refresh.csv", refresh), ("fields.csv", fields),
+        )
+    }
+
+
+@pytest.mark.parametrize("open_loop", [False, True], ids=["closed", "open-loop"])
+def test_streamed_csvs_match_per_cell_format(params, tmp_path, open_loop):
+    g = GridSpec(n_x=20, dt=0.1, t_end=2.0)
+    tr = run_closed_loop(params, ControllerConfig(mesh_n=11), g, open_loop=open_loop)
+    assert np.all(np.isnan(tr.v4)) == open_loop
+    assert np.any(tr.kernel_ns > 0) != open_loop
+    comments = ("mode=exact", "hash=abc")
+    tr.write_csv(tmp_path / "trace.csv", comments)
+    tr.write_refresh_csv(tmp_path / "refresh.csv", comments)
+    tr.write_fields_csv(tmp_path / "fields.csv", comments)
+    for name, text in _per_cell_csvs(tr, comments).items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name

@@ -15,7 +15,7 @@ from arzno.diagnostics import (
 )
 from arzno.kernels import kernel_sup_cap
 from arzno.model import TrafficParams
-from arzno.sim import GridSpec
+from arzno.sim import GridSpec, l2_norm
 
 
 def _fine_grid(n_x: int = 4000) -> GridSpec:
@@ -173,3 +173,48 @@ def test_v3_never_increases_in_closed_loop(params):
     tr = run_closed_loop(params, ControllerConfig(mesh_n=21), g)
     assert np.all(np.diff(tr.v3) <= 1e-6 * tr.v3[0])
     assert tr.v3[-1] < tr.v3[0]
+
+
+def test_stacked_fields_give_the_row_by_row_values():
+    g = GridSpec(n_x=60, dt=0.1, t_end=0.1)
+    const = LyapunovConstants(a=0.6772, delta=2.0, k=0.5)
+    rng = np.random.default_rng(5)
+    u, v, uh, vh, ct = rng.standard_normal((5, 7, g.n_x + 1))
+    got = {
+        "l2": l2_norm(u, g),
+        "v1_v2": np.stack(lyapunov_v1_v2(u, v, const, g)),
+        "v3": lyapunov_v3(u, v, ct, 1.3, 0.01, g),
+        "S": global_norm_S(u, v, uh, vh, ct, g),
+    }
+    rows = [
+        {
+            "l2": l2_norm(u[k], g),
+            "v1_v2": lyapunov_v1_v2(u[k], v[k], const, g),
+            "v3": lyapunov_v3(u[k], v[k], ct[k], 1.3, 0.01, g),
+            "S": global_norm_S(u[k], v[k], uh[k], vh[k], ct[k], g),
+        }
+        for k in range(7)
+    ]
+    for name, stacked in got.items():
+        assert np.array_equal(stacked, np.array([r[name] for r in rows]).T), name
+    assert all(isinstance(x, float) for x in rows[0]["v1_v2"])
+    assert isinstance(rows[0]["S"], float)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 60), (61, 3), (2, 3, 61), ()],
+    ids=["short-rows", "transposed", "3d", "scalar"],
+)
+def test_stacked_shape_guard(shape):
+    g = GridSpec(n_x=60, dt=0.1, t_end=0.1)
+    const = LyapunovConstants(a=1.0, delta=1.0, k=1.0)
+    bad = np.zeros(shape)
+    with pytest.raises(ValueError, match="grid"):
+        l2_norm(bad, g)
+    with pytest.raises(ValueError, match="grid"):
+        lyapunov_v1_v2(bad, bad, const, g)
+    with pytest.raises(ValueError, match="grid"):
+        lyapunov_v3(bad, bad, bad, 1.0, 1.0, g)
+    with pytest.raises(ValueError, match="grid"):
+        global_norm_S(bad, bad, bad, bad, bad, g)
