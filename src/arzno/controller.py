@@ -17,7 +17,7 @@ derived from them in one vectorized pass after the last step.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
@@ -49,6 +49,7 @@ from arzno.sim import (
     GridSpec,
     IdentifierState,
     PlantState,
+    _evolve,
     check_cfl,
     l2_norm,
     step_identifier,
@@ -521,7 +522,7 @@ def run_closed_loop(
         # instead of lagging it, so per-step monotonicity survives the
         # forward-Euler startup transient where the error fields grow
         # from zero before any estimate credit has accrued.
-        i = update_c_hat(replace(i_stepped, v_hat=v_hat_new), s, g)
+        i = update_c_hat(_evolve(i_stepped, v_hat=v_hat_new), s, g)
 
     record(g.n_steps)
 

@@ -7,10 +7,14 @@ them.  Families are written to separate binary files so generation can
 fan out across processes without write contention; a JSON manifest ties
 the files together with counts, draws, and a provenance hash.
 
-Record entry layout (little endian):
+Record entry layout (little endian, format version 2):
 
     [f64 snapshot time][u32 m][f64 x m estimate at mesh nodes]
     [kernel record bytes as written by kernel_record_bytes]
+
+The kernel record's layout belongs to arzno.kernels; since version 2 it
+holds Ku only, and Kv is rebuilt from the edge of Ku on read.  Version 1
+corpora, which stored both heads, are rejected and must be regenerated.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from arzno.controller import ControllerConfig, run_closed_loop
 from arzno.deeponet import KernelDataset
 from arzno.kernels import (
     KernelPair,
+    RecordFormatError,
     TriMesh,
+    kernel_arrays_from_records,
     kernel_pair_from_record,
     kernel_record_bytes,
     record_byte_length,
@@ -52,7 +58,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _FORMAT = "arzno-dataset"
-_VERSION = 1
+_VERSION = 2
 _ENTRY_HEADER = struct.Struct("<dI")
 
 
@@ -264,7 +270,8 @@ def load_manifest(path: str | Path) -> dict:
         raise DatasetFormatError(f"{path} is not a dataset manifest")
     if manifest.get("version") != _VERSION:
         raise DatasetFormatError(
-            f"unsupported dataset version {manifest.get('version')}"
+            f"unsupported dataset version {manifest.get('version')} "
+            f"(expected {_VERSION}); rerun gen-dataset to regenerate the corpus"
         )
     manifest.setdefault("root", str(path.parent))
     return manifest
@@ -308,8 +315,8 @@ def load_records(manifest: dict | str | Path) -> KernelDataset:
     manifest = _coerce_manifest(manifest)
     mesh_n = manifest["mesh_n"]
     root = Path(manifest["root"])
-    tri = mesh_n * (mesh_n + 1) // 2
     entry = _entry_bytes(mesh_n)
+    c_end = _ENTRY_HEADER.size + 8 * mesh_n
     cs, kus, kvs = [], [], []
     for fam in manifest["families"]:
         blob = Path(root / fam["path"]).read_bytes()
@@ -318,12 +325,19 @@ def load_records(manifest: dict | str | Path) -> KernelDataset:
                 f"{fam['path']}: size {len(blob)} does not match manifest"
             )
         raw = np.frombuffer(blob, dtype=np.uint8).reshape(fam["n_records"], entry)
-        c = raw[:, _ENTRY_HEADER.size : _ENTRY_HEADER.size + 8 * mesh_n]
-        cs.append(c.copy().view("<f8"))
-        payload_off = entry - 16 * tri
-        pay = raw[:, payload_off:].copy().view("<f8")
-        kus.append(pay[:, :tri])
-        kvs.append(pay[:, tri:])
+        m = raw[:, 8 : _ENTRY_HEADER.size].copy().view("<u4")[:, 0]  # after f64 t
+        bad = np.flatnonzero(m != mesh_n)
+        if bad.size:
+            raise DatasetFormatError(
+                f"{fam['path']}: entry mesh {m[bad[0]]} != {mesh_n} (entry {bad[0]})"
+            )
+        cs.append(raw[:, _ENTRY_HEADER.size : c_end].copy().view("<f8"))
+        try:
+            ku, kv = kernel_arrays_from_records(raw[:, c_end:], mesh_n)
+        except RecordFormatError as exc:
+            raise DatasetFormatError(f"{fam['path']}: {exc}") from exc
+        kus.append(ku)
+        kvs.append(kv)
     if not cs:
         raise DatasetFormatError("manifest lists no families")
     return KernelDataset(

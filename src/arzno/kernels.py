@@ -12,11 +12,15 @@ Kv constant along lines of constant x - xi, so Kv(x, xi) =
 (lam r / mu) Ku(x - xi, 0).  Ku is integrated along its characteristics
 (slope dxi/dx = -lam/mu) from the diagonal; the coupling to Kv is
 resolved by successive approximation starting from Kv == 0.
+
+Serialized kernel records therefore hold Ku only; Kv is rebuilt from
+the edge of Ku when a record is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import struct
 import warnings
 
@@ -36,6 +40,7 @@ __all__ = [
     "kernel_time_derivative",
     "kernel_record_bytes",
     "kernel_pair_from_record",
+    "kernel_arrays_from_records",
     "RECORD_HEADER_BYTES",
 ]
 
@@ -281,8 +286,7 @@ def solve_kernels(
     ku = np.zeros((n, n))
     ku[geo["rows_i"], geo["cols_j"]] = ku_flat
     kv = np.zeros((n, n))
-    ii, jj = np.tril_indices(n)
-    kv[ii, jj] = ratio * g[ii - jj]
+    kv[geo["rows_i"], geo["cols_j"]] = _kv_from_edge(ku_flat, ratio, n)
     kp = KernelPair(mesh=mesh, ku=ku, kv=kv, lam_n=a, mu_n=b, r=lp.r)
     if kp.sup_norm() > kernel_sup_cap(c_bound, a, b):
         warnings.warn(
@@ -372,21 +376,82 @@ def kernel_time_derivative(
 
 _HEADER = struct.Struct("<I3d")
 RECORD_HEADER_BYTES = _HEADER.size
+_HEADER_DTYPE = np.dtype(
+    [("n", "<u4"), ("lam_n", "<f8"), ("mu_n", "<f8"), ("r", "<f8")]
+)
 
 
 def record_byte_length(n: int) -> int:
     """Byte length of a serialized kernel record with n nodes per side."""
-    return RECORD_HEADER_BYTES + 2 * 8 * (n * (n + 1) // 2)
+    return RECORD_HEADER_BYTES + 8 * (n * (n + 1) // 2)
+
+
+@lru_cache(maxsize=None)
+def _tril_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major lower-triangle indices (i, j) and, per node, the position
+    of its edge node (i - j, 0) in the same order."""
+    ii, jj = np.tril_indices(n)
+    d = ii - jj
+    layout = (ii, jj, d * (d + 1) // 2)
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def _kv_from_edge(ku_tri: np.ndarray, ratio: float | np.ndarray, n: int) -> np.ndarray:
+    """Kv(x, xi) = (lam r / mu) Ku(x - xi, 0) over the lower triangle.
+
+    ku_tri holds Ku in row-major tril order along its last axis; ratio is
+    lam_n * r / mu_n, a scalar or one value per row of a stack.  The
+    operand order is solve_kernels', so the result is bit-identical to
+    the Kv it builds.
+    """
+    return ratio * ku_tri[..., _tril_layout(n)[2]]
 
 
 def kernel_record_bytes(kp: KernelPair) -> bytes:
     """Serialize a KernelPair: header (n, lam, mu, r), then the lower
-    triangles of Ku and Kv as little-endian float64, row-major."""
+    triangle of Ku as little-endian float64, row-major.
+
+    Kv is not stored: it is rebuilt on read from the edge of Ku.
+
+    Raises:
+        ValueError: kp.kv is not exactly the trace the edge of Ku
+            implies (a surrogate pair, say), so it would not survive.
+    """
     n = kp.mesh.n
-    ii, jj = np.tril_indices(n)
+    ii, jj, _ = _tril_layout(n)
+    ku = kp.ku[ii, jj]
+    kv = _kv_from_edge(ku, kp.lam_n * kp.r / kp.mu_n, n)
+    if not np.array_equal(kp.kv[ii, jj], kv):
+        raise ValueError("Kv is not the edge trace of Ku; the pair cannot be stored")
     header = _HEADER.pack(n, kp.lam_n, kp.mu_n, kp.r)
-    payload = np.concatenate([kp.ku[ii, jj], kp.kv[ii, jj]]).astype("<f8")
-    return header + payload.tobytes()
+    return header + ku.astype("<f8", copy=False).tobytes()
+
+
+def kernel_arrays_from_records(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a (records, record_byte_length(n)) uint8 stack of records.
+
+    Returns (ku, kv), each (records, n (n + 1) / 2) in row-major tril
+    order, with Kv rebuilt from the edge of Ku.
+
+    Raises:
+        RecordFormatError: the row length or a record's mesh size is not n.
+    """
+    if raw.shape[1] != record_byte_length(n):
+        raise RecordFormatError(
+            f"record length {raw.shape[1]} does not match n = {n} "
+            f"(expected {record_byte_length(n)})"
+        )
+    head = raw[:, :RECORD_HEADER_BYTES].copy().view(_HEADER_DTYPE)[:, 0]
+    bad = np.flatnonzero(head["n"] != n)
+    if bad.size:
+        raise RecordFormatError(
+            f"record {bad[0]} has mesh size {head['n'][bad[0]]}, expected {n}"
+        )
+    ku = raw[:, RECORD_HEADER_BYTES:].copy().view("<f8")
+    ratio = head["lam_n"] * head["r"] / head["mu_n"]
+    return ku, _kv_from_edge(ku, ratio[:, None], n)
 
 
 def kernel_pair_from_record(buf: bytes) -> KernelPair:
@@ -396,17 +461,10 @@ def kernel_pair_from_record(buf: bytes) -> KernelPair:
     n, lam_n, mu_n, r = _HEADER.unpack_from(buf)
     if n < 8:
         raise RecordFormatError(f"implausible mesh size {n}")
-    if len(buf) != record_byte_length(n):
-        raise RecordFormatError(
-            f"record length {len(buf)} does not match n = {n} "
-            f"(expected {record_byte_length(n)})"
-        )
-    tri = n * (n + 1) // 2
-    flat = np.frombuffer(buf, dtype="<f8", count=2 * tri, offset=RECORD_HEADER_BYTES)
-    mesh = TriMesh(n=n)
-    ii, jj = np.tril_indices(n)
+    ku_tri, kv_tri = kernel_arrays_from_records(np.frombuffer(buf, np.uint8)[None], n)
+    ii, jj, _ = _tril_layout(n)
     ku = np.zeros((n, n))
     kv = np.zeros((n, n))
-    ku[ii, jj] = flat[:tri]
-    kv[ii, jj] = flat[tri:]
-    return KernelPair(mesh=mesh, ku=ku, kv=kv, lam_n=lam_n, mu_n=mu_n, r=r)
+    ku[ii, jj] = ku_tri[0]
+    kv[ii, jj] = kv_tri[0]
+    return KernelPair(mesh=TriMesh(n), ku=ku, kv=kv, lam_n=lam_n, mu_n=mu_n, r=r)

@@ -7,7 +7,7 @@ then the boundary conditions u(0) = r v(0) and v(1) = U are applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,6 +145,22 @@ class IdentifierState:
             raise ValueError("initial c_hat violates |c_hat| <= c_bar")
 
 
+def _evolve(state, **fields):
+    """A copy of a frozen state with some fields replaced, unvalidated.
+
+    For hot stepping paths whose new arrays were just allocated, are
+    float64 and already satisfy the state's invariants; they are frozen
+    in place rather than copied, and the caller cedes ownership.
+    """
+    out = object.__new__(type(state))
+    out.__dict__.update(state.__dict__)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(out, name, value)
+    return out
+
+
 def _as_fields(field: np.ndarray, g: GridSpec) -> np.ndarray:
     """A nodal field, or a (rows, n_x + 1) stack of them, as floats."""
     field = np.asarray(field, dtype=float)
@@ -195,7 +211,7 @@ def step_plant(s: PlantState, lp: LinearizedParams, U: float, g: GridSpec) -> Pl
 
     t_new = s.t + g.dt
     _require_finite((u_new, v_new), t_new, "plant state")
-    return PlantState(u=u_new, v=v_new, t=t_new)
+    return _evolve(s, u=u_new, v=v_new, t=t_new)
 
 
 def step_identifier(
@@ -233,7 +249,7 @@ def step_identifier(
 
     t_new = i.t + g.dt
     _require_finite((u_new, v_new), t_new, "identifier state")
-    return replace(i, u_hat=u_new, v_hat=v_new, t=t_new)
+    return _evolve(i, u_hat=u_new, v_hat=v_new, t=t_new)
 
 
 def project(c_hat: np.ndarray, update: np.ndarray, c_bar: float) -> np.ndarray:
@@ -259,4 +275,4 @@ def update_c_hat(i: IdentifierState, s: PlantState, g: GridSpec) -> IdentifierSt
     eps = s.v - i.v_hat
     raw = i.gamma1 * np.exp(i.gamma * g.x) * eps * s.u
     masked = project(i.c_hat, raw, i.c_bar)
-    return replace(i, c_hat=np.clip(i.c_hat + g.dt * masked, -i.c_bar, i.c_bar))
+    return _evolve(i, c_hat=np.clip(i.c_hat + g.dt * masked, -i.c_bar, i.c_bar))

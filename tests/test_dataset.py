@@ -3,13 +3,16 @@
 import json
 import logging
 import re
+import shutil
+import struct
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arzno.controller import ControllerConfig
+from arzno.cli import main
+from arzno.controller import ControllerConfig, run_closed_loop
 from arzno.dataset import (
     DatasetFormatError,
     generate,
@@ -19,7 +22,7 @@ from arzno.dataset import (
     split,
     verify_labels,
 )
-from arzno.kernels import TriMesh, record_byte_length
+from arzno.kernels import TriMesh, record_byte_length, solve_kernels
 from arzno.model import TrafficParams, derive_linearized
 from arzno.sim import GridSpec
 
@@ -44,7 +47,7 @@ def corpus(tmp_path_factory):
 
 def test_generate_counts_and_manifest(corpus):
     root, man = corpus
-    assert man["format"] == "arzno-dataset" and man["version"] == 1
+    assert man["format"] == "arzno-dataset" and man["version"] == 2
     assert man["mesh_n"] == 21
     assert man["n_records"] == 100
     assert len(man["families"]) == 10 and man["skipped"] == []
@@ -218,8 +221,6 @@ def test_manifest_and_file_format_errors(corpus, tmp_path):
 
     wrong_mesh = tmp_path / "mesh.bin"
     entry = _entry_size(21)
-    import struct
-
     wrong_mesh.write_bytes(struct.pack("<dI", 0.0, 20) + b"\0" * (entry - 12))
     with pytest.raises(DatasetFormatError, match="entry mesh"):
         list(iter_family(wrong_mesh, 21))
@@ -228,6 +229,81 @@ def test_manifest_and_file_format_errors(corpus, tmp_path):
     tampered["families"][0]["n_records"] += 1
     with pytest.raises(DatasetFormatError, match="does not match manifest"):
         load_records(tampered)
+
+
+@pytest.mark.parametrize("c_source", ["estimate", "true"])
+def test_loaded_records_are_the_acquired_pairs(tmp_path, c_source):
+    man = generate(TrafficParams(), 2, _TAUS, 0.1, tmp_path, seed=4,
+                   c_source=c_source, g=_GRID, cfg=_CFG)
+    mesh = TriMesh(21)
+    pairs = []
+    for fam in man["families"]:
+        p_i = replace(TrafficParams(), tau=fam["tau"])
+        if c_source == "estimate":
+            run_closed_loop(
+                p_i, _CFG, _GRID,
+                on_refresh=lambda t, c, kp, ns: pairs.append((c.copy(), kp)),
+            )
+        else:
+            lp = derive_linearized(p_i)
+            c = np.array([lp.c(x) for x in mesh.x])
+            kp = solve_kernels(c, lp, mesh, tol=_CFG.tol, max_iter=_CFG.max_iter,
+                               c_bound=_CFG.c_bar)
+            pairs += [(c, kp)] * fam["n_records"]
+    data = load_records(man)
+    stored = [
+        (c, kp)
+        for fam in man["families"]
+        for _, c, kp in iter_family(tmp_path / fam["path"], 21)
+    ]
+    assert len(data) == len(pairs) == len(stored) == 20
+    ii, jj = np.tril_indices(21)
+    for k, ((c, kp), (c_it, kp_it)) in enumerate(zip(pairs, stored)):
+        assert np.array_equal(data.c[k], c) and np.array_equal(c_it, c)
+        assert np.array_equal(data.ku[k], kp.ku[ii, jj])
+        assert np.array_equal(data.kv[k], kp.kv[ii, jj])
+        assert np.array_equal(kp_it.ku, kp.ku) and np.array_equal(kp_it.kv, kp.kv)
+
+
+def _copy_corpus(corpus, dest):
+    root, man = corpus
+    for fam in man["families"]:
+        shutil.copy(root / fam["path"], dest / fam["path"])
+    (dest / "manifest.json").write_text((root / "manifest.json").read_text())
+    return load_manifest(dest / "manifest.json")
+
+
+def test_load_records_rejects_corrupt_entry_headers(corpus, tmp_path):
+    man = _copy_corpus(corpus, tmp_path)
+    path = tmp_path / man["families"][1]["path"]
+    entry = _entry_size(21)
+    clean = path.read_bytes()
+
+    blob = bytearray(clean)
+    blob[3 * entry + 8 : 3 * entry + 12] = struct.pack("<I", 22)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DatasetFormatError, match=r"entry mesh 22 != 21 \(entry 3\)"):
+        load_records(man)
+    with pytest.raises(DatasetFormatError, match="entry mesh"):
+        list(iter_family(path, 21))
+
+    blob = bytearray(clean)
+    record_start = 5 * entry + 12 + 8 * 21
+    blob[record_start : record_start + 4] = struct.pack("<I", 22)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DatasetFormatError, match="record 5 has mesh size 22"):
+        load_records(man)
+
+
+def test_version_1_corpus_is_rejected(corpus, tmp_path, capsys):
+    _copy_corpus(corpus, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["version"] = 1
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetFormatError, match="version 1.*rerun gen-dataset"):
+        load_manifest(tmp_path / "manifest.json")
+    assert main(["train", "--data", str(tmp_path)]) == 3
+    assert "rerun gen-dataset" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

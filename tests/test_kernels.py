@@ -18,6 +18,7 @@ from arzno.kernels import (
     RECORD_HEADER_BYTES,
     RecordFormatError,
     TriMesh,
+    kernel_arrays_from_records,
     kernel_pair_from_record,
     kernel_record_bytes,
     kernel_sup_cap,
@@ -27,6 +28,7 @@ from arzno.kernels import (
     solve_kernels,
 )
 from arzno.controller import inverse_transform_on_mesh, transform_on_mesh
+from arzno.deeponet import NeuralKernelSource, init_model
 from arzno.model import LinearizedParams
 
 
@@ -219,17 +221,56 @@ def test_time_derivative(lp):
 
 
 def test_record_round_trip(lp):
+    for n in (21, 41):
+        mesh = TriMesh(n)
+        kp = solve_kernels(lp.c_samples(n), lp, mesh)
+        buf = kernel_record_bytes(kp)
+        # Ku's lower triangle only: Kv is rebuilt from the edge of Ku.
+        tri_bytes = 8 * n * (n + 1) // 2
+        assert len(buf) == record_byte_length(n) == RECORD_HEADER_BYTES + tri_bytes
+        back = kernel_pair_from_record(buf)
+        assert np.array_equal(back.ku, kp.ku)
+        assert np.array_equal(back.kv, kp.kv)
+        assert back.lam_n == kp.lam_n
+        assert back.mu_n == kp.mu_n
+        assert back.r == kp.r
+        assert back.mesh.n == n
+
+
+def test_stacked_records_decode_like_single_records(lp):
+    mesh = TriMesh(21)
+    pairs = [
+        solve_kernels(s * lp.c_samples(21), lp, mesh) for s in (0.0, 0.5, -1.0)
+    ]
+    bufs = [kernel_record_bytes(kp) for kp in pairs]
+    raw = np.frombuffer(b"".join(bufs), np.uint8).reshape(3, -1)
+    ku, kv = kernel_arrays_from_records(raw, 21)
+    ii, jj = np.tril_indices(21)
+    assert ku.shape == kv.shape == (3, 231)
+    for k, kp in enumerate(pairs):
+        assert np.array_equal(ku[k], kp.ku[ii, jj])
+        assert np.array_equal(kv[k], kp.kv[ii, jj])
+    empty = kernel_arrays_from_records(raw[:0], 21)
+    assert empty[0].shape == empty[1].shape == (0, 231)
+    with pytest.raises(RecordFormatError, match="length"):
+        kernel_arrays_from_records(raw[:, :-8], 21)
+    bad = raw.copy()
+    bad[1, :4] = np.frombuffer((33).to_bytes(4, "little"), np.uint8)
+    with pytest.raises(RecordFormatError, match="record 1 has mesh size 33"):
+        kernel_arrays_from_records(bad, 21)
+
+
+def test_underived_kv_is_not_stored(lp):
     mesh = TriMesh(21)
     kp = solve_kernels(lp.c_samples(21), lp, mesh)
-    buf = kernel_record_bytes(kp)
-    assert len(buf) == record_byte_length(21)
-    back = kernel_pair_from_record(buf)
-    assert np.array_equal(back.ku, kp.ku)
-    assert np.array_equal(back.kv, kp.kv)
-    assert back.lam_n == kp.lam_n
-    assert back.mu_n == kp.mu_n
-    assert back.r == kp.r
-    assert back.mesh.n == 21
+    kv = kp.kv.copy()
+    kv[7, 3] = np.nextafter(kv[7, 3], np.inf)
+    nudged = KernelPair(mesh=mesh, ku=kp.ku, kv=kv, lam_n=kp.lam_n, mu_n=kp.mu_n, r=kp.r)
+    with pytest.raises(ValueError, match="edge trace"):
+        kernel_record_bytes(nudged)
+    surrogate = NeuralKernelSource(init_model(m=21, b=8, hidden=(16,)), mesh, lp)
+    with pytest.raises(ValueError, match="edge trace"):
+        kernel_record_bytes(surrogate.acquire(lp.c_samples(21)))
 
 
 def test_record_format_errors(lp):

@@ -239,3 +239,35 @@ def test_state_validation():
             u_hat=np.zeros(5), v_hat=np.zeros(5), c_hat=np.full(5, 0.5),
             c_bar=0.02,
         )
+
+
+def test_stepped_states_are_fresh_and_read_only(lp):
+    g = GridSpec(n_x=32, dt=0.1)
+    rng = np.random.default_rng(5)
+    u0, v0 = rng.standard_normal((2, 33))
+    s = PlantState(u=u0, v=v0)
+    # The public constructors copy and freeze; the caller's arrays stay theirs.
+    assert not np.shares_memory(s.u, u0) and u0.flags.writeable
+    ident = IdentifierState(
+        u_hat=np.zeros(33), v_hat=np.zeros(33), c_hat=np.zeros(33), c_bar=0.02,
+    )
+    before = pickle.dumps((s, ident))
+    s_new = step_plant(s, lp, 0.3, g)
+    i_new = step_identifier(ident, s, 0.3, lp, g)
+    c_new = update_c_hat(i_new, s_new, g)
+    assert pickle.dumps((s, ident)) == before
+    for new, old, names in (
+        (s_new, s, ("u", "v")),
+        (i_new, ident, ("u_hat", "v_hat", "c_hat")),
+        (c_new, i_new, ("u_hat", "v_hat", "c_hat")),
+    ):
+        assert type(new) is type(old)
+        # Equal to what the validating constructor makes of the same fields.
+        assert pickle.dumps(new) == pickle.dumps(dataclasses.replace(new))
+        for name in names:
+            arr = getattr(new, name)
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+    assert s_new.t == i_new.t == c_new.t == pytest.approx(0.1)
+    assert not np.shares_memory(i_new.u_hat, ident.u_hat)
+    assert not np.shares_memory(c_new.c_hat, i_new.c_hat)
+    assert c_new.u_hat is i_new.u_hat and c_new.rho_gain == ident.rho_gain
