@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -185,14 +186,21 @@ def initial_plant_state(
     return PlantState(u=u, v=v, t=0.0)
 
 
+@lru_cache(maxsize=8)
+def _lower_mask(n: int) -> np.ndarray:
+    idx = np.arange(n)
+    mask = idx[:, None] >= idx[None, :]
+    mask.setflags(write=False)
+    return mask
+
+
 def _mirror(tri: np.ndarray) -> np.ndarray:
     """Reflect a lower-triangular table across the diagonal.
 
     Bilinear cells straddling the diagonal need values on both sides;
     symmetric continuation keeps the interpolant continuous there.
     """
-    idx = np.arange(tri.shape[0])
-    return np.where(idx[:, None] >= idx[None, :], tri, tri.T)
+    return np.where(_lower_mask(tri.shape[0]), tri, tri.T)
 
 
 # The interpolation operator and the grid's quadrature weights depend only
@@ -218,14 +226,13 @@ def _grid_ops(mesh: TriMesh, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return ops
 
 
-def _rows_on_grid(tri: np.ndarray, mesh: TriMesh, g: GridSpec) -> np.ndarray:
+def _rows_on_grid(tri: np.ndarray, interp: np.ndarray) -> np.ndarray:
     """Kernel values K(x_i, xi_j) at all state-grid node pairs.
 
-    The separable bilinear interpolant P K P^T of the mirrored table; only
-    entries with xi_j <= x_i are kernel values, the rest are its mirror
-    image and are zeroed by the quadrature weights.
+    The separable bilinear interpolant P K P^T of the mirrored table, with
+    P from _grid_ops; only entries with xi_j <= x_i are kernel values,
+    the rest are its mirror image and are zeroed by the quadrature weights.
     """
-    interp = _grid_ops(mesh, g)[0]
     return interp @ _mirror(tri) @ interp.T
 
 
@@ -251,9 +258,9 @@ class _ActiveKernels:
 
 
 def _grid_caches(kp: KernelPair, g: GridSpec) -> _ActiveKernels:
-    w = _grid_ops(kp.mesh, g)[1]
-    m_u = w * _rows_on_grid(kp.ku, kp.mesh, g)
-    m_v = w * _rows_on_grid(kp.kv, kp.mesh, g)
+    interp, w = _grid_ops(kp.mesh, g)
+    m_u = w * _rows_on_grid(kp.ku, interp)
+    m_v = w * _rows_on_grid(kp.kv, interp)
     ku_row, kv_row = _edge_rows(kp, g)
     m_u[-1] = w[-1] * ku_row
     m_v[-1] = w[-1] * kv_row
@@ -263,16 +270,14 @@ def _grid_caches(kp: KernelPair, g: GridSpec) -> _ActiveKernels:
     return _ActiveKernels(kp=kp, m_u=m_u, m_v=m_v, denom=denom)
 
 
-def _transform(
-    ac: _ActiveKernels, u_hat: np.ndarray, v_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transformed fields (w, z) of the identifier state on the grid.
+def _z_field(ac: _ActiveKernels, u_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+    """The transformed field z of the identifier state on the grid.
 
-    w = u_hat; z = v_hat minus the running kernel integrals.  Feeds the
-    Lyapunov functionals; z(1) vanishes when the boundary carries the
-    matching control value.
+    z = v_hat minus the running kernel integrals; the other transformed
+    field is w = u_hat itself.  Feeds the Lyapunov functionals; z(1)
+    vanishes when the boundary carries the matching control value.
     """
-    return u_hat.copy(), v_hat - ac.m_u @ u_hat - ac.m_v @ v_hat
+    return v_hat - ac.m_u @ u_hat - ac.m_v @ v_hat
 
 
 def transform_on_mesh(
@@ -339,13 +344,11 @@ class SimTrace:
             path,
             comments,
             "t,u_norm,v_norm,e_norm,eps_norm,U,V1,V2,V3,V4,S,kernel_ns",
-            [
-                (
-                    self.t, self.u_norm, self.v_norm, self.e_norm,
-                    self.eps_norm, self.control, self.v1, self.v2, self.v3,
-                    self.v4, self.s_norm, self.kernel_ns,
-                )
-            ],
+            _csv_rows(
+                self.t, self.u_norm, self.v_norm, self.e_norm,
+                self.eps_norm, self.control, self.v1, self.v2, self.v3,
+                self.v4, self.s_norm, self.kernel_ns,
+            ),
         )
 
     def write_refresh_csv(
@@ -356,39 +359,51 @@ class SimTrace:
             path,
             comments,
             "t,kernel_ns,dku_dt,dkv_dt",
-            [(self.refresh_t, self.refresh_ns, self.dku_dt, self.dkv_dt)],
+            _csv_rows(self.refresh_t, self.refresh_ns, self.dku_dt, self.dkv_dt),
         )
 
     def write_fields_csv(
         self, path: str | Path, comments: tuple[str, ...] = ()
     ) -> None:
-        """Long-format field history: t, x, u, v, rho, speed per row."""
-        blocks = (
-            (np.full(len(self.x), tk), self.x, uk, vk, rk, sk)
+        """Long-format field history: t, x, u, v, rho, speed per row.
+
+        Written one time step per chunk; each distinct t and x is
+        formatted once.
+        """
+        xs = [f"{x!r}," for x in self.x.tolist()]
+        chunks = (
+            "".join(
+                f"{tk}{x}{u!r},{v!r},{r!r},{s!r}\n"
+                for x, u, v, r, s in zip(
+                    xs, uk.tolist(), vk.tolist(), rk.tolist(), sk.tolist()
+                )
+            )
             for tk, uk, vk, rk, sk in zip(
-                self.t, self.u, self.v, self.rho, self.speed
+                [f"{t!r}," for t in self.t.tolist()],
+                self.u, self.v, self.rho, self.speed,
             )
         )
-        _write_table(path, comments, "t,x,u,v,rho,speed", blocks)
+        _write_table(path, comments, "t,x,u,v,rho,speed", chunks)
+
+
+def _csv_rows(*cols: np.ndarray) -> Iterator[str]:
+    """CSV lines of equal-length columns.
+
+    Values are written with repr, so floats round-trip exactly and
+    integer columns stay integers.
+    """
+    for row in zip(*(col.tolist() for col in cols)):
+        yield ",".join(map(repr, row)) + "\n"
 
 
 def _write_table(
-    path: str | Path,
-    comments: tuple[str, ...],
-    header: str,
-    blocks: Iterable[tuple[np.ndarray, ...]],
+    path: str | Path, comments: tuple[str, ...], header: str, body: Iterable[str]
 ) -> None:
-    """Stream a CSV: comment lines, the header, then the rows of each block.
-
-    A block is a tuple of equal-length columns; values are written with
-    repr, so floats round-trip exactly and integer columns stay integers.
-    """
+    """Stream a CSV: comment lines, the header, then the body's text."""
     with open(path, "w") as f:
         f.writelines(f"# {c}\n" for c in comments)
         f.write(header + "\n")
-        for block in blocks:
-            for row in zip(*(col.tolist() for col in block)):
-                f.write(",".join(map(repr, row)) + "\n")
+        f.writelines(body)
 
 
 def run_closed_loop(
@@ -451,32 +466,30 @@ def run_closed_loop(
 
     t = np.empty(rows)
     kernel_ns = np.zeros(rows, dtype=np.int64)
-    hist = {
-        name: np.empty((rows, n))
-        for name in ("u", "v", "u_hat", "v_hat", "c_hat", "z")
-    }
+    u, v, u_hat, v_hat, c_hat, z = (np.empty((rows, n)) for _ in range(6))
     refresh_t: list[float] = []
     refresh_ns: list[int] = []
     dku_dt: list[float] = []
     dkv_dt: list[float] = []
 
     ac: _ActiveKernels | None = None
+    mesh_x, g_x = mesh.x, g.x
 
     def record(k: int) -> None:
         t[k] = s.t
-        hist["u"][k] = s.u
-        hist["v"][k] = s.v
-        hist["u_hat"][k] = i.u_hat
-        hist["v_hat"][k] = i.v_hat
-        hist["c_hat"][k] = i.c_hat
+        u[k] = s.u
+        v[k] = s.v
+        u_hat[k] = i.u_hat
+        v_hat[k] = i.v_hat
+        c_hat[k] = i.c_hat
         # z is the one recorded quantity that needs the kernels active at
         # row k; every other column is derived from the histories below.
         if ac is not None:
-            hist["z"][k] = _transform(ac, i.u_hat, i.v_hat)[1]
+            z[k] = _z_field(ac, i.u_hat, i.v_hat)
 
     def refresh(k: int) -> None:
         nonlocal ac
-        c_mesh = np.interp(mesh.x, g.x, i.c_hat)
+        c_mesh = np.interp(mesh_x, g_x, i.c_hat)
         t0 = time.perf_counter_ns()
         kp = source.acquire(c_mesh)
         elapsed = time.perf_counter_ns() - t0
@@ -484,8 +497,8 @@ def run_closed_loop(
             dku, dkv = 0.0, 0.0
         else:
             d_u, d_v = kernel_time_derivative(kp, ac.kp, cfg.kernel_refresh_dt)
-            dku = float(np.max(np.abs(d_u)))
-            dkv = float(np.max(np.abs(d_v)))
+            dku = float(np.abs(d_u).max())
+            dkv = float(np.abs(d_v).max())
         ac = _grid_caches(kp, g)
         refresh_t.append(s.t)
         refresh_ns.append(elapsed)
@@ -526,19 +539,18 @@ def run_closed_loop(
 
     record(g.n_steps)
 
-    u, v, u_hat, v_hat = hist["u"], hist["v"], hist["u_hat"], hist["v_hat"]
     e = u - u_hat
     eps = v - v_hat
-    c_tilde = lp.c(g.x) - hist["c_hat"]
+    c_tilde = lp.c(g_x) - c_hat
     v3 = lyapunov_v3(e, eps, c_tilde, cfg.gamma, cfg.gamma1, g)
     if source is None:
         v1, v2, v_lyap = np.full((3, rows), np.nan)
     else:
-        v1, v2, v_lyap = lyapunov_v1_v2(u_hat, hist["z"], derive_constants(lp), g)
-    rho, speed = from_riemann(lp, g.x, u, v)
+        v1, v2, v_lyap = lyapunov_v1_v2(u_hat, z, derive_constants(lp), g)
+    rho, speed = from_riemann(lp, g_x, u, v)
 
     return SimTrace(
-        x=g.x.copy(),
+        x=g_x.copy(),
         t=t,
         u_norm=l2_norm(u, g),
         v_norm=l2_norm(v, g),
@@ -561,7 +573,7 @@ def run_closed_loop(
         v=v,
         u_hat=u_hat,
         v_hat=v_hat,
-        c_hat=hist["c_hat"],
+        c_hat=c_hat,
         rho=rho,
         speed=speed,
     )

@@ -26,7 +26,7 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -305,6 +305,33 @@ def iter_family(
         yield float(t), c, kernel_pair_from_record(rec)
 
 
+def _decode_entries(
+    raw: np.ndarray, mesh_n: int, name: str, entries: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, ku, kv) of a (rows, entry bytes) uint8 stack of entries.
+
+    ku and kv are in row-major tril order.  entries numbers the rows
+    within the family file called name; a bad record's number in an
+    error message counts rows instead.
+
+    Raises:
+        DatasetFormatError: an entry's m or a record's n is not mesh_n.
+    """
+    m = raw[:, 8 : _ENTRY_HEADER.size].copy().view("<u4")[:, 0]  # after f64 t
+    bad = np.flatnonzero(m != mesh_n)
+    if bad.size:
+        raise DatasetFormatError(
+            f"{name}: entry mesh {m[bad[0]]} != {mesh_n} (entry {entries[bad[0]]})"
+        )
+    c_end = _ENTRY_HEADER.size + 8 * mesh_n
+    c = raw[:, _ENTRY_HEADER.size : c_end].copy().view("<f8")
+    try:
+        ku, kv = kernel_arrays_from_records(raw[:, c_end:], mesh_n)
+    except RecordFormatError as exc:
+        raise DatasetFormatError(f"{name}: {exc}") from exc
+    return c, ku, kv
+
+
 def load_records(manifest: dict | str | Path) -> KernelDataset:
     """Stack every record under a manifest into training arrays.
 
@@ -316,7 +343,6 @@ def load_records(manifest: dict | str | Path) -> KernelDataset:
     mesh_n = manifest["mesh_n"]
     root = Path(manifest["root"])
     entry = _entry_bytes(mesh_n)
-    c_end = _ENTRY_HEADER.size + 8 * mesh_n
     cs, kus, kvs = [], [], []
     for fam in manifest["families"]:
         blob = Path(root / fam["path"]).read_bytes()
@@ -325,17 +351,8 @@ def load_records(manifest: dict | str | Path) -> KernelDataset:
                 f"{fam['path']}: size {len(blob)} does not match manifest"
             )
         raw = np.frombuffer(blob, dtype=np.uint8).reshape(fam["n_records"], entry)
-        m = raw[:, 8 : _ENTRY_HEADER.size].copy().view("<u4")[:, 0]  # after f64 t
-        bad = np.flatnonzero(m != mesh_n)
-        if bad.size:
-            raise DatasetFormatError(
-                f"{fam['path']}: entry mesh {m[bad[0]]} != {mesh_n} (entry {bad[0]})"
-            )
-        cs.append(raw[:, _ENTRY_HEADER.size : c_end].copy().view("<f8"))
-        try:
-            ku, kv = kernel_arrays_from_records(raw[:, c_end:], mesh_n)
-        except RecordFormatError as exc:
-            raise DatasetFormatError(f"{fam['path']}: {exc}") from exc
+        c, ku, kv = _decode_entries(raw, mesh_n, fam["path"], range(fam["n_records"]))
+        cs.append(c)
         kus.append(ku)
         kvs.append(kv)
     if not cs:
@@ -420,7 +437,8 @@ def verify_labels(
 
     Returns a report dict with the number checked and the worst sup-norm
     discrepancy; records are solver outputs, so anything beyond the
-    solver tolerance indicates corruption.
+    solver tolerance indicates corruption.  Entries have a fixed size, so
+    only the sampled ones are read and decoded.
     """
     manifest = _coerce_manifest(manifest)
     root = Path(manifest["root"])
@@ -441,27 +459,39 @@ def verify_labels(
     picks = rng.choice(len(index), size=min(n_check, len(index)), replace=False)
 
     worst = 0.0
+    entry = _entry_bytes(mesh_n)
+    ii, jj = np.tril_indices(mesh_n)
     by_file: dict[str, list[int]] = {}
     for k in picks:
         fam, j = index[int(k)]
         by_file.setdefault(fam["path"], []).append(j)
     for fname, rows in by_file.items():
         fam = next(f for f in manifest["families"] if f["path"] == fname)
-        entries = dict(
-            (j, (c, kp))
-            for j, (t, c, kp) in enumerate(iter_family(root / fname, mesh_n))
-            if j in set(rows)
+        with open(root / fname, "rb") as f:
+            size = f.seek(0, 2)
+            if size != entry * fam["n_records"]:
+                raise DatasetFormatError(
+                    f"{fname}: size {size} does not match manifest"
+                )
+            blob = bytearray()
+            for j in rows:
+                f.seek(j * entry)
+                blob += f.read(entry)
+        raw = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), entry)
+        cs, kus, kvs = _decode_entries(
+            raw, mesh_n, f"{fname} (sampled entries {rows})", rows
         )
         lp = derive_linearized(replace(p, tau=fam["tau"]))
-        for j in rows:
-            c, kp = entries[j]
+        # Solver kernels are zero above the diagonal, like decoded ones, so
+        # the lower triangles carry the whole sup-norm discrepancy.
+        for c, ku, kv in zip(cs, kus, kvs):
             ref = solve_kernels(
                 c, lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter,
                 c_bound=cfg.c_bar,
             )
             err = max(
-                float(np.max(np.abs(ref.ku - kp.ku))),
-                float(np.max(np.abs(ref.kv - kp.kv))),
+                float(np.max(np.abs(ref.ku[ii, jj] - ku))),
+                float(np.max(np.abs(ref.kv[ii, jj] - kv))),
             )
             worst = max(worst, err)
     return {"checked": len(picks), "max_err": worst}

@@ -580,29 +580,31 @@ class NeuralKernelSource:
         self._f_all = np.ascontiguousarray(
             np.vstack([lat_f * head[0], lat_f * head[1]])
         )
-        ii, jj = np.tril_indices(mesh.n)
-        self._flat = ii * mesh.n + jj
+        # The branch layers as (W, b) pairs, so an acquisition runs
+        # _forward_stack's arithmetic without its parameter lookups.
+        self._branch = [
+            (model.params[f"branch_w{layer}"], model.params[f"branch_b{layer}"])
+            for layer in range(n_hidden + 1)
+        ]
+        # Flat positions of both heads' lower triangles in one (2, n, n)
+        # buffer, Ku's first.
+        n = mesh.n
+        ii, jj = np.tril_indices(n)
+        flat = ii * n + jj
+        self._flat = np.concatenate([flat, flat + n * n])
 
     def acquire(self, c_mesh: np.ndarray) -> KernelPair:
         c_mesh = np.asarray(c_mesh, dtype=float)
         if c_mesh.shape != (self.mesh.n,):
             raise ValueError("c_mesh must live on the mesh edge grid")
-        n_hidden = len(self.model.hidden)
-        lat_g = _forward_stack(
-            self.model.params, "branch", c_mesh / self.model.c_scale, n_hidden
-        )[-1]
-        pred = self._f_all @ lat_g
+        h = c_mesh / self.model.c_scale
+        *hidden, (w_out, b_out) = self._branch
+        for w, b in hidden:
+            h = np.tanh(h @ w + b)
         n = self.mesh.n
-        tri = pred.size // 2
-        ku = np.zeros(n * n)
-        kv = np.zeros(n * n)
-        ku[self._flat] = pred[:tri]
-        kv[self._flat] = pred[tri:]
+        out = np.zeros(2 * n * n)
+        out[self._flat] = self._f_all @ (h @ w_out + b_out)
+        ku, kv = out.reshape(2, n, n)
         return KernelPair._trusted(
-            self.mesh,
-            ku.reshape(n, n),
-            kv.reshape(n, n),
-            self.lp.lam_n,
-            self.lp.mu_n,
-            self.lp.r,
+            self.mesh, ku, kv, self.lp.lam_n, self.lp.mu_n, self.lp.r
         )

@@ -7,7 +7,9 @@ then the boundary conditions u(0) = r v(0) and v(1) = U are applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +25,6 @@ __all__ = [
     "check_cfl",
     "step_plant",
     "step_identifier",
-    "project",
     "update_c_hat",
 ]
 
@@ -180,14 +181,50 @@ def l2_norm(field: np.ndarray, g: GridSpec) -> float | np.ndarray:
 
 
 def regressor_norm2(s: PlantState, g: GridSpec) -> float:
-    """Squared norm of the plant state, ||u||^2 + ||v||^2."""
-    return l2_norm(s.u, g) ** 2 + l2_norm(s.v, g) ** 2
+    """Squared norm of the plant state, ||u||^2 + ||v||^2.
+
+    l2_norm(s.u, g) ** 2 + l2_norm(s.v, g) ** 2 with np.trapezoid's
+    arithmetic written out, since the identifier needs it every step.
+    """
+    if s.u.shape != (g.n_x + 1,):
+        raise ValueError("field does not match the grid")
+    dx = g.dx
+    u2 = s.u * s.u
+    v2 = s.v * s.v
+    return (
+        math.sqrt((dx * (u2[1:] + u2[:-1]) / 2.0).sum()) ** 2
+        + math.sqrt((dx * (v2[1:] + v2[:-1]) / 2.0).sum()) ** 2
+    )
 
 
 def _require_finite(arrs: tuple[np.ndarray, ...], t: float, what: str) -> None:
     for a in arrs:
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise InstabilityError(t, what)
+
+
+@lru_cache(maxsize=64)
+def _stepping(
+    g: GridSpec, lp: LinearizedParams
+) -> tuple[float, float, float, float, np.ndarray]:
+    """Per-run constants of the upwind steps: (nu_a, nu_b, dt, r, c).
+
+    c is the coupling on every node but the last.  The CFL bound is
+    checked here; lru_cache stores no raised exception, so a violating
+    grid fails on every step, not only the first.
+    """
+    check_cfl(g, lp)
+    c = lp.c(g.x)[:-1]
+    c.setflags(write=False)
+    return lp.lam_n * g.dt / g.dx, lp.mu_n * g.dt / g.dx, g.dt, lp.r, c
+
+
+@lru_cache(maxsize=64)
+def _adaptation_weight(gamma1: float, gamma: float, g: GridSpec) -> np.ndarray:
+    """gamma1 * exp(gamma x), the leading factor of the adaptation law."""
+    w = gamma1 * np.exp(gamma * g.x)
+    w.setflags(write=False)
+    return w
 
 
 def step_plant(s: PlantState, lp: LinearizedParams, U: float, g: GridSpec) -> PlantState:
@@ -196,20 +233,17 @@ def step_plant(s: PlantState, lp: LinearizedParams, U: float, g: GridSpec) -> Pl
     Interior update first (upwind in the transport direction of each
     field), then v(1) = U and u(0) = r v(0) using the fresh v.
     """
-    check_cfl(g, lp)
-    nu_a = lp.lam_n * g.dt / g.dx
-    nu_b = lp.mu_n * g.dt / g.dx
-    c = lp.c(g.x)
+    nu_a, nu_b, dt, r, c = _stepping(g, lp)
     u, v = s.u, s.v
 
     u_new = np.empty_like(u)
     v_new = np.empty_like(v)
     u_new[1:] = u[1:] - nu_a * (u[1:] - u[:-1])
-    v_new[:-1] = v[:-1] + nu_b * (v[1:] - v[:-1]) + g.dt * (c[:-1] * u[:-1])
+    v_new[:-1] = v[:-1] + nu_b * (v[1:] - v[:-1]) + dt * (c * u[:-1])
     v_new[-1] = U
-    u_new[0] = lp.r * v_new[0]
+    u_new[0] = r * v_new[0]
 
-    t_new = s.t + g.dt
+    t_new = s.t + dt
     _require_finite((u_new, v_new), t_new, "plant state")
     return _evolve(s, u=u_new, v=v_new, t=t_new)
 
@@ -228,51 +262,38 @@ def step_identifier(
     rho ||w||^2 eps, with ||w||^2 = ||u||^2 + ||v||^2 evaluated once.
     c_hat itself is advanced separately by update_c_hat.
     """
-    check_cfl(g, lp)
-    nu_a = lp.lam_n * g.dt / g.dx
-    nu_b = lp.mu_n * g.dt / g.dx
+    nu_a, nu_b, dt, r, _ = _stepping(g, lp)
     u_hat, v_hat = i.u_hat, i.v_hat
     e = s.u - u_hat
     eps = s.v - v_hat
-    w2 = regressor_norm2(s, g)
+    gain = i.rho_gain * regressor_norm2(s, g)
 
     u_new = np.empty_like(u_hat)
     v_new = np.empty_like(v_hat)
-    u_new[1:] = u_hat[1:] - nu_a * (u_hat[1:] - u_hat[:-1]) + g.dt * (
-        i.rho_gain * w2 * e[1:]
-    )
-    v_new[:-1] = v_hat[:-1] + nu_b * (v_hat[1:] - v_hat[:-1]) + g.dt * (
-        i.c_hat[:-1] * s.u[:-1] + i.rho_gain * w2 * eps[:-1]
+    u_new[1:] = u_hat[1:] - nu_a * (u_hat[1:] - u_hat[:-1]) + dt * (gain * e[1:])
+    v_new[:-1] = v_hat[:-1] + nu_b * (v_hat[1:] - v_hat[:-1]) + dt * (
+        i.c_hat[:-1] * s.u[:-1] + gain * eps[:-1]
     )
     v_new[-1] = U
-    u_new[0] = lp.r * v_new[0]
+    u_new[0] = r * v_new[0]
 
-    t_new = i.t + g.dt
+    t_new = i.t + dt
     _require_finite((u_new, v_new), t_new, "identifier state")
     return _evolve(i, u_hat=u_new, v_hat=v_new, t=t_new)
-
-
-def project(c_hat: np.ndarray, update: np.ndarray, c_bar: float) -> np.ndarray:
-    """Pointwise projection of an adaptation update onto |c_hat| <= c_bar.
-
-    The update is zeroed wherever c_hat sits on the bound and the update
-    points outward; elsewhere it passes through unchanged.
-    """
-    c_hat = np.asarray(c_hat, dtype=float)
-    update = np.asarray(update, dtype=float)
-    outward = ((c_hat >= c_bar) & (update > 0)) | ((c_hat <= -c_bar) & (update < 0))
-    return np.where(outward, 0.0, update)
 
 
 def update_c_hat(i: IdentifierState, s: PlantState, g: GridSpec) -> IdentifierState:
     """One forward-Euler step of the adaptation law for c_hat.
 
-    Raw update gamma1 * exp(gamma x) * eps * u, projected at the bound;
-    the Euler step is additionally clipped to [-c_bar, c_bar] so the
-    bound survives discretization.  Fields and time are left untouched;
-    callers sequence this against the field steps.
+    Raw update gamma1 * exp(gamma x) * eps * u; the Euler step is clipped
+    to [-c_bar, c_bar].  The clip alone is the projection: where c_hat
+    sits on the bound and the update points outward, both give the bound,
+    and elsewhere the projection passes the update through unchanged.
+    Fields and time are left untouched; callers sequence this against
+    the field steps.
     """
-    eps = s.v - i.v_hat
-    raw = i.gamma1 * np.exp(i.gamma * g.x) * eps * s.u
-    masked = project(i.c_hat, raw, i.c_bar)
-    return _evolve(i, c_hat=np.clip(i.c_hat + g.dt * masked, -i.c_bar, i.c_bar))
+    raw = _adaptation_weight(i.gamma1, i.gamma, g) * (s.v - i.v_hat) * s.u
+    c_bar = i.c_bar
+    return _evolve(
+        i, c_hat=np.minimum(np.maximum(i.c_hat + g.dt * raw, -c_bar), c_bar)
+    )

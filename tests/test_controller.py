@@ -1,5 +1,7 @@
 """Tests for the closed-loop orchestration and boundary feedback."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from arzno.controller import (
     initial_plant_state,
     run_closed_loop,
 )
+from arzno.deeponet import NeuralKernelSource, _forward_stack, init_model
 from arzno.diagnostics import (
     derive_constants,
     global_norm_S,
@@ -18,14 +21,14 @@ from arzno.diagnostics import (
 )
 from arzno.kernels import KernelPair, TriMesh, _volterra_weights, solve_kernels
 from arzno.model import derive_linearized, from_riemann, to_riemann
-from arzno.sim import GridSpec, l2_norm
+from arzno.sim import GridSpec, check_cfl, l2_norm
 
 
-def _control_and_transform(kp, u_hat, v_hat, g):
-    """The loop's boundary value for these fields, and their (w, z)."""
+def _control_and_z(kp, u_hat, v_hat, g):
+    """The loop's boundary value for these fields, and their z."""
     ac = controller._grid_caches(kp, g)
     u_next = (ac.m_u[-1] @ u_hat + ac.m_v[-1] @ v_hat) / ac.denom
-    return u_next, controller._transform(ac, u_hat, v_hat)
+    return u_next, controller._z_field(ac, u_hat, v_hat)
 
 
 def test_transformed_boundary_vanishes_along_trajectory(params, lp):
@@ -42,7 +45,7 @@ def test_transformed_boundary_vanishes_along_trajectory(params, lp):
             c_mesh, lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter, c_bound=cfg.c_bar
         )
         ac = controller._grid_caches(kp, g)
-        _, z = controller._transform(ac, tr.u_hat[k], tr.v_hat[k])
+        z = controller._z_field(ac, tr.u_hat[k], tr.v_hat[k])
         scale = max(1.0, float(np.max(np.abs(z))))
         assert abs(z[-1]) <= 1e-12 * scale
 
@@ -71,9 +74,8 @@ def test_control_value_zero_kernels_and_transform_identity(lp):
     rng = np.random.default_rng(2)
     u_hat = rng.standard_normal(g.n_x + 1)
     v_hat = rng.standard_normal(g.n_x + 1)
-    u_next, (w, z) = _control_and_transform(kp, u_hat, v_hat, g)
+    u_next, z = _control_and_z(kp, u_hat, v_hat, g)
     assert u_next == 0.0
-    np.testing.assert_array_equal(w, u_hat)
     np.testing.assert_array_equal(z, v_hat)
 
 
@@ -86,7 +88,7 @@ def test_control_value_constant_kernel_quadrature(lp):
         mesh=mesh, ku=np.tril(np.ones((11, 11))), kv=np.zeros((11, 11)),
         lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r,
     )
-    u_next, (_, z) = _control_and_transform(
+    u_next, z = _control_and_z(
         kp, np.full(g.n_x + 1, 2.0), np.zeros(g.n_x + 1), g
     )
     assert u_next == pytest.approx(2.0, rel=1e-12)
@@ -286,7 +288,8 @@ def test_grid_tables_match_four_corner_interpolation(lp, mesh_n, n_x):
     mesh = TriMesh(mesh_n)
     kp = solve_kernels(lp.c_samples(mesh_n), lp, mesh)
     for tri in (kp.ku, kp.kv):
-        got = np.tril(controller._rows_on_grid(tri, mesh, g))
+        interp = controller._grid_ops(mesh, g)[0]
+        got = np.tril(controller._rows_on_grid(tri, interp))
         want = _four_corner_rows(tri, mesh, g)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -308,7 +311,10 @@ def test_closed_loop_matches_four_corner_tables(params, monkeypatch):
     g = GridSpec(n_x=60, dt=0.1, t_end=5.0)
     cfg = ControllerConfig()
     new = run_closed_loop(params, cfg, g)
-    monkeypatch.setattr(controller, "_rows_on_grid", _four_corner_rows)
+    monkeypatch.setattr(
+        controller, "_rows_on_grid",
+        lambda tri, interp: _four_corner_rows(tri, TriMesh(cfg.mesh_n), g),
+    )
     ref = run_closed_loop(params, cfg, g)
     for name in ("u", "v", "u_hat", "v_hat", "c_hat", "control"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
@@ -350,8 +356,8 @@ def _per_step_reference(tr, lp, cfg: ControllerConfig, g: GridSpec, kernels):
                 cols[name][k] = np.nan
         else:
             ac = controller._grid_caches(kernels[max(k - 1, 0) // every], g)
-            w_f, z_f = controller._transform(ac, u_hat, v_hat)
-            v1, v2, v_l = lyapunov_v1_v2(w_f, z_f, const, g)
+            z_f = controller._z_field(ac, u_hat, v_hat)
+            v1, v2, v_l = lyapunov_v1_v2(u_hat, z_f, const, g)
             cols["v1"][k] = v1
             cols["v2"][k] = v2
             cols["v_lyap"][k] = v_l
@@ -434,3 +440,129 @@ def test_streamed_csvs_match_per_cell_format(params, tmp_path, open_loop):
     tr.write_fields_csv(tmp_path / "fields.csv", comments)
     for name, text in _per_cell_csvs(tr, comments).items():
         assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
+# Reference stepping: the stepper bodies and the surrogate acquisition as
+# they were before their per-run constants were cached, with the
+# adaptation step clipped after the explicit projection.
+
+
+def _ref_step_plant(s, lp, U, g):
+    check_cfl(g, lp)
+    nu_a = lp.lam_n * g.dt / g.dx
+    nu_b = lp.mu_n * g.dt / g.dx
+    c = lp.c(g.x)
+    u, v = s.u, s.v
+    u_new = np.empty_like(u)
+    v_new = np.empty_like(v)
+    u_new[1:] = u[1:] - nu_a * (u[1:] - u[:-1])
+    v_new[:-1] = v[:-1] + nu_b * (v[1:] - v[:-1]) + g.dt * (c[:-1] * u[:-1])
+    v_new[-1] = U
+    u_new[0] = lp.r * v_new[0]
+    assert np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
+    return dataclasses.replace(s, u=u_new, v=v_new, t=s.t + g.dt)
+
+
+def _ref_step_identifier(i, s, U, lp, g):
+    check_cfl(g, lp)
+    nu_a = lp.lam_n * g.dt / g.dx
+    nu_b = lp.mu_n * g.dt / g.dx
+    u_hat, v_hat = i.u_hat, i.v_hat
+    e = s.u - u_hat
+    eps = s.v - v_hat
+    w2 = l2_norm(s.u, g) ** 2 + l2_norm(s.v, g) ** 2
+    u_new = np.empty_like(u_hat)
+    v_new = np.empty_like(v_hat)
+    u_new[1:] = u_hat[1:] - nu_a * (u_hat[1:] - u_hat[:-1]) + g.dt * (
+        i.rho_gain * w2 * e[1:]
+    )
+    v_new[:-1] = v_hat[:-1] + nu_b * (v_hat[1:] - v_hat[:-1]) + g.dt * (
+        i.c_hat[:-1] * s.u[:-1] + i.rho_gain * w2 * eps[:-1]
+    )
+    v_new[-1] = U
+    u_new[0] = lp.r * v_new[0]
+    assert np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
+    return dataclasses.replace(i, u_hat=u_new, v_hat=v_new, t=i.t + g.dt)
+
+
+def _ref_update_c_hat(i, s, g):
+    eps = s.v - i.v_hat
+    raw = i.gamma1 * np.exp(i.gamma * g.x) * eps * s.u
+    c_hat, c_bar = i.c_hat, i.c_bar
+    outward = ((c_hat >= c_bar) & (raw > 0)) | ((c_hat <= -c_bar) & (raw < 0))
+    masked = np.where(outward, 0.0, raw)
+    return dataclasses.replace(
+        i, c_hat=np.clip(c_hat + g.dt * masked, -c_bar, c_bar)
+    )
+
+
+def _ref_acquire(self, c_mesh):
+    model = self.model
+    lat_g = _forward_stack(
+        model.params, "branch", c_mesh / model.c_scale, len(model.hidden)
+    )[-1]
+    pred = self._f_all @ lat_g
+    n = self.mesh.n
+    ii, jj = np.tril_indices(n)
+    tri = pred.size // 2
+    ku = np.zeros((n, n))
+    kv = np.zeros((n, n))
+    ku[ii, jj] = pred[:tri]
+    kv[ii, jj] = pred[tri:]
+    lp = self.lp
+    return KernelPair(
+        mesh=self.mesh, ku=ku, kv=kv, lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r
+    )
+
+
+_TIMING = ("kernel_ns", "refresh_ns")
+
+
+def _reference_run(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(controller, "step_plant", _ref_step_plant)
+        m.setattr(controller, "step_identifier", _ref_step_identifier)
+        m.setattr(controller, "update_c_hat", _ref_update_c_hat)
+        m.setattr(NeuralKernelSource, "acquire", _ref_acquire)
+        return run_closed_loop(*args, **kwargs)
+
+
+def _assert_traces_equal(got, want):
+    for f in dataclasses.fields(got):
+        if f.name not in _TIMING:
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype, f.name
+            assert np.array_equal(a, b, equal_nan=True), f.name
+
+
+@pytest.mark.parametrize(
+    "source,refresh_dt,open_loop",
+    [("solver", 0.1, False), ("neural", 0.1, False), ("solver", 0.1, True),
+     ("solver", 0.3, False)],
+    ids=["exact", "surrogate", "open-loop", "refresh-between-rows"],
+)
+def test_loop_matches_reference_steppers(params, monkeypatch, source, refresh_dt, open_loop):
+    g = GridSpec(n_x=60, dt=0.1, t_end=20.0)
+    cfg = ControllerConfig(kernel_source=source, kernel_refresh_dt=refresh_dt)
+    model = init_model(seed=7) if source == "neural" else None
+    got = run_closed_loop(params, cfg, g, model=model, open_loop=open_loop)
+    want = _reference_run(monkeypatch, params, cfg, g, model=model, open_loop=open_loop)
+    _assert_traces_equal(got, want)
+    assert np.any(got.c_hat != got.c_hat[0])
+
+
+def test_cached_constants_do_not_leak_between_runs(params, monkeypatch):
+    # Two runs back to back on one mesh whose time steps, plants and
+    # adaptation weights differ: each must match its own reference, not
+    # the constants of the run before it.
+    runs = [
+        (params, ControllerConfig(mesh_n=21), GridSpec(n_x=60, dt=0.1, t_end=5.0)),
+        (
+            dataclasses.replace(params, tau=45.0),
+            ControllerConfig(mesh_n=21, gamma=2.5, kernel_refresh_dt=0.05),
+            GridSpec(n_x=60, dt=0.05, t_end=5.0),
+        ),
+    ]
+    got = [run_closed_loop(*run) for run in runs]
+    for run, trace in zip(runs, got):
+        _assert_traces_equal(trace, _reference_run(monkeypatch, *run))

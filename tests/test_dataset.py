@@ -326,3 +326,41 @@ def test_generate_argument_validation(tmp_path, kwargs, match):
     base.update(kwargs)
     with pytest.raises(ValueError, match=match):
         generate(**base)
+
+
+def test_verify_labels_reads_and_checks_only_sampled_entries(corpus, tmp_path):
+    man = _copy_corpus(corpus, tmp_path)
+    fam = man["families"][1]
+    path = tmp_path / fam["path"]
+    entry = _entry_size(21)
+    one_family = {**man, "families": [fam], "n_records": fam["n_records"]}
+    report = verify_labels(one_family, fraction=0.3, seed=4)
+    sampled = sorted(
+        np.random.default_rng(4).choice(10, size=3, replace=False).tolist()
+    )
+    unsampled = next(j for j in range(10) if j not in sampled)
+    clean = path.read_bytes()
+
+    # Damage an entry outside the sample: its bytes are never decoded.
+    blob = bytearray(clean)
+    blob[unsampled * entry : (unsampled + 1) * entry] = b"\xff" * entry
+    path.write_bytes(bytes(blob))
+    assert verify_labels(one_family, fraction=0.3, seed=4) == report
+
+    # The entry-m and record-n checks still hold for the sampled entries.
+    j = sampled[1]
+    blob = bytearray(clean)
+    blob[j * entry + 8 : j * entry + 12] = struct.pack("<I", 22)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DatasetFormatError, match=rf"entry mesh 22 != 21 \(entry {j}\)"):
+        verify_labels(one_family, fraction=0.3, seed=4)
+    blob = bytearray(clean)
+    start = j * entry + 12 + 8 * 21
+    blob[start : start + 4] = struct.pack("<I", 22)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DatasetFormatError, match="sampled entries.*has mesh size 22"):
+        verify_labels(one_family, fraction=0.3, seed=4)
+
+    path.write_bytes(clean[:-1])
+    with pytest.raises(DatasetFormatError, match="does not match manifest"):
+        verify_labels(one_family, fraction=0.3, seed=4)

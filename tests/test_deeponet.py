@@ -12,6 +12,7 @@ from arzno.deeponet import (
     ModelFormatError,
     NeuralKernelSource,
     TrainConfig,
+    _forward_stack,
     as_kernel_dataset,
     eval_accuracy,
     forward,
@@ -219,6 +220,38 @@ def test_neural_source_matches_forward(lp):
     assert np.all(kp.ku[np.triu_indices(12, k=1)] == 0.0)
     assert np.all(kp.kv[np.triu_indices(12, k=1)] == 0.0)
     assert kp.mesh is mesh
+
+
+@pytest.mark.parametrize("hidden", [(8,), (16, 12, 8)], ids=["one-layer", "three-layer"])
+def test_neural_source_pairs_are_the_stacked_prediction(lp, hidden):
+    # The acquisition runs the branch from cached layers and scatters both
+    # heads through one buffer; its pairs must equal, bit for bit, the
+    # branch and trunk stacks evaluated from the parameter dict.
+    n = 13
+    mesh = TriMesh(n)
+    model = init_model(m=n, b=5, hidden=hidden, seed=4, c_scale=0.02)
+    source = NeuralKernelSource(model, mesh, lp)
+    n_hidden = len(hidden)
+    lat_f = _forward_stack(model.params, "trunk", mesh_queries(mesh), n_hidden)[-1]
+    head = model.params["head"]
+    f_all = np.vstack([lat_f * head[0], lat_f * head[1]])
+    ii, jj = np.tril_indices(n)
+    upper = np.triu_indices(n, k=1)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        c = rng.uniform(-0.02, 0.02, n)
+        lat_g = _forward_stack(model.params, "branch", c / model.c_scale, n_hidden)[-1]
+        pred = f_all @ lat_g
+        kp = source.acquire(c)
+        for k, arr in enumerate((kp.ku, kp.kv)):
+            assert arr.shape == (n, n) and arr.dtype == np.float64
+            assert np.array_equal(arr[ii, jj], pred[k * ii.size : (k + 1) * ii.size])
+            assert np.all(arr[upper] == 0.0)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        assert (kp.lam_n, kp.mu_n, kp.r) == (lp.lam_n, lp.mu_n, lp.r)
+        assert not np.shares_memory(kp.ku, source.acquire(c).ku)
 
 
 def test_neural_source_validates_sizes(lp):

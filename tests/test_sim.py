@@ -16,7 +16,6 @@ from arzno.sim import (
     PlantState,
     check_cfl,
     l2_norm,
-    project,
     step_identifier,
     step_plant,
     update_c_hat,
@@ -97,6 +96,17 @@ def test_cfl_violation_raises(lp):
     with pytest.raises(CFLError):
         check_cfl(g, lp)
     s = PlantState(u=np.zeros(61), v=np.zeros(61))
+    ident = IdentifierState(
+        u_hat=np.zeros(61), v_hat=np.zeros(61), c_hat=np.zeros(61), c_bar=0.02,
+    )
+    # The per-run stepping constants are cached, the failed check is not:
+    # every call raises, not only the first.
+    for _ in range(3):
+        with pytest.raises(CFLError):
+            step_plant(s, lp, 0.0, g)
+        with pytest.raises(CFLError):
+            step_identifier(ident, s, 0.0, lp, g)
+    step_plant(s, lp, 0.0, GridSpec(n_x=60, dt=0.1))
     with pytest.raises(CFLError):
         step_plant(s, lp, 0.0, g)
 
@@ -157,6 +167,14 @@ def test_l2_norm_shape_guard():
     g = GridSpec(n_x=60, dt=0.1)
     with pytest.raises(ValueError):
         l2_norm(np.zeros(60), g)
+    # The identifier's regressor norm guards its grid the same way, even
+    # when plant and identifier fields agree with each other.
+    s = PlantState(u=np.zeros(33), v=np.zeros(33))
+    ident = IdentifierState(
+        u_hat=np.zeros(33), v_hat=np.zeros(33), c_hat=np.zeros(33), c_bar=0.02,
+    )
+    with pytest.raises(ValueError, match="grid"):
+        step_identifier(ident, s, 0.0, _transport_only_lp(), g)
 
 
 def test_exact_knowledge_invariance(lp):
@@ -182,13 +200,47 @@ def test_exact_knowledge_invariance(lp):
     np.testing.assert_array_equal(ident.c_hat, c_true)
 
 
-def test_projection_cases():
-    c_bar = 1.0
-    c = np.array([1.0, 1.0, -1.0, -1.0, 0.3, 0.99])
-    upd = np.array([0.5, -0.5, -0.5, 0.5, 2.0, 5.0])
-    out = project(c, upd, c_bar)
-    # Outward pushes at the bound are zeroed, everything else passes.
-    np.testing.assert_array_equal(out, [0.0, -0.5, 0.0, 0.5, 2.0, 5.0])
+def _project(c_hat: np.ndarray, update: np.ndarray, c_bar: float) -> np.ndarray:
+    """Reference projection: zero the update where c_hat sits on the bound
+    and the update points outward; elsewhere pass it through."""
+    outward = ((c_hat >= c_bar) & (update > 0)) | ((c_hat <= -c_bar) & (update < 0))
+    return np.where(outward, 0.0, update)
+
+
+def test_clip_alone_equals_clip_of_projected_update():
+    # update_c_hat clips c_hat + dt * raw; the reference clips the projected
+    # update.  Both must agree bit for bit, at and just past the bound, for
+    # inward and outward updates and for infinite ones.
+    c_bar, dt = 0.02, 0.1
+    rng = np.random.default_rng(17)
+    near = c_bar * np.array([1.0, 1.0 + 1e-13, 1.0 - 1e-13, 1.0 + 1e-12])
+    special = np.array([np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300])
+    hit = np.zeros(4, dtype=bool)
+    for _ in range(200):
+        c = rng.uniform(-c_bar, c_bar, 64)
+        c[:32] = rng.choice(np.concatenate([near, -near]), 32)
+        raw = rng.standard_normal(64) * 10.0 ** rng.integers(-16, 2, 64)
+        raw[:8] = rng.choice(special, 8)
+        got = np.minimum(np.maximum(c + dt * raw, -c_bar), c_bar)
+        want = np.clip(c + dt * _project(c, raw, c_bar), -c_bar, c_bar)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        at = np.abs(c) >= c_bar
+        outward = np.sign(raw) == np.sign(c)
+        hit |= [np.any(at & outward), np.any(at & ~outward),
+                np.any(np.isinf(raw) & at), np.any(np.abs(c) > c_bar)]
+    assert hit.all()
+
+    # The same through update_c_hat, with every node on or past the bound.
+    g = GridSpec(n_x=24, dt=dt)
+    c0 = np.repeat([c_bar, -c_bar, c_bar * (1 + 1e-13), -c_bar * (1 + 1e-13)], 7)[:25]
+    s = PlantState(u=rng.standard_normal(25), v=rng.standard_normal(25))
+    ident = IdentifierState(
+        u_hat=np.zeros(25), v_hat=np.zeros(25), c_hat=c0, gamma1=5.0, c_bar=c_bar,
+    )
+    raw = ident.gamma1 * np.exp(ident.gamma * g.x) * (s.v - ident.v_hat) * s.u
+    want = np.clip(ident.c_hat + g.dt * _project(ident.c_hat, raw, c_bar), -c_bar, c_bar)
+    assert np.array_equal(update_c_hat(ident, s, g).c_hat, want)
 
 
 def test_update_c_hat_respects_bound(lp):
