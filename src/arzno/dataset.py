@@ -36,6 +36,7 @@ from arzno.kernels import (
     KernelPair,
     RecordFormatError,
     TriMesh,
+    _kv_from_edge,
     kernel_arrays_from_records,
     kernel_pair_from_record,
     kernel_record_bytes,
@@ -306,11 +307,18 @@ def iter_family(
 
 
 def _decode_entries(
-    raw: np.ndarray, mesh_n: int, name: str, entries: Sequence[int]
+    raw: np.ndarray,
+    mesh_n: int,
+    name: str,
+    entries: Sequence[int],
+    c: np.ndarray | None = None,
+    ku: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, ku, kv) of a (rows, entry bytes) uint8 stack of entries.
+    """(c, ku, ratio) of a (rows, entry bytes) uint8 stack of entries.
 
-    ku and kv are in row-major tril order.  entries numbers the rows
+    ku is in row-major tril order and ratio is each record's lam r / mu;
+    Kv is not decoded.  c and ku, when given, receive the values in
+    place (slices of a larger stack, say).  entries numbers the rows
     within the family file called name; a bad record's number in an
     error message counts rows instead.
 
@@ -324,45 +332,55 @@ def _decode_entries(
             f"{name}: entry mesh {m[bad[0]]} != {mesh_n} (entry {entries[bad[0]]})"
         )
     c_end = _ENTRY_HEADER.size + 8 * mesh_n
-    c = raw[:, _ENTRY_HEADER.size : c_end].copy().view("<f8")
+    payload = raw[:, _ENTRY_HEADER.size : c_end].view("<f8")
+    if c is None:
+        c = payload.astype(float)
+    else:
+        c[...] = payload
     try:
-        ku, kv = kernel_arrays_from_records(raw[:, c_end:], mesh_n)
+        ku, ratio = kernel_arrays_from_records(raw[:, c_end:], mesh_n, ku)
     except RecordFormatError as exc:
         raise DatasetFormatError(f"{name}: {exc}") from exc
-    return c, ku, kv
+    return c, ku, ratio
 
 
 def load_records(manifest: dict | str | Path) -> KernelDataset:
-    """Stack every record under a manifest into training arrays.
+    """Stack every record under a manifest into a Ku-only training set.
 
-    Parses the fixed-stride entries vectorized per family file rather
-    than through iter_family, since full corpora run to tens of
-    thousands of records.
+    c, ku and ratio are allocated once, for the records the manifest's
+    families count, and each family file's payload is copied straight
+    into its slice: beyond the returned arrays, one family file is held
+    at a time.  Kv is not decoded; KernelDataset rebuilds it from the
+    edge of Ku where it is needed.  Entries are parsed vectorized per
+    family file rather than through iter_family, since full corpora run
+    to tens of thousands of records.
     """
     manifest = _coerce_manifest(manifest)
     mesh_n = manifest["mesh_n"]
     root = Path(manifest["root"])
+    families = manifest["families"]
+    if not families:
+        raise DatasetFormatError("manifest lists no families")
     entry = _entry_bytes(mesh_n)
-    cs, kus, kvs = [], [], []
-    for fam in manifest["families"]:
+    n_records = sum(fam["n_records"] for fam in families)
+    c = np.empty((n_records, mesh_n))
+    ku = np.empty((n_records, mesh_n * (mesh_n + 1) // 2))
+    ratio = np.empty(n_records)
+    start = 0
+    for fam in families:
         blob = Path(root / fam["path"]).read_bytes()
         if len(blob) != entry * fam["n_records"]:
             raise DatasetFormatError(
                 f"{fam['path']}: size {len(blob)} does not match manifest"
             )
         raw = np.frombuffer(blob, dtype=np.uint8).reshape(fam["n_records"], entry)
-        c, ku, kv = _decode_entries(raw, mesh_n, fam["path"], range(fam["n_records"]))
-        cs.append(c)
-        kus.append(ku)
-        kvs.append(kv)
-    if not cs:
-        raise DatasetFormatError("manifest lists no families")
-    return KernelDataset(
-        mesh_n=mesh_n,
-        c=np.concatenate(cs),
-        ku=np.concatenate(kus),
-        kv=np.concatenate(kvs),
-    )
+        rows = slice(start, start + fam["n_records"])
+        ratio[rows] = _decode_entries(
+            raw, mesh_n, fam["path"], range(fam["n_records"]), c[rows], ku[rows]
+        )[2]
+        start = rows.stop
+        del blob, raw  # free this file before the next one is read
+    return KernelDataset(mesh_n=mesh_n, c=c, ku=ku, ratio=ratio)
 
 
 def split(
@@ -478,9 +496,10 @@ def verify_labels(
                 f.seek(j * entry)
                 blob += f.read(entry)
         raw = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), entry)
-        cs, kus, kvs = _decode_entries(
+        cs, kus, ratios = _decode_entries(
             raw, mesh_n, f"{fname} (sampled entries {rows})", rows
         )
+        kvs = _kv_from_edge(kus, ratios[:, None], mesh_n)
         lp = derive_linearized(replace(p, tau=fam["tau"]))
         # Solver kernels are zero above the diagonal, like decoded ones, so
         # the lower triangles carry the whole sup-norm discrepancy.

@@ -14,11 +14,17 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from arzno.kernels import KernelPair, TriMesh
+from arzno.kernels import (
+    KernelPair,
+    TriMesh,
+    _ku_and_ratio,
+    _kv_from_edge,
+    _tril_layout,
+)
 from arzno.model import LinearizedParams
 
 __all__ = [
@@ -121,41 +127,57 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class KernelDataset:
-    """Stacked training arrays on a shared mesh.
+    """Stacked training arrays on a shared mesh, holding what records hold.
 
-    ku and kv hold lower-triangle node values in row-major tril order,
-    matching the serialized kernel records.
+    ku holds Ku's lower-triangle node values in row-major tril order,
+    matching the serialized kernel records, and ratio each record's
+    lam r / mu from its header.  Kv is not held: training and scoring
+    rebuild it from the edge of Ku for the rows in use, bit-identical
+    to the solver's; the kv property rebuilds it for the whole set.
     """
 
     mesh_n: int
     c: np.ndarray
     ku: np.ndarray
-    kv: np.ndarray
+    ratio: np.ndarray
 
     def __post_init__(self) -> None:
         n_tri = self.mesh_n * (self.mesh_n + 1) // 2
         c = np.asarray(self.c, dtype=float)
         ku = np.asarray(self.ku, dtype=float)
-        kv = np.asarray(self.kv, dtype=float)
-        if c.ndim != 2 or ku.shape != (c.shape[0], n_tri) or kv.shape != ku.shape:
+        ratio = np.asarray(self.ratio, dtype=float)
+        if c.ndim != 2 or ku.shape != (c.shape[0], n_tri) or ratio.shape != c.shape[:1]:
             raise ValueError("dataset arrays are inconsistent with the mesh")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "ku", ku)
-        object.__setattr__(self, "kv", kv)
+        object.__setattr__(self, "ratio", ratio)
 
     def __len__(self) -> int:
         return self.c.shape[0]
+
+    @property
+    def kv(self) -> np.ndarray:
+        """Kv of every record, rebuilt from the edge of Ku (read-only)."""
+        kv = _kv_from_edge(self.ku, self.ratio[:, None], self.mesh_n)
+        kv.setflags(write=False)
+        return kv
 
 
 def as_kernel_dataset(
     data: KernelDataset | Iterable[tuple[np.ndarray, KernelPair]],
 ) -> KernelDataset:
-    """Stack (c_samples, KernelPair) pairs; pass a KernelDataset through."""
+    """Stack (c_samples, KernelPair) pairs; pass a KernelDataset through.
+
+    Raises:
+        ValueError: pairs on different meshes, c_samples off the edge
+            grid, no pairs, or a pair whose Kv is not the edge trace of
+            its Ku (a surrogate pair, say), which the set cannot hold.
+    """
     if isinstance(data, KernelDataset):
         return data
     cs: list[np.ndarray] = []
     kus: list[np.ndarray] = []
-    kvs: list[np.ndarray] = []
+    ratios: list[float] = []
     mesh_n: int | None = None
     for c_samples, kp in data:
         if mesh_n is None:
@@ -165,15 +187,49 @@ def as_kernel_dataset(
         c_samples = np.asarray(c_samples, dtype=float)
         if c_samples.shape != (mesh_n,):
             raise ValueError("c_samples must live on the mesh edge grid")
-        ii, jj = np.tril_indices(mesh_n)
+        ku, ratio = _ku_and_ratio(kp)
         cs.append(c_samples)
-        kus.append(kp.ku[ii, jj])
-        kvs.append(kp.kv[ii, jj])
+        kus.append(ku)
+        ratios.append(ratio)
     if mesh_n is None:
         raise ValueError("dataset is empty")
     return KernelDataset(
-        mesh_n=mesh_n, c=np.stack(cs), ku=np.stack(kus), kv=np.stack(kvs)
+        mesh_n=mesh_n, c=np.stack(cs), ku=np.stack(kus), ratio=np.array(ratios)
     )
+
+
+class _Workspace:
+    """Scratch arrays reused across calls instead of reallocated.
+
+    Each name keeps one (rows, cols) float64 buffer, grown when a call
+    asks for more rows; a call for fewer rows (a short last batch) gets
+    a view of the leading rows.
+    """
+
+    def __init__(self) -> None:
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, rows: int, cols: int) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != cols:
+            buf = self._bufs[name] = np.empty((rows, cols))
+        return buf[:rows]
+
+
+def _gather(
+    data: KernelDataset, rows: np.ndarray, ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c, Ku and Kv of the given records, in ws buffers.
+
+    Kv is ratio * Ku(x - xi, 0), the product _kv_from_edge forms.
+    """
+    nb, n_tri = rows.size, data.ku.shape[1]
+    c = np.take(data.c, rows, axis=0, out=ws("c", nb, data.c.shape[1]), mode="clip")
+    yu = np.take(data.ku, rows, axis=0, out=ws("yu", nb, n_tri), mode="clip")
+    edge = _tril_layout(data.mesh_n)[2]
+    yv = np.take(yu, edge, axis=1, out=ws("yv", nb, n_tri), mode="clip")
+    yv *= data.ratio[rows][:, None]
+    return c, yu, yv
 
 
 def mesh_queries(mesh: TriMesh) -> np.ndarray:
@@ -210,15 +266,23 @@ def init_model(
 
 
 def _forward_stack(
-    params: dict[str, np.ndarray], prefix: str, x: np.ndarray, n_hidden: int
+    params: dict[str, np.ndarray],
+    prefix: str,
+    x: np.ndarray,
+    n_hidden: int,
+    ws: _Workspace | None = None,
 ) -> list[np.ndarray]:
+    """Activations of one stack, input first; layer outputs go to ws
+    when given (x then must be a 2-D batch), else to fresh arrays."""
     acts = [x]
-    for layer in range(n_hidden):
-        z = acts[-1] @ params[f"{prefix}_w{layer}"] + params[f"{prefix}_b{layer}"]
-        acts.append(np.tanh(z))
-    acts.append(
-        acts[-1] @ params[f"{prefix}_w{n_hidden}"] + params[f"{prefix}_b{n_hidden}"]
-    )
+    for layer in range(n_hidden + 1):
+        w = params[f"{prefix}_w{layer}"]
+        out = None if ws is None else ws(f"{prefix}{layer}", x.shape[0], w.shape[1])
+        z = np.matmul(acts[-1], w, out=out)
+        z += params[f"{prefix}_b{layer}"]
+        if layer < n_hidden:
+            np.tanh(z, out=z)
+        acts.append(z)
     return acts
 
 
@@ -228,6 +292,7 @@ def _backward_stack(
     acts: list[np.ndarray],
     d_out: np.ndarray,
     grads: dict[str, np.ndarray],
+    ws: _Workspace,
 ) -> None:
     n_hidden = len(acts) - 2
     d = d_out
@@ -235,7 +300,13 @@ def _backward_stack(
         grads[f"{prefix}_w{layer}"] = acts[layer].T @ d
         grads[f"{prefix}_b{layer}"] = d.sum(axis=0)
         if layer > 0:
-            d = (d @ params[f"{prefix}_w{layer}"].T) * (1.0 - acts[layer] ** 2)
+            # d <- (d W^T) * (1 - a^2), a the tanh output feeding the layer.
+            a = acts[layer]
+            w = params[f"{prefix}_w{layer}"]
+            d = np.matmul(d, w.T, out=ws(f"{prefix}_d{layer}", *a.shape))
+            slope = np.multiply(a, a, out=ws(f"{prefix}_s{layer}", *a.shape))
+            np.subtract(1.0, slope, out=slope)
+            d *= slope
 
 
 def _check_queries(queries: np.ndarray) -> np.ndarray:
@@ -284,76 +355,100 @@ def loss_and_grads(
     yu: np.ndarray,
     yv: np.ndarray,
     queries: np.ndarray,
+    ws: _Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean squared error over both heads and its parameter gradients.
 
     The trunk is evaluated once for the shared query set; predictions
     for the whole batch are formed by the latent inner products.  The
-    loss is sum over heads of mean((pred - target)^2).
+    loss is sum over heads of mean((pred - target)^2).  Activations,
+    residuals and back-propagated deltas go to ws when given (train
+    passes one, so a step allocates no large array); the gradients are
+    fresh arrays either way.
     """
+    ws = _Workspace() if ws is None else ws
     params = model.params
     n_hidden = len(model.hidden)
-    b_acts = _forward_stack(params, "branch", c_batch / model.c_scale, n_hidden)
-    t_acts = _forward_stack(params, "trunk", queries, n_hidden)
+    x = np.divide(c_batch, model.c_scale, out=ws("x", *c_batch.shape))
+    b_acts = _forward_stack(params, "branch", x, n_hidden, ws)
+    t_acts = _forward_stack(params, "trunk", queries, n_hidden, ws)
     lat_g = b_acts[-1]
     lat_f = t_acts[-1]
     head = params["head"]
-    fu = lat_f * head[0]
-    fv = lat_f * head[1]
-    pu = lat_g @ fu.T
-    pv = lat_g @ fv.T
-    ru = pu - yu
-    rv = pv - yv
-    denom = ru.size
-    loss = (np.sum(ru * ru) + np.sum(rv * rv)) / denom
-    dpu = (2.0 / denom) * ru
-    dpv = (2.0 / denom) * rv
-    tgu = dpu.T @ lat_g
-    tgv = dpv.T @ lat_g
+    denom = yu.size
+    resid = ws("resid", *yu.shape)
+    square = ws("square", *yu.shape)
+    sums, tgs, d_branch = [], [], []
+    # One head at a time through one residual buffer: its gradient terms
+    # are taken before the next head's residual overwrites it.
+    for k, y in enumerate((yu, yv)):
+        f = np.multiply(lat_f, head[k], out=ws(f"f{k}", *lat_f.shape))
+        np.matmul(lat_g, f.T, out=resid)
+        resid -= y
+        sums.append(np.sum(np.multiply(resid, resid, out=square)))
+        resid *= 2.0 / denom
+        tgs.append(np.matmul(resid.T, lat_g, out=ws(f"tg{k}", *lat_f.shape)))
+        d_branch.append(np.matmul(resid, f, out=ws(f"db{k}", *lat_g.shape)))
+    loss = (sums[0] + sums[1]) / denom
+    scratch = ws("tq", *lat_f.shape)
     grads: dict[str, np.ndarray] = {
-        "head": np.stack([(tgu * lat_f).sum(axis=0), (tgv * lat_f).sum(axis=0)])
+        "head": np.stack(
+            [np.multiply(tg, lat_f, out=scratch).sum(axis=0) for tg in tgs]
+        )
     }
-    _backward_stack(params, "branch", b_acts, dpu @ fu + dpv @ fv, grads)
-    _backward_stack(params, "trunk", t_acts, tgu * head[0] + tgv * head[1], grads)
+    d_branch[0] += d_branch[1]
+    _backward_stack(params, "branch", b_acts, d_branch[0], grads, ws)
+    d_trunk = np.multiply(tgs[0], head[0], out=ws("dt", *lat_f.shape))
+    d_trunk += np.multiply(tgs[1], head[1], out=scratch)
+    _backward_stack(params, "trunk", t_acts, d_trunk, grads, ws)
     return float(loss), grads
 
 
 def _predict_chunked(
     model: DeepONetModel,
-    c: np.ndarray,
+    data: KernelDataset,
+    rows: np.ndarray,
     queries: np.ndarray,
-    chunk: int = 1024,
-) -> tuple[np.ndarray, np.ndarray]:
+    ws: _Workspace,
+    chunk: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream (targets, predictions) over the given records of data.
+
+    The trunk is evaluated once; then, per chunk of rows, the branch
+    pass and each head's latent product yield one (targets,
+    predictions) pair, Ku's before Kv's, both (rows in chunk, nodes)
+    views of ws buffers that the next pair overwrites.  Kv targets are
+    rebuilt from the edge of Ku, so no whole-set array is formed.
+    """
     n_hidden = len(model.hidden)
-    lat_f = _forward_stack(model.params, "trunk", queries, n_hidden)[-1]
+    lat_f = _forward_stack(model.params, "trunk", queries, n_hidden, ws)[-1]
     head = model.params["head"]
-    fu = lat_f * head[0]
-    fv = lat_f * head[1]
-    pu = np.empty((c.shape[0], queries.shape[0]))
-    pv = np.empty_like(pu)
-    for start in range(0, c.shape[0], chunk):
-        sl = slice(start, start + chunk)
-        lat_g = _forward_stack(
-            model.params, "branch", c[sl] / model.c_scale, n_hidden
-        )[-1]
-        pu[sl] = lat_g @ fu.T
-        pv[sl] = lat_g @ fv.T
-    return pu, pv
+    fs = [np.multiply(lat_f, head[k], out=ws(f"f{k}", *lat_f.shape)) for k in (0, 1)]
+    for start in range(0, rows.size, chunk):
+        c, yu, yv = _gather(data, rows[start : start + chunk], ws)
+        x = np.divide(c, model.c_scale, out=ws("x", *c.shape))
+        lat_g = _forward_stack(model.params, "branch", x, n_hidden, ws)[-1]
+        for f, y in zip(fs, (yu, yv)):
+            yield y, np.matmul(lat_g, f.T, out=ws("resid", *y.shape))
 
 
 def _val_metrics(
     model: DeepONetModel,
-    c: np.ndarray,
-    yu: np.ndarray,
-    yv: np.ndarray,
+    data: KernelDataset,
+    rows: np.ndarray,
     queries: np.ndarray,
+    ws: _Workspace,
+    chunk: int,
 ) -> tuple[float, float]:
-    pu, pv = _predict_chunked(model, c, queries)
-    ru = pu - yu
-    rv = pv - yv
-    mse = float((np.sum(ru * ru) + np.sum(rv * rv)) / ru.size)
-    ref = float(np.sum(yu * yu) + np.sum(yv * yv))
-    rel = float(np.sqrt((np.sum(ru * ru) + np.sum(rv * rv)) / ref)) if ref > 0 else np.inf
+    """(mse, relative error) of the given records, summed chunk by chunk."""
+    res = ref = 0.0
+    for y, p in _predict_chunked(model, data, rows, queries, ws, chunk):
+        square = ws("square", *y.shape)
+        p -= y
+        res += np.sum(np.multiply(p, p, out=square))
+        ref += np.sum(np.multiply(y, y, out=square))
+    mse = float(res / (rows.size * queries.shape[0]))
+    rel = float(np.sqrt(res / ref)) if ref > 0 else np.inf
     return mse, rel
 
 
@@ -395,22 +490,21 @@ def train(
     mesh = TriMesh(data.mesh_n)
     queries = mesh_queries(mesh)
 
+    # Records are addressed through index arrays, so neither part of a
+    # carved-off split is copied.
     if val_data is not None:
         val = as_kernel_dataset(val_data)
         if val.mesh_n != data.mesh_n:
             raise ValueError("validation mesh differs from training mesh")
-        c_tr, yu_tr, yv_tr = data.c, data.ku, data.kv
-        c_va, yu_va, yv_va = val.c, val.ku, val.kv
+        tr, va = np.arange(len(data)), np.arange(len(val))
     else:
+        val = data
         n_val = int(round(len(data) * cfg.val_split))
         if n_val == 0 or n_val == len(data):
-            c_tr, yu_tr, yv_tr = data.c, data.ku, data.kv
-            c_va, yu_va, yv_va = data.c, data.ku, data.kv
+            tr = va = np.arange(len(data))
         else:
             perm = rng.permutation(len(data))
             va, tr = perm[:n_val], perm[n_val:]
-            c_tr, yu_tr, yv_tr = data.c[tr], data.ku[tr], data.kv[tr]
-            c_va, yu_va, yv_va = data.c[va], data.ku[va], data.kv[va]
 
     moments = {
         "m": {k: np.zeros_like(p) for k, p in model.params.items()},
@@ -421,16 +515,17 @@ def train(
     history: list[dict[str, float]] = []
     best_val = np.inf
     best_params = {k: p.copy() for k, p in model.params.items()}
+    # Batches and validation chunks share one workspace, released on return.
+    ws = _Workspace()
 
-    n_train = c_tr.shape[0]
+    n_train = tr.size
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n_train)
         running = 0.0
         for start in range(0, n_train, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            loss, grads = loss_and_grads(
-                model, c_tr[idx], yu_tr[idx], yv_tr[idx], queries
-            )
+            c_b, yu_b, yv_b = _gather(data, tr[idx], ws)
+            loss, grads = loss_and_grads(model, c_b, yu_b, yv_b, queries, ws)
             step += 1
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
@@ -446,7 +541,7 @@ def train(
         train_mse = running / n_train
         if not np.isfinite(train_mse):
             raise ArithmeticError(f"training diverged at epoch {epoch}")
-        val_mse, val_rel = _val_metrics(model, c_va, yu_va, yv_va, queries)
+        val_mse, val_rel = _val_metrics(model, val, va, queries, ws, cfg.batch_size)
         history.append(
             {
                 "epoch": float(epoch),
@@ -468,18 +563,28 @@ def eval_accuracy(
 ) -> dict[str, float]:
     """Absolute-error report per head over a test set.
 
-    Returns max and mean absolute node errors for Ku and Kv.
+    Returns max and mean absolute node errors for Ku and Kv, streamed
+    over chunks of the default batch size.
     """
     data = as_kernel_dataset(data)
+    if len(data) == 0:
+        raise ValueError("dataset is empty")
     queries = mesh_queries(TriMesh(data.mesh_n))
-    pu, pv = _predict_chunked(model, data.c, queries)
-    err_u = np.abs(pu - data.ku)
-    err_v = np.abs(pv - data.kv)
+    rows = np.arange(len(data))
+    worst, total = [0.0, 0.0], [0.0, 0.0]
+    chunks = _predict_chunked(
+        model, data, rows, queries, _Workspace(), TrainConfig().batch_size
+    )
+    for k, (y, p) in enumerate(chunks):
+        err = np.abs(np.subtract(p, y, out=p), out=p)
+        worst[k % 2] = max(worst[k % 2], float(err.max()))
+        total[k % 2] += float(err.sum())
+    size = rows.size * queries.shape[0]
     return {
-        "ku_max": float(err_u.max()),
-        "ku_mean": float(err_u.mean()),
-        "kv_max": float(err_v.max()),
-        "kv_mean": float(err_v.mean()),
+        "ku_max": worst[0],
+        "ku_mean": total[0] / size,
+        "kv_max": worst[1],
+        "kv_mean": total[1] / size,
     }
 
 

@@ -409,6 +409,23 @@ def _kv_from_edge(ku_tri: np.ndarray, ratio: float | np.ndarray, n: int) -> np.n
     return ratio * ku_tri[..., _tril_layout(n)[2]]
 
 
+def _ku_and_ratio(kp: KernelPair) -> tuple[np.ndarray, float]:
+    """Ku's lower triangle in row-major tril order and lam r / mu: all a
+    pair holds once Kv is dropped.
+
+    Raises:
+        ValueError: kp.kv is not exactly the trace the edge of Ku
+            implies (a surrogate pair, say), so it could not be rebuilt.
+    """
+    n = kp.mesh.n
+    ii, jj, _ = _tril_layout(n)
+    ku = kp.ku[ii, jj]
+    ratio = kp.lam_n * kp.r / kp.mu_n
+    if not np.array_equal(kp.kv[ii, jj], _kv_from_edge(ku, ratio, n)):
+        raise ValueError("Kv is not the edge trace of Ku; it cannot be rebuilt from Ku")
+    return ku, ratio
+
+
 def kernel_record_bytes(kp: KernelPair) -> bytes:
     """Serialize a KernelPair: header (n, lam, mu, r), then the lower
     triangle of Ku as little-endian float64, row-major.
@@ -419,21 +436,20 @@ def kernel_record_bytes(kp: KernelPair) -> bytes:
         ValueError: kp.kv is not exactly the trace the edge of Ku
             implies (a surrogate pair, say), so it would not survive.
     """
-    n = kp.mesh.n
-    ii, jj, _ = _tril_layout(n)
-    ku = kp.ku[ii, jj]
-    kv = _kv_from_edge(ku, kp.lam_n * kp.r / kp.mu_n, n)
-    if not np.array_equal(kp.kv[ii, jj], kv):
-        raise ValueError("Kv is not the edge trace of Ku; the pair cannot be stored")
-    header = _HEADER.pack(n, kp.lam_n, kp.mu_n, kp.r)
+    ku, _ = _ku_and_ratio(kp)
+    header = _HEADER.pack(kp.mesh.n, kp.lam_n, kp.mu_n, kp.r)
     return header + ku.astype("<f8", copy=False).tobytes()
 
 
-def kernel_arrays_from_records(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def kernel_arrays_from_records(
+    raw: np.ndarray, n: int, ku: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Decode a (records, record_byte_length(n)) uint8 stack of records.
 
-    Returns (ku, kv), each (records, n (n + 1) / 2) in row-major tril
-    order, with Kv rebuilt from the edge of Ku.
+    Returns (ku, ratio): Ku as (records, n (n + 1) / 2) in row-major tril
+    order, and each record's lam r / mu, from which _kv_from_edge rebuilds
+    its Kv.  Ku is copied straight into ku when given (a float64 array
+    of that shape, such as a slice of a larger stack).
 
     Raises:
         RecordFormatError: the row length or a record's mesh size is not n.
@@ -449,9 +465,12 @@ def kernel_arrays_from_records(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.
         raise RecordFormatError(
             f"record {bad[0]} has mesh size {head['n'][bad[0]]}, expected {n}"
         )
-    ku = raw[:, RECORD_HEADER_BYTES:].copy().view("<f8")
-    ratio = head["lam_n"] * head["r"] / head["mu_n"]
-    return ku, _kv_from_edge(ku, ratio[:, None], n)
+    payload = raw[:, RECORD_HEADER_BYTES:].view("<f8")
+    if ku is None:
+        ku = payload.astype(float)
+    else:
+        ku[...] = payload
+    return ku, head["lam_n"] * head["r"] / head["mu_n"]
 
 
 def kernel_pair_from_record(buf: bytes) -> KernelPair:
@@ -461,10 +480,10 @@ def kernel_pair_from_record(buf: bytes) -> KernelPair:
     n, lam_n, mu_n, r = _HEADER.unpack_from(buf)
     if n < 8:
         raise RecordFormatError(f"implausible mesh size {n}")
-    ku_tri, kv_tri = kernel_arrays_from_records(np.frombuffer(buf, np.uint8)[None], n)
+    ku_tri, ratio = kernel_arrays_from_records(np.frombuffer(buf, np.uint8)[None], n)
     ii, jj, _ = _tril_layout(n)
     ku = np.zeros((n, n))
     kv = np.zeros((n, n))
     ku[ii, jj] = ku_tri[0]
-    kv[ii, jj] = kv_tri[0]
+    kv[ii, jj] = _kv_from_edge(ku_tri[0], ratio[0], n)
     return KernelPair(mesh=TriMesh(n), ku=ku, kv=kv, lam_n=lam_n, mu_n=mu_n, r=r)

@@ -5,6 +5,7 @@ import logging
 import re
 import shutil
 import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +23,12 @@ from arzno.dataset import (
     split,
     verify_labels,
 )
-from arzno.kernels import TriMesh, record_byte_length, solve_kernels
+from arzno.kernels import (
+    RECORD_HEADER_BYTES,
+    TriMesh,
+    record_byte_length,
+    solve_kernels,
+)
 from arzno.model import TrafficParams, derive_linearized
 from arzno.sim import GridSpec
 
@@ -93,6 +99,56 @@ def test_load_records_matches_iter_family(corpus):
     np.testing.assert_array_equal(data.c[0], c0)
     np.testing.assert_array_equal(data.ku[0], kp0.ku[ii, jj])
     np.testing.assert_array_equal(data.kv[0], kp0.kv[ii, jj])
+
+
+def _ref_load_records(manifest):
+    """load_records as it was before the set went Ku-only: per-family
+    stacks of c, Ku and the Kv decoded from each record's edge, then
+    concatenated."""
+    mesh_n = manifest["mesh_n"]
+    root = Path(manifest["root"])
+    entry = _entry_size(mesh_n)
+    c_end = 12 + 8 * mesh_n
+    head_dtype = np.dtype([("n", "<u4"), ("lam_n", "<f8"), ("mu_n", "<f8"), ("r", "<f8")])
+    ii, jj = np.tril_indices(mesh_n)
+    edge = (ii - jj) * (ii - jj + 1) // 2
+    cs, kus, kvs = [], [], []
+    for fam in manifest["families"]:
+        blob = (root / fam["path"]).read_bytes()
+        raw = np.frombuffer(blob, np.uint8).reshape(fam["n_records"], entry)
+        head = raw[:, c_end : c_end + RECORD_HEADER_BYTES].copy().view(head_dtype)[:, 0]
+        ku = raw[:, c_end + RECORD_HEADER_BYTES :].copy().view("<f8")
+        ratio = head["lam_n"] * head["r"] / head["mu_n"]
+        cs.append(raw[:, 12:c_end].copy().view("<f8"))
+        kus.append(ku)
+        kvs.append(ratio[:, None] * ku[..., edge])
+    return np.concatenate(cs), np.concatenate(kus), np.concatenate(kvs)
+
+
+def test_load_records_matches_two_head_decode(corpus):
+    _, man = corpus
+    for part in (man, split(man, (0.5, 0.5, 0.0), seed=3)[1]):
+        data = load_records(part)
+        c, ku, kv = _ref_load_records(part)
+        assert np.array_equal(data.c, c)
+        assert np.array_equal(data.ku, ku)
+        assert np.array_equal(data.kv, kv)
+
+
+def test_load_records_peak_is_the_set_plus_one_family(corpus):
+    """Records are decoded once, into the returned arrays: the traced
+    peak stays within those arrays plus one family file, plus 10 %."""
+    root, man = corpus
+    family = max((root / fam["path"]).stat().st_size for fam in man["families"])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        data = load_records(man)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = data.c.nbytes + data.ku.nbytes + data.ratio.nbytes
+    assert peak <= 1.1 * (held + family), (peak, held, family)
 
 
 def test_stored_labels_re_solve_exactly(corpus):

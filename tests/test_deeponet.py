@@ -320,7 +320,10 @@ def test_dataset_stacking_and_validation(lp):
         as_kernel_dataset([(np.zeros(8), pairs[0][1])])
     with pytest.raises(ValueError, match="inconsistent"):
         KernelDataset(mesh_n=9, c=np.zeros((2, 9)),
-                      ku=np.zeros((2, 10)), kv=np.zeros((2, 10)))
+                      ku=np.zeros((2, 10)), ratio=np.zeros(2))
+    with pytest.raises(ValueError, match="inconsistent"):
+        KernelDataset(mesh_n=9, c=np.zeros((2, 9)),
+                      ku=np.zeros((2, 45)), ratio=np.zeros(3))
 
 
 def test_train_rejects_mismatched_model(lp):

@@ -18,6 +18,7 @@ from arzno.kernels import (
     RECORD_HEADER_BYTES,
     RecordFormatError,
     TriMesh,
+    _kv_from_edge,
     kernel_arrays_from_records,
     kernel_pair_from_record,
     kernel_record_bytes,
@@ -244,14 +245,20 @@ def test_stacked_records_decode_like_single_records(lp):
     ]
     bufs = [kernel_record_bytes(kp) for kp in pairs]
     raw = np.frombuffer(b"".join(bufs), np.uint8).reshape(3, -1)
-    ku, kv = kernel_arrays_from_records(raw, 21)
+    ku, ratio = kernel_arrays_from_records(raw, 21)
     ii, jj = np.tril_indices(21)
-    assert ku.shape == kv.shape == (3, 231)
+    assert ku.shape == (3, 231) and ratio.shape == (3,)
     for k, kp in enumerate(pairs):
         assert np.array_equal(ku[k], kp.ku[ii, jj])
-        assert np.array_equal(kv[k], kp.kv[ii, jj])
+        assert ratio[k] == kp.lam_n * kp.r / kp.mu_n
+        assert np.array_equal(_kv_from_edge(ku[k], ratio[k], 21), kp.kv[ii, jj])
+    # Decoding into a slice of a larger stack fills just that slice.
+    stack = np.full((5, 231), np.nan)
+    into, _ = kernel_arrays_from_records(raw, 21, stack[1:4])
+    assert np.shares_memory(into, stack)
+    assert np.array_equal(stack[1:4], ku) and np.isnan(stack[[0, 4]]).all()
     empty = kernel_arrays_from_records(raw[:0], 21)
-    assert empty[0].shape == empty[1].shape == (0, 231)
+    assert empty[0].shape == (0, 231) and empty[1].shape == (0,)
     with pytest.raises(RecordFormatError, match="length"):
         kernel_arrays_from_records(raw[:, :-8], 21)
     bad = raw.copy()
