@@ -8,10 +8,13 @@ refreshed from the current coupling estimate on a fixed cadence, the
 plant and identifier advance by upwind steps, and the estimate adapts
 under projection.  The boundary value entering a step is solved
 implicitly (the quadrature includes the endpoint being set), which
-makes the transformed boundary z(1, t) vanish identically.  The loop
-only stores the state histories (and z, which needs the kernels active
-at each step); norms, Lyapunov functionals and physical fields are
-derived from them in one vectorized pass after the last step.
+makes the transformed boundary z(1, t) vanish identically.  The state
+lives in its history arrays: each step advances row k of the plant,
+identifier and estimate histories into row k + 1 through the array
+steppers of arzno.sim, and z, which needs the kernels active at each
+step, is stored beside them.  Norms, Lyapunov functionals and physical
+fields are derived from the histories in one vectorized pass after the
+last step.
 """
 
 from __future__ import annotations
@@ -48,9 +51,6 @@ from arzno.model import (
 )
 from arzno.sim import (
     GridSpec,
-    IdentifierState,
-    PlantState,
-    _evolve,
     check_cfl,
     l2_norm,
     step_identifier,
@@ -167,23 +167,21 @@ class SolverKernelSource:
 
 def initial_plant_state(
     lp: LinearizedParams, g: GridSpec, kind: str = "sine"
-) -> PlantState:
-    """Initial plant fields.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Initial plant fields (u, v).
 
     "sine": density 10% and speed -1% sinusoidal deviations from
     equilibrium with one and a half periods across the road, mapped to
     plant coordinates.  "zero": equilibrium.
     """
     if kind == "zero":
-        z = np.zeros(g.n_x + 1)
-        return PlantState(u=z, v=z.copy(), t=0.0)
+        return np.zeros(g.n_x + 1), np.zeros(g.n_x + 1)
     if kind != "sine":
         raise ValueError("initial condition must be 'sine' or 'zero'")
     bump = np.sin(3.0 * np.pi * g.x)
     rho = lp.rho_star * (1.0 + 0.1 * bump)
     vel = lp.v_star * (1.0 - 0.01 * bump)
-    u, v = to_riemann(lp, g.x, rho, vel)
-    return PlantState(u=u, v=v, t=0.0)
+    return to_riemann(lp, g.x, rho, vel)
 
 
 @lru_cache(maxsize=8)
@@ -449,22 +447,10 @@ def run_closed_loop(
 
             source = NeuralKernelSource(model, mesh, lp)
 
-    s = initial_plant_state(lp, g, cfg.ic)
-    i = IdentifierState(
-        u_hat=s.u.copy(),
-        v_hat=s.v.copy(),
-        c_hat=np.full(g.n_x + 1, -0.5 / cfg.tau_guess),
-        rho_gain=cfg.rho_gain,
-        gamma=cfg.gamma,
-        gamma1=cfg.gamma1,
-        c_bar=cfg.c_bar,
-        t=0.0,
-    )
-
     n = g.n_x + 1
     rows = g.n_steps + 1
 
-    t = np.empty(rows)
+    t = np.zeros(rows)
     kernel_ns = np.zeros(rows, dtype=np.int64)
     u, v, u_hat, v_hat, c_hat, z = (np.empty((rows, n)) for _ in range(6))
     refresh_t: list[float] = []
@@ -472,24 +458,16 @@ def run_closed_loop(
     dku_dt: list[float] = []
     dkv_dt: list[float] = []
 
+    u[0], v[0] = initial_plant_state(lp, g, cfg.ic)
+    u_hat[0], v_hat[0] = u[0], v[0]
+    c_hat[0] = -0.5 / cfg.tau_guess
+
     ac: _ActiveKernels | None = None
     mesh_x, g_x = mesh.x, g.x
 
-    def record(k: int) -> None:
-        t[k] = s.t
-        u[k] = s.u
-        v[k] = s.v
-        u_hat[k] = i.u_hat
-        v_hat[k] = i.v_hat
-        c_hat[k] = i.c_hat
-        # z is the one recorded quantity that needs the kernels active at
-        # row k; every other column is derived from the histories below.
-        if ac is not None:
-            z[k] = _z_field(ac, i.u_hat, i.v_hat)
-
     def refresh(k: int) -> None:
         nonlocal ac
-        c_mesh = np.interp(mesh_x, g_x, i.c_hat)
+        c_mesh = np.interp(mesh_x, g_x, c_hat[k])
         t0 = time.perf_counter_ns()
         kp = source.acquire(c_mesh)
         elapsed = time.perf_counter_ns() - t0
@@ -500,44 +478,52 @@ def run_closed_loop(
             dku = float(np.abs(d_u).max())
             dkv = float(np.abs(d_v).max())
         ac = _grid_caches(kp, g)
-        refresh_t.append(s.t)
+        refresh_t.append(t[k])
         refresh_ns.append(elapsed)
         dku_dt.append(dku)
         dkv_dt.append(dkv)
         kernel_ns[k] = elapsed
         if on_refresh is not None:
-            on_refresh(s.t, c_mesh, kp, elapsed)
+            on_refresh(t[k], c_mesh, kp, elapsed)
 
     for k in range(g.n_steps):
-        # Row k is recorded with the kernels that set its boundary value,
-        # so a refresh due at t_k lands after the record (except at k = 0,
-        # where no control has been applied yet and the refresh supplies
-        # the functionals of the initial row).
+        # z is the one recorded quantity that needs the kernels active at
+        # row k: those that set its boundary value.  So a refresh due at
+        # t_k lands after z[k] (except at k = 0, where no control has been
+        # applied yet and the refresh supplies the kernels of row 0).
         due = source is not None and k % refresh_every == 0
         if due and k == 0:
             refresh(k)
-        record(k)
+        if ac is not None:
+            z[k] = _z_field(ac, u_hat[k], v_hat[k])
         if due and k > 0:
             refresh(k)
 
-        i_stepped = step_identifier(i, s, 0.0, lp, g)
+        uh, vh = step_identifier(
+            u_hat[k], v_hat[k], c_hat[k], u[k], v[k], 0.0, cfg.rho_gain, lp, g, t[k]
+        )
         if ac is None:
             u_next = 0.0
         else:
-            quad = ac.m_u[-1] @ i_stepped.u_hat + ac.m_v[-1] @ i_stepped.v_hat
+            quad = ac.m_u[-1] @ uh + ac.m_v[-1] @ vh
             u_next = float(quad / ac.denom)
-        s = step_plant(s, lp, u_next, g)
-        v_hat_new = i_stepped.v_hat.copy()
-        v_hat_new[-1] = u_next
+        u[k + 1], v[k + 1] = step_plant(u[k], v[k], u_next, lp, g, t[k])
+        u_hat[k + 1], v_hat[k + 1] = uh, vh
+        v_hat[k + 1, -1] = u_next
         # Adaptation last, from the freshly advanced states.  Driving the
         # estimate with the post-step regressor makes the discrete cross
         # term in the identifier functional overshoot toward descent
         # instead of lagging it, so per-step monotonicity survives the
         # forward-Euler startup transient where the error fields grow
         # from zero before any estimate credit has accrued.
-        i = update_c_hat(_evolve(i_stepped, v_hat=v_hat_new), s, g)
+        c_hat[k + 1] = update_c_hat(
+            c_hat[k], v_hat[k + 1], u[k + 1], v[k + 1],
+            cfg.gamma1, cfg.gamma, cfg.c_bar, g,
+        )
+        t[k + 1] = t[k] + g.dt
 
-    record(g.n_steps)
+    if ac is not None:
+        z[-1] = _z_field(ac, u_hat[-1], v_hat[-1])
 
     e = u - u_hat
     eps = v - v_hat

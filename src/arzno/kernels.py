@@ -311,46 +311,37 @@ def solve_inverse_kernels(
     c_hat: np.ndarray,
     lp: LinearizedParams,
     mesh: TriMesh,
-    tol: float = 1e-8,
-    max_iter: int = 200,
     c_bound: float | None = None,
 ) -> InverseKernelPair:
     """Inverse-transform kernels via the resolvent of the Kv integral operator.
 
     The forward transform is identity minus a Volterra operator in v;
-    its inverse is computed by successive approximation of the Neumann
-    series on the mesh quadrature (Nystrom form), which makes the
-    forward/inverse round trip exact to the iteration tolerance.
+    on the mesh quadrature (Nystrom form) that operator is the matrix
+    A = w * Kv, and its resolvent R = A + A R is one direct solve of
+    (I - A) R = A, which makes the forward/inverse round trip exact to
+    rounding.
 
     Args:
         kp: converged forward kernels.
         c_hat: the estimate kp was solved for (bound re-checked here).
         lp: linearized plant coefficients.
         mesh: must be the mesh kp lives on.
-        tol: sup-norm change between Neumann sweeps at which to stop.
-        max_iter: sweep budget; exceeding it raises ConvergenceError.
+        c_bound: known bound on |c_hat|; defaults to lp.c_bar.
     """
     if mesh.n != kp.mesh.n:
         raise ValueError("mesh does not match the kernel pair")
     c_hat = np.asarray(c_hat, dtype=float)
     if c_bound is None:
         c_bound = lp.c_bar
-    if c_hat.shape == (mesh.n,) and np.max(np.abs(c_hat)) > c_bound * (1 + 1e-9):
+    if c_hat.shape != (mesh.n,):
+        raise ValueError(f"c_hat must have {mesh.n} samples on the mesh grid")
+    if np.max(np.abs(c_hat)) > c_bound * (1 + 1e-9):
         raise ValueError("c_hat violates the known bound |c_hat| <= c_bar")
 
     w = _volterra_weights(mesh.n, mesh.dx)
     av = w * kp.kv
     au = w * kp.ku
-    resolvent = np.zeros_like(av)
-    residual = np.inf
-    for _ in range(max_iter):
-        r_new = av + av @ resolvent
-        residual = float(np.max(np.abs(r_new - resolvent)))
-        resolvent = r_new
-        if residual <= tol:
-            break
-    else:
-        raise ConvergenceError(max_iter, residual, tol)
+    resolvent = np.linalg.solve(np.eye(mesh.n) - av, av)
 
     lu_op = au + resolvent @ au
     safe_w = np.where(w > 0, w, 1.0)

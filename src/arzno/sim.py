@@ -3,6 +3,8 @@
 Fields live on the n_x + 1 nodes of a uniform grid over the normalized
 stretch [0, 1].  Interior nodes are updated by donor-cell upwinding,
 then the boundary conditions u(0) = r v(0) and v(1) = U are applied.
+The steppers take the fields as plain arrays and return fresh ones;
+the caller holds the state and its time.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ __all__ = [
     "CFLError",
     "InstabilityError",
     "GridSpec",
-    "PlantState",
-    "IdentifierState",
     "l2_norm",
     "check_cfl",
     "step_plant",
@@ -38,7 +38,7 @@ class InstabilityError(RuntimeError):
 
     def __init__(self, t: float, what: str = "field"):
         super().__init__(f"{what} became non-finite at t = {t:.6g} s")
-        self.t = t
+        self.t = float(t)
 
 
 @dataclass(frozen=True)
@@ -92,76 +92,6 @@ def check_cfl(g: GridSpec, lp: LinearizedParams) -> float:
     return cfl
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class PlantState:
-    """Plant fields (u, v) at time t.  Arrays are read-only."""
-
-    u: np.ndarray
-    v: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", _frozen(self.u))
-        object.__setattr__(self, "v", _frozen(self.v))
-        if self.u.shape != self.v.shape or self.u.ndim != 1:
-            raise ValueError("u and v must be 1-D arrays of equal length")
-
-
-@dataclass(frozen=True)
-class IdentifierState:
-    """Identifier fields and adaptation gains at time t.
-
-    Attributes:
-        u_hat, v_hat: identifier copies of the plant fields.
-        c_hat: estimate of the coupling coefficient on the grid nodes.
-        rho_gain: gain of the norm-weighted output-error corrections.
-        gamma: exponential weight rate of the adaptation law.
-        gamma1: adaptation gain.
-        c_bar: known bound enforced on |c_hat|.
-    """
-
-    u_hat: np.ndarray
-    v_hat: np.ndarray
-    c_hat: np.ndarray
-    rho_gain: float = 0.05
-    gamma: float = 1.0
-    gamma1: float = 0.01
-    c_bar: float = 1.0 / 60.0
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("u_hat", "v_hat", "c_hat"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        if not (self.u_hat.shape == self.v_hat.shape == self.c_hat.shape):
-            raise ValueError("identifier fields must share one grid")
-        if self.c_bar <= 0:
-            raise ValueError("c_bar must be positive")
-        if np.any(np.abs(self.c_hat) > self.c_bar * (1 + 1e-12)):
-            raise ValueError("initial c_hat violates |c_hat| <= c_bar")
-
-
-def _evolve(state, **fields):
-    """A copy of a frozen state with some fields replaced, unvalidated.
-
-    For hot stepping paths whose new arrays were just allocated, are
-    float64 and already satisfy the state's invariants; they are frozen
-    in place rather than copied, and the caller cedes ownership.
-    """
-    out = object.__new__(type(state))
-    out.__dict__.update(state.__dict__)
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        object.__setattr__(out, name, value)
-    return out
-
-
 def _as_fields(field: np.ndarray, g: GridSpec) -> np.ndarray:
     """A nodal field, or a (rows, n_x + 1) stack of them, as floats."""
     field = np.asarray(field, dtype=float)
@@ -180,17 +110,17 @@ def l2_norm(field: np.ndarray, g: GridSpec) -> float | np.ndarray:
     return float(out) if field.ndim == 1 else out
 
 
-def regressor_norm2(s: PlantState, g: GridSpec) -> float:
+def regressor_norm2(u: np.ndarray, v: np.ndarray, g: GridSpec) -> float:
     """Squared norm of the plant state, ||u||^2 + ||v||^2.
 
-    l2_norm(s.u, g) ** 2 + l2_norm(s.v, g) ** 2 with np.trapezoid's
+    l2_norm(u, g) ** 2 + l2_norm(v, g) ** 2 with np.trapezoid's
     arithmetic written out, since the identifier needs it every step.
     """
-    if s.u.shape != (g.n_x + 1,):
+    if u.shape != (g.n_x + 1,):
         raise ValueError("field does not match the grid")
     dx = g.dx
-    u2 = s.u * s.u
-    v2 = s.v * s.v
+    u2 = u * u
+    v2 = v * v
     return (
         math.sqrt((dx * (u2[1:] + u2[:-1]) / 2.0).sum()) ** 2
         + math.sqrt((dx * (v2[1:] + v2[:-1]) / 2.0).sum()) ** 2
@@ -227,73 +157,86 @@ def _adaptation_weight(gamma1: float, gamma: float, g: GridSpec) -> np.ndarray:
     return w
 
 
-def step_plant(s: PlantState, lp: LinearizedParams, U: float, g: GridSpec) -> PlantState:
-    """Advance the plant one step of size g.dt with boundary input U.
+def step_plant(
+    u: np.ndarray,
+    v: np.ndarray,
+    U: float,
+    lp: LinearizedParams,
+    g: GridSpec,
+    t: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the plant fields one step of g.dt from time t with input U.
 
     Interior update first (upwind in the transport direction of each
-    field), then v(1) = U and u(0) = r v(0) using the fresh v.
+    field), then v(1) = U and u(0) = r v(0) using the fresh v.  Returns
+    fresh arrays; a non-finite result raises InstabilityError at t + dt.
     """
     nu_a, nu_b, dt, r, c = _stepping(g, lp)
-    u, v = s.u, s.v
-
     u_new = np.empty_like(u)
     v_new = np.empty_like(v)
     u_new[1:] = u[1:] - nu_a * (u[1:] - u[:-1])
     v_new[:-1] = v[:-1] + nu_b * (v[1:] - v[:-1]) + dt * (c * u[:-1])
     v_new[-1] = U
     u_new[0] = r * v_new[0]
-
-    t_new = s.t + dt
-    _require_finite((u_new, v_new), t_new, "plant state")
-    return _evolve(s, u=u_new, v=v_new, t=t_new)
+    _require_finite((u_new, v_new), t + dt, "plant state")
+    return u_new, v_new
 
 
 def step_identifier(
-    i: IdentifierState,
-    s: PlantState,
+    u_hat: np.ndarray,
+    v_hat: np.ndarray,
+    c_hat: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
     U: float,
+    rho_gain: float,
     lp: LinearizedParams,
     g: GridSpec,
-) -> IdentifierState:
-    """Advance the identifier one step, driven by the plant state at time t.
+    t: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the identifier one step from time t, driven by the plant (u, v).
 
     The copies of the plant equations carry the estimated coupling
     c_hat * u plus output-error corrections rho ||w||^2 e and
     rho ||w||^2 eps, with ||w||^2 = ||u||^2 + ||v||^2 evaluated once.
-    c_hat itself is advanced separately by update_c_hat.
+    c_hat itself is advanced separately by update_c_hat.  Returns fresh
+    (u_hat, v_hat); a non-finite result raises InstabilityError at t + dt.
     """
     nu_a, nu_b, dt, r, _ = _stepping(g, lp)
-    u_hat, v_hat = i.u_hat, i.v_hat
-    e = s.u - u_hat
-    eps = s.v - v_hat
-    gain = i.rho_gain * regressor_norm2(s, g)
+    e = u - u_hat
+    eps = v - v_hat
+    gain = rho_gain * regressor_norm2(u, v, g)
 
     u_new = np.empty_like(u_hat)
     v_new = np.empty_like(v_hat)
     u_new[1:] = u_hat[1:] - nu_a * (u_hat[1:] - u_hat[:-1]) + dt * (gain * e[1:])
     v_new[:-1] = v_hat[:-1] + nu_b * (v_hat[1:] - v_hat[:-1]) + dt * (
-        i.c_hat[:-1] * s.u[:-1] + gain * eps[:-1]
+        c_hat[:-1] * u[:-1] + gain * eps[:-1]
     )
     v_new[-1] = U
     u_new[0] = r * v_new[0]
-
-    t_new = i.t + dt
-    _require_finite((u_new, v_new), t_new, "identifier state")
-    return _evolve(i, u_hat=u_new, v_hat=v_new, t=t_new)
+    _require_finite((u_new, v_new), t + dt, "identifier state")
+    return u_new, v_new
 
 
-def update_c_hat(i: IdentifierState, s: PlantState, g: GridSpec) -> IdentifierState:
-    """One forward-Euler step of the adaptation law for c_hat.
+def update_c_hat(
+    c_hat: np.ndarray,
+    v_hat: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    gamma1: float,
+    gamma: float,
+    c_bar: float,
+    g: GridSpec,
+) -> np.ndarray:
+    """One forward-Euler step of the adaptation law; returns the new c_hat.
 
-    Raw update gamma1 * exp(gamma x) * eps * u; the Euler step is clipped
-    to [-c_bar, c_bar].  The clip alone is the projection: where c_hat
-    sits on the bound and the update points outward, both give the bound,
-    and elsewhere the projection passes the update through unchanged.
-    Fields and time are left untouched; callers sequence this against
-    the field steps.
+    Raw update gamma1 * exp(gamma x) * eps * u with eps = v - v_hat; the
+    Euler step is clipped to [-c_bar, c_bar].  The clip alone is the
+    projection: where c_hat sits on the bound and the update points
+    outward, both give the bound, and elsewhere the projection passes the
+    update through unchanged.  Callers sequence this against the field
+    steps.
     """
-    raw = _adaptation_weight(i.gamma1, i.gamma, g) * (s.v - i.v_hat) * s.u
-    c_bar = i.c_bar
-    return _evolve(
-        i, c_hat=np.minimum(np.maximum(i.c_hat + g.dt * raw, -c_bar), c_bar)
-    )
+    raw = _adaptation_weight(gamma1, gamma, g) * (v - v_hat) * u
+    return np.minimum(np.maximum(c_hat + g.dt * raw, -c_bar), c_bar)

@@ -1,6 +1,7 @@
 """Tests for the closed-loop orchestration and boundary feedback."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from arzno.diagnostics import (
 )
 from arzno.kernels import KernelPair, TriMesh, _volterra_weights, solve_kernels
 from arzno.model import derive_linearized, from_riemann, to_riemann
-from arzno.sim import GridSpec, check_cfl, l2_norm
+from arzno.sim import GridSpec, InstabilityError, check_cfl, l2_norm
 
 
 def _control_and_z(kp, u_hat, v_hat, g):
@@ -164,19 +165,44 @@ def test_closed_loop_functionals_are_finite(params):
 
 def test_initial_plant_state_families(lp):
     g = GridSpec(n_x=60, dt=0.1, t_end=1.0)
-    s = initial_plant_state(lp, g, "zero")
-    assert np.all(s.u == 0.0) and np.all(s.v == 0.0)
+    u, v = initial_plant_state(lp, g, "zero")
+    assert np.all(u == 0.0) and np.all(v == 0.0)
+    assert u.shape == v.shape == (61,) and not np.shares_memory(u, v)
 
-    s = initial_plant_state(lp, g, "sine")
+    u, v = initial_plant_state(lp, g, "sine")
     bump = np.sin(3.0 * np.pi * g.x)
     want_u, want_v = to_riemann(
         lp, g.x, lp.rho_star * (1.0 + 0.1 * bump), lp.v_star * (1.0 - 0.01 * bump)
     )
-    np.testing.assert_array_equal(s.u, want_u)
-    np.testing.assert_array_equal(s.v, want_v)
+    np.testing.assert_array_equal(u, want_u)
+    np.testing.assert_array_equal(v, want_v)
 
     with pytest.raises(ValueError, match="sine"):
         initial_plant_state(lp, g, "box")
+
+
+def _sequential_time(steps: int, dt: float) -> float:
+    t = 0.0
+    for _ in range(steps):
+        t += dt
+    return t
+
+
+@pytest.mark.parametrize("open_loop,steps", [(False, 8), (True, 104)],
+                         ids=["closed", "open-loop"])
+def test_runaway_identifier_gain_stops_the_loop(params, open_loop, steps):
+    # A huge correction gain overflows the identifier a few steps in; the
+    # loop surfaces the stepper's error with the failing step's time, the
+    # sequential sum of its steps (0.7999999999999999 after 8 steps of
+    # 0.1, not 0.8).
+    g = GridSpec(n_x=60, dt=0.1, t_end=20.0)
+    cfg = ControllerConfig(mesh_n=21, rho_gain=1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(InstabilityError, match="identifier state") as info:
+            run_closed_loop(params, cfg, g, open_loop=open_loop)
+    assert type(info.value.t) is float
+    assert info.value.t == _sequential_time(steps, 0.1)
 
 
 def test_trace_csv_writers(params, tmp_path, read_table):
@@ -447,12 +473,11 @@ def test_streamed_csvs_match_per_cell_format(params, tmp_path, open_loop):
 # adaptation step clipped after the explicit projection.
 
 
-def _ref_step_plant(s, lp, U, g):
+def _ref_step_plant(u, v, U, lp, g, t):
     check_cfl(g, lp)
     nu_a = lp.lam_n * g.dt / g.dx
     nu_b = lp.mu_n * g.dt / g.dx
     c = lp.c(g.x)
-    u, v = s.u, s.v
     u_new = np.empty_like(u)
     v_new = np.empty_like(v)
     u_new[1:] = u[1:] - nu_a * (u[1:] - u[:-1])
@@ -460,40 +485,36 @@ def _ref_step_plant(s, lp, U, g):
     v_new[-1] = U
     u_new[0] = lp.r * v_new[0]
     assert np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
-    return dataclasses.replace(s, u=u_new, v=v_new, t=s.t + g.dt)
+    return u_new, v_new
 
 
-def _ref_step_identifier(i, s, U, lp, g):
+def _ref_step_identifier(u_hat, v_hat, c_hat, u, v, U, rho_gain, lp, g, t):
     check_cfl(g, lp)
     nu_a = lp.lam_n * g.dt / g.dx
     nu_b = lp.mu_n * g.dt / g.dx
-    u_hat, v_hat = i.u_hat, i.v_hat
-    e = s.u - u_hat
-    eps = s.v - v_hat
-    w2 = l2_norm(s.u, g) ** 2 + l2_norm(s.v, g) ** 2
+    e = u - u_hat
+    eps = v - v_hat
+    w2 = l2_norm(u, g) ** 2 + l2_norm(v, g) ** 2
     u_new = np.empty_like(u_hat)
     v_new = np.empty_like(v_hat)
     u_new[1:] = u_hat[1:] - nu_a * (u_hat[1:] - u_hat[:-1]) + g.dt * (
-        i.rho_gain * w2 * e[1:]
+        rho_gain * w2 * e[1:]
     )
     v_new[:-1] = v_hat[:-1] + nu_b * (v_hat[1:] - v_hat[:-1]) + g.dt * (
-        i.c_hat[:-1] * s.u[:-1] + i.rho_gain * w2 * eps[:-1]
+        c_hat[:-1] * u[:-1] + rho_gain * w2 * eps[:-1]
     )
     v_new[-1] = U
     u_new[0] = lp.r * v_new[0]
     assert np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
-    return dataclasses.replace(i, u_hat=u_new, v_hat=v_new, t=i.t + g.dt)
+    return u_new, v_new
 
 
-def _ref_update_c_hat(i, s, g):
-    eps = s.v - i.v_hat
-    raw = i.gamma1 * np.exp(i.gamma * g.x) * eps * s.u
-    c_hat, c_bar = i.c_hat, i.c_bar
+def _ref_update_c_hat(c_hat, v_hat, u, v, gamma1, gamma, c_bar, g):
+    eps = v - v_hat
+    raw = gamma1 * np.exp(gamma * g.x) * eps * u
     outward = ((c_hat >= c_bar) & (raw > 0)) | ((c_hat <= -c_bar) & (raw < 0))
     masked = np.where(outward, 0.0, raw)
-    return dataclasses.replace(
-        i, c_hat=np.clip(c_hat + g.dt * masked, -c_bar, c_bar)
-    )
+    return np.clip(c_hat + g.dt * masked, -c_bar, c_bar)
 
 
 def _ref_acquire(self, c_mesh):

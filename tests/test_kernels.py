@@ -19,6 +19,7 @@ from arzno.kernels import (
     RecordFormatError,
     TriMesh,
     _kv_from_edge,
+    _volterra_weights,
     kernel_arrays_from_records,
     kernel_pair_from_record,
     kernel_record_bytes,
@@ -188,7 +189,7 @@ def test_transform_round_trip(lp):
     mesh = TriMesh(n)
     c = lp.c_samples(n)
     kp = solve_kernels(c, lp, mesh, tol=1e-10)
-    ikp = solve_inverse_kernels(kp, c, lp, mesh, tol=1e-12)
+    ikp = solve_inverse_kernels(kp, c, lp, mesh)
     x = mesh.x
     u_hat = np.sin(2.0 * np.pi * x) + 0.3 * np.cos(5.0 * x)
     v_hat = x * np.cos(np.pi * x) - 0.2
@@ -199,11 +200,39 @@ def test_transform_round_trip(lp):
     assert rel_v <= 1e-6
 
 
+def test_inverse_kernels_match_the_neumann_series(lp):
+    # The direct resolvent solve agrees with the Neumann series
+    # R = A + A R iterated to a fixed point, A = w * Kv on the mesh.
+    mesh = TriMesh(41)
+    c = lp.c_samples(41)
+    kp = solve_kernels(c, lp, mesh, tol=1e-12)
+    w = _volterra_weights(mesh.n, mesh.dx)
+    av, au = w * kp.kv, w * kp.ku
+    resolvent = np.zeros_like(av)
+    for _ in range(100):
+        r_new = av + av @ resolvent
+        if np.max(np.abs(r_new - resolvent)) <= 1e-16:
+            break
+        resolvent = r_new
+    ikp = solve_inverse_kernels(kp, c, lp, mesh)
+    off = w > 0
+    scale = np.max(np.abs(resolvent))
+    assert np.max(np.abs(ikp.lv * w - resolvent)[off]) <= 1e-12 * scale
+    lu_op = au + resolvent @ au
+    assert np.max(np.abs(ikp.lu * w - lu_op)[off]) <= 1e-12 * np.max(np.abs(lu_op))
+
+
 def test_inverse_kernel_validation(lp):
     mesh = TriMesh(21)
     kp = solve_kernels(lp.c_samples(21), lp, mesh)
     with pytest.raises(ValueError):
         solve_inverse_kernels(kp, lp.c_samples(33), lp, TriMesh(33))
+    # A c_hat of the wrong length is refused, not let past the bound check.
+    for c_bad in (np.zeros(20), np.full(20, -2.0 * lp.c_bar)):
+        with pytest.raises(ValueError, match="samples"):
+            solve_inverse_kernels(kp, c_bad, lp, mesh)
+    with pytest.raises(ValueError, match="bound"):
+        solve_inverse_kernels(kp, np.full(21, -2.0 * lp.c_bar), lp, mesh)
     with pytest.raises(ValueError):
         InverseKernelPair(mesh=mesh, lu=np.zeros((3, 3)), lv=np.zeros((21, 21)))
 

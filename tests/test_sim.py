@@ -11,9 +11,7 @@ from arzno.model import LinearizedParams
 from arzno.sim import (
     CFLError,
     GridSpec,
-    IdentifierState,
     InstabilityError,
-    PlantState,
     check_cfl,
     l2_norm,
     step_identifier,
@@ -95,20 +93,17 @@ def test_cfl_violation_raises(lp):
     g = GridSpec(n_x=60, dt=20.0)
     with pytest.raises(CFLError):
         check_cfl(g, lp)
-    s = PlantState(u=np.zeros(61), v=np.zeros(61))
-    ident = IdentifierState(
-        u_hat=np.zeros(61), v_hat=np.zeros(61), c_hat=np.zeros(61), c_bar=0.02,
-    )
+    z = np.zeros(61)
     # The per-run stepping constants are cached, the failed check is not:
     # every call raises, not only the first.
     for _ in range(3):
         with pytest.raises(CFLError):
-            step_plant(s, lp, 0.0, g)
+            step_plant(z, z, 0.0, lp, g)
         with pytest.raises(CFLError):
-            step_identifier(ident, s, 0.0, lp, g)
-    step_plant(s, lp, 0.0, GridSpec(n_x=60, dt=0.1))
+            step_identifier(z, z, z, z, z, 0.0, 0.05, lp, g)
+    step_plant(z, z, 0.0, lp, GridSpec(n_x=60, dt=0.1))
     with pytest.raises(CFLError):
-        step_plant(s, lp, 0.0, g)
+        step_plant(z, z, 0.0, lp, g)
 
 
 def test_v_pulse_exact_shift_at_unit_courant():
@@ -118,13 +113,13 @@ def test_v_pulse_exact_shift_at_unit_courant():
     g = GridSpec(n_x=32, dt=(1.0 / 32.0) / lp.mu_n)
     v0 = np.zeros(33)
     v0[20] = 1.0
-    s = PlantState(u=np.zeros(33), v=v0)
+    u, v = np.zeros(33), v0
     for _ in range(5):
-        s = step_plant(s, lp, 0.0, g)
+        u, v = step_plant(u, v, 0.0, lp, g)
     expect = np.zeros(33)
     expect[15] = 1.0
-    assert np.array_equal(s.v, expect)
-    assert np.array_equal(s.u, np.zeros(33))
+    assert np.array_equal(v, expect)
+    assert np.array_equal(u, np.zeros(33))
 
 
 def test_upwind_first_order_convergence():
@@ -136,11 +131,11 @@ def test_upwind_first_order_convergence():
     for n_x in (64, 128):
         g = GridSpec(n_x=n_x, dt=15.0 / n_x, t_end=t_f)
         v0 = np.exp(-80.0 * (g.x - 0.65) ** 2)
-        s = PlantState(u=np.zeros(n_x + 1), v=v0)
+        u, v = np.zeros(n_x + 1), v0
         for _ in range(g.n_steps):
-            s = step_plant(s, lp, 0.0, g)
+            u, v = step_plant(u, v, 0.0, lp, g)
         exact = np.exp(-80.0 * (g.x + lp.mu_n * t_f - 0.65) ** 2)
-        errs.append(np.max(np.abs(s.v - exact)))
+        errs.append(np.max(np.abs(v - exact)))
     order = np.log2(errs[0] / errs[1])
     assert 0.7 <= order <= 1.3
 
@@ -148,11 +143,9 @@ def test_upwind_first_order_convergence():
 def test_inlet_reflection_applied(lp):
     g = GridSpec(n_x=32, dt=0.1)
     v = np.linspace(0.5, -0.2, 33)
-    s = PlantState(u=np.zeros(33), v=v)
-    s2 = step_plant(s, lp, 0.3, g)
-    assert s2.v[-1] == 0.3
-    assert s2.u[0] == pytest.approx(lp.r * s2.v[0], rel=1e-15)
-    assert s2.t == pytest.approx(0.1)
+    u2, v2 = step_plant(np.zeros(33), v, 0.3, lp, g)
+    assert v2[-1] == 0.3
+    assert u2[0] == pytest.approx(lp.r * v2[0], rel=1e-15)
 
 
 def test_l2_norm_sine_oracle():
@@ -169,12 +162,9 @@ def test_l2_norm_shape_guard():
         l2_norm(np.zeros(60), g)
     # The identifier's regressor norm guards its grid the same way, even
     # when plant and identifier fields agree with each other.
-    s = PlantState(u=np.zeros(33), v=np.zeros(33))
-    ident = IdentifierState(
-        u_hat=np.zeros(33), v_hat=np.zeros(33), c_hat=np.zeros(33), c_bar=0.02,
-    )
+    z = np.zeros(33)
     with pytest.raises(ValueError, match="grid"):
-        step_identifier(ident, s, 0.0, _transport_only_lp(), g)
+        step_identifier(z, z, z, z, z, 0.0, 0.05, _transport_only_lp(), g)
 
 
 def test_exact_knowledge_invariance(lp):
@@ -185,19 +175,18 @@ def test_exact_knowledge_invariance(lp):
     u0 = 0.1 * rng.standard_normal(61)
     v0 = 0.1 * rng.standard_normal(61)
     c_true = np.asarray(lp.c(g.x))
-    s = PlantState(u=u0, v=v0)
-    ident = IdentifierState(
-        u_hat=u0.copy(), v_hat=v0.copy(), c_hat=c_true.copy(),
-        c_bar=lp.c_bar,
-    )
+    u, v = u0, v0
+    u_hat, v_hat, c_hat = u0.copy(), v0.copy(), c_true.copy()
     for k in range(100):
         control = float(np.sin(0.1 * k))
-        ident = step_identifier(ident, s, control, lp, g)
-        s = step_plant(s, lp, control, g)
-        ident = update_c_hat(ident, s, g)
-        assert np.max(np.abs(s.u - ident.u_hat)) <= 1e-10
-        assert np.max(np.abs(s.v - ident.v_hat)) <= 1e-10
-    np.testing.assert_array_equal(ident.c_hat, c_true)
+        u_hat, v_hat = step_identifier(
+            u_hat, v_hat, c_hat, u, v, control, 0.05, lp, g
+        )
+        u, v = step_plant(u, v, control, lp, g)
+        c_hat = update_c_hat(c_hat, v_hat, u, v, 0.01, 1.0, lp.c_bar, g)
+        assert np.max(np.abs(u - u_hat)) <= 1e-10
+        assert np.max(np.abs(v - v_hat)) <= 1e-10
+    np.testing.assert_array_equal(c_hat, c_true)
 
 
 def _project(c_hat: np.ndarray, update: np.ndarray, c_bar: float) -> np.ndarray:
@@ -234,92 +223,60 @@ def test_clip_alone_equals_clip_of_projected_update():
     # The same through update_c_hat, with every node on or past the bound.
     g = GridSpec(n_x=24, dt=dt)
     c0 = np.repeat([c_bar, -c_bar, c_bar * (1 + 1e-13), -c_bar * (1 + 1e-13)], 7)[:25]
-    s = PlantState(u=rng.standard_normal(25), v=rng.standard_normal(25))
-    ident = IdentifierState(
-        u_hat=np.zeros(25), v_hat=np.zeros(25), c_hat=c0, gamma1=5.0, c_bar=c_bar,
-    )
-    raw = ident.gamma1 * np.exp(ident.gamma * g.x) * (s.v - ident.v_hat) * s.u
-    want = np.clip(ident.c_hat + g.dt * _project(ident.c_hat, raw, c_bar), -c_bar, c_bar)
-    assert np.array_equal(update_c_hat(ident, s, g).c_hat, want)
+    u, v = rng.standard_normal((2, 25))
+    v_hat = np.zeros(25)
+    raw = 5.0 * np.exp(1.0 * g.x) * (v - v_hat) * u
+    want = np.clip(c0 + g.dt * _project(c0, raw, c_bar), -c_bar, c_bar)
+    assert np.array_equal(update_c_hat(c0, v_hat, u, v, 5.0, 1.0, c_bar, g), want)
 
 
 def test_update_c_hat_respects_bound(lp):
     g = GridSpec(n_x=24, dt=0.1)
     rng = np.random.default_rng(11)
-    s = PlantState(u=5.0 * rng.standard_normal(25), v=5.0 * rng.standard_normal(25))
-    ident = IdentifierState(
-        u_hat=np.zeros(25), v_hat=np.zeros(25), c_hat=np.zeros(25),
-        gamma1=1e6, c_bar=0.02,
-    )
+    u, v = 5.0 * rng.standard_normal((2, 25))
+    c_hat = np.zeros(25)
     for _ in range(10):
-        ident = update_c_hat(ident, s, g)
-    assert np.max(np.abs(ident.c_hat)) <= 0.02 + 1e-15
+        c_hat = update_c_hat(c_hat, np.zeros(25), u, v, 1e6, 1.0, 0.02, g)
+    assert np.max(np.abs(c_hat)) <= 0.02 + 1e-15
 
 
 def test_update_c_hat_drives_toward_regressor_sign():
     g = GridSpec(n_x=24, dt=0.1)
-    s = PlantState(u=np.ones(25), v=np.ones(25))
-    ident = IdentifierState(
-        u_hat=np.ones(25), v_hat=np.zeros(25), c_hat=np.zeros(25),
-        gamma1=0.01, c_bar=0.02,
-    )
-    out = update_c_hat(ident, s, g)
+    out = update_c_hat(np.zeros(25), np.zeros(25), np.ones(25), np.ones(25),
+                       0.01, 1.0, 0.02, g)
     # eps = 1 and u = 1, so the update is positive everywhere.
-    assert np.all(out.c_hat > 0)
-    assert np.array_equal(out.u_hat, ident.u_hat)
+    assert np.all(out > 0)
 
 
 def test_instability_detected(lp):
     g = GridSpec(n_x=32, dt=0.1)
-    s = PlantState(u=np.zeros(33), v=np.zeros(33))
-    with pytest.raises(InstabilityError) as info:
-        step_plant(s, lp, np.inf, g)
+    z = np.zeros(33)
+    with pytest.raises(InstabilityError, match="plant state") as info:
+        step_plant(z, z, np.inf, lp, g)
     assert info.value.t == pytest.approx(0.1)
+    # The failing step's end time: a step from t = 2.5 fails at t = 2.6.
+    with pytest.raises(InstabilityError, match="identifier state") as info:
+        step_identifier(z, z, z, z, z, np.inf, 0.05, lp, g, 2.5)
+    assert info.value.t == 2.5 + 0.1
 
 
-def test_state_arrays_read_only():
-    s = PlantState(u=np.zeros(33), v=np.zeros(33))
-    with pytest.raises(ValueError):
-        s.u[0] = 1.0
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        PlantState(u=np.zeros(10), v=np.zeros(11))
-    with pytest.raises(ValueError):
-        IdentifierState(
-            u_hat=np.zeros(5), v_hat=np.zeros(5), c_hat=np.full(5, 0.5),
-            c_bar=0.02,
-        )
-
-
-def test_stepped_states_are_fresh_and_read_only(lp):
+def test_steppers_return_fresh_arrays_and_leave_inputs_alone(lp):
     g = GridSpec(n_x=32, dt=0.1)
     rng = np.random.default_rng(5)
-    u0, v0 = rng.standard_normal((2, 33))
-    s = PlantState(u=u0, v=v0)
-    # The public constructors copy and freeze; the caller's arrays stay theirs.
-    assert not np.shares_memory(s.u, u0) and u0.flags.writeable
-    ident = IdentifierState(
-        u_hat=np.zeros(33), v_hat=np.zeros(33), c_hat=np.zeros(33), c_bar=0.02,
+    u, v, u_hat, v_hat = rng.standard_normal((4, 33))
+    c_hat = rng.uniform(-0.02, 0.02, 33)
+    inputs = (u, v, u_hat, v_hat, c_hat)
+    before = pickle.dumps(inputs)
+    out = (
+        *step_plant(u, v, 0.3, lp, g),
+        *step_identifier(u_hat, v_hat, c_hat, u, v, 0.3, 0.05, lp, g),
+        update_c_hat(c_hat, v_hat, u, v, 0.01, 1.0, 0.02, g),
     )
-    before = pickle.dumps((s, ident))
-    s_new = step_plant(s, lp, 0.3, g)
-    i_new = step_identifier(ident, s, 0.3, lp, g)
-    c_new = update_c_hat(i_new, s_new, g)
-    assert pickle.dumps((s, ident)) == before
-    for new, old, names in (
-        (s_new, s, ("u", "v")),
-        (i_new, ident, ("u_hat", "v_hat", "c_hat")),
-        (c_new, i_new, ("u_hat", "v_hat", "c_hat")),
-    ):
-        assert type(new) is type(old)
-        # Equal to what the validating constructor makes of the same fields.
-        assert pickle.dumps(new) == pickle.dumps(dataclasses.replace(new))
-        for name in names:
-            arr = getattr(new, name)
-            assert arr.dtype == np.float64 and not arr.flags.writeable
-    assert s_new.t == i_new.t == c_new.t == pytest.approx(0.1)
-    assert not np.shares_memory(i_new.u_hat, ident.u_hat)
-    assert not np.shares_memory(c_new.c_hat, i_new.c_hat)
-    assert c_new.u_hat is i_new.u_hat and c_new.rho_gain == ident.rho_gain
+    assert pickle.dumps(inputs) == before
+    assert all(a.flags.writeable for a in inputs)
+    for arr in out:
+        assert arr.dtype == np.float64 and arr.shape == (33,)
+        assert arr.flags.writeable and arr.flags.owndata
+        assert not any(np.shares_memory(arr, a) for a in inputs)
+    for i, arr in enumerate(out):
+        assert not any(np.shares_memory(arr, b) for b in out[i + 1:])
