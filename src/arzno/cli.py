@@ -25,7 +25,7 @@ import numpy as np
 from arzno import config as cfgmod
 from arzno import dataset as dsmod
 from arzno.config import ConfigError
-from arzno.controller import ControllerConfig, SolverKernelSource, run_closed_loop
+from arzno.controller import run_closed_loop
 from arzno.deeponet import (
     ModelFormatError,
     NeuralKernelSource,
@@ -36,7 +36,7 @@ from arzno.deeponet import (
     save_model,
     train,
 )
-from arzno.kernels import ConvergenceError, RecordFormatError, TriMesh
+from arzno.kernels import ConvergenceError, RecordFormatError, TriMesh, solve_kernels
 from arzno.model import derive_linearized
 from arzno.sim import CFLError, InstabilityError
 
@@ -104,12 +104,10 @@ def cmd_simulate(args, cfg) -> int:
     out = Path(args.out or f"run_{mode.replace('-', '_')}")
     out.mkdir(parents=True, exist_ok=True)
 
+    ctl = cfgmod.build_controller(cfg)
     model = None
     if mode == "no":
-        ctl = cfgmod.build_controller(cfg, kernel_source="neural")
         model = _read_model(args.model or cfgmod.deeponet_options(cfg)["model_path"])
-    else:
-        ctl = cfgmod.build_controller(cfg, kernel_source="solver")
 
     t0 = time.perf_counter()
     tr = run_closed_loop(p, ctl, g, model=model, open_loop=(mode == "open-loop"))
@@ -145,7 +143,7 @@ def cmd_gen_dataset(args, cfg) -> int:
     chash = cfgmod.config_hash(cfg)
     p = cfgmod.build_traffic(cfg)
     g = cfgmod.build_grid(cfg)
-    ctl = cfgmod.build_controller(cfg, kernel_source="solver")
+    ctl = cfgmod.build_controller(cfg)
     opts = cfgmod.dataset_options(cfg)
     out = Path(args.out or opts["out_dir"])
 
@@ -269,8 +267,9 @@ def cmd_eval(args, cfg) -> int:
 
     p = cfgmod.build_traffic(cfg)
     g = cfgmod.build_grid(cfg)
-    tr_exact = run_closed_loop(p, cfgmod.build_controller(cfg, "solver"), g)
-    tr_no = run_closed_loop(p, cfgmod.build_controller(cfg, "neural"), g, model=model)
+    ctl = cfgmod.build_controller(cfg)
+    tr_exact = run_closed_loop(p, ctl, g)
+    tr_no = run_closed_loop(p, ctl, g, model=model)
     phys = _physical_gap(tr_exact, tr_no)
 
     rows = [
@@ -327,13 +326,17 @@ def cmd_bench(args, cfg) -> int:
     model = _read_model(args.model or cfgmod.deeponet_options(cfg)["model_path"])
     p = cfgmod.build_traffic(cfg)
     g = cfgmod.build_grid(cfg)
-    ctl = cfgmod.build_controller(cfg, "solver")
+    ctl = cfgmod.build_controller(cfg)
     lp = derive_linearized(p)
     mesh = TriMesh(ctl.mesh_n)
-    solver = SolverKernelSource(
-        lp, mesh, tol=ctl.tol, max_iter=ctl.max_iter, c_bound=ctl.c_bar
-    )
-    neural = NeuralKernelSource(model, mesh, lp)
+
+    def solver(c_mesh: np.ndarray):
+        return solve_kernels(
+            c_mesh, lp, mesh, tol=ctl.tol, max_iter=ctl.max_iter,
+            c_bound=ctl.c_bar,
+        )
+
+    neural = NeuralKernelSource(model, mesh, lp).acquire
 
     # Realistic inputs: estimates harvested from a short adaptive run,
     # cycled to fill n samples.
@@ -370,15 +373,15 @@ def cmd_bench(args, cfg) -> int:
                 gc.enable()
         return out
 
-    t_solver = _time_path(solver.acquire)
-    t_neural = _time_path(neural.acquire)
+    t_solver = _time_path(solver)
+    t_neural = _time_path(neural)
     errs = [
         (
             np.max(np.abs(kp_s.ku - kp_n.ku)),
             np.max(np.abs(kp_s.kv - kp_n.kv)),
         )
         for kp_s, kp_n in (
-            (solver.acquire(c), neural.acquire(c)) for c in samples
+            (solver(c), neural(c)) for c in samples
         )
     ]
     err_u = np.array([e[0] for e in errs])
@@ -391,7 +394,7 @@ def cmd_bench(args, cfg) -> int:
     run_closed_loop(p, ctl, g)
     loop_solver_s = time.perf_counter() - wall0
     wall0 = time.perf_counter()
-    run_closed_loop(p, cfgmod.build_controller(cfg, "neural"), g, model=model)
+    run_closed_loop(p, ctl, g, model=model)
     loop_neural_s = time.perf_counter() - wall0
 
     ratio = float(np.median(t_solver) / np.median(t_neural))

@@ -56,7 +56,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "t_end": "300.0",
     },
     "controller": {
-        "kernel_source": "solver",
         "kernel_refresh_dt": "0.1",
         "mesh_n": "41",
         "tol": "1e-8",
@@ -93,7 +92,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "bench": {
         "n": "100",
         "warmup": "5",
-        "seed": "0",
     },
 }
 
@@ -211,13 +209,9 @@ def build_grid(cfg: dict) -> GridSpec:
         raise ConfigError(f"[grid]: {exc}") from exc
 
 
-def build_controller(
-    cfg: dict, kernel_source: str | None = None
-) -> ControllerConfig:
-    """Controller settings; kernel_source can be forced by the caller."""
+def build_controller(cfg: dict) -> ControllerConfig:
     try:
         return ControllerConfig(
-            kernel_source=kernel_source or cfg["controller"]["kernel_source"],
             kernel_refresh_dt=_get(
                 cfg, "controller", "kernel_refresh_dt", float, "a number"
             ),
@@ -286,7 +280,6 @@ def bench_options(cfg: dict) -> dict:
     opts = {
         "n": _get(cfg, "bench", "n", int, "an integer"),
         "warmup": _get(cfg, "bench", "warmup", int, "an integer"),
-        "seed": _get(cfg, "bench", "seed", int, "an integer"),
     }
     for key in ("n", "warmup"):
         if opts[key] < 0:

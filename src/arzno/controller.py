@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -60,8 +60,6 @@ from arzno.sim import (
 
 __all__ = [
     "ControllerConfig",
-    "KernelSource",
-    "SolverKernelSource",
     "SimTrace",
     "initial_plant_state",
     "transform_on_mesh",
@@ -76,9 +74,10 @@ RefreshHook = Callable[[float, np.ndarray, KernelPair, int], None]
 class ControllerConfig:
     """Closed-loop configuration.
 
+    Where the kernels come from is not configured here: run_closed_loop
+    solves them unless it is handed a trained surrogate.
+
     Attributes:
-        kernel_source: "solver" for the classical fixed-point solver,
-            "neural" for a trained surrogate (model must be supplied).
         kernel_refresh_dt: seconds between kernel recomputations; must
             be a multiple of the grid dt.
         mesh_n: kernel mesh nodes per side.
@@ -92,7 +91,6 @@ class ControllerConfig:
         ic: initial condition family, "sine" or "zero".
     """
 
-    kernel_source: str = "solver"
     kernel_refresh_dt: float = 0.1
     mesh_n: int = 41
     tol: float = 1e-8
@@ -105,8 +103,6 @@ class ControllerConfig:
     ic: str = "sine"
 
     def __post_init__(self) -> None:
-        if self.kernel_source not in ("solver", "neural"):
-            raise ValueError("kernel_source must be 'solver' or 'neural'")
         if self.ic not in ("sine", "zero"):
             raise ValueError("ic must be 'sine' or 'zero'")
         for name in ("rho_gain", "gamma", "gamma1"):
@@ -127,42 +123,6 @@ class ControllerConfig:
         if abs(every * g.dt - self.kernel_refresh_dt) > 1e-9 * self.kernel_refresh_dt:
             raise ValueError("kernel_refresh_dt must be a multiple of dt")
         return every
-
-
-class KernelSource(Protocol):
-    """Anything that turns mesh samples of c_hat into a KernelPair."""
-
-    mesh: TriMesh
-
-    def acquire(self, c_mesh: np.ndarray) -> KernelPair: ...
-
-
-class SolverKernelSource:
-    """Kernel acquisition through the classical fixed-point solver."""
-
-    def __init__(
-        self,
-        lp: LinearizedParams,
-        mesh: TriMesh,
-        tol: float = 1e-8,
-        max_iter: int = 200,
-        c_bound: float | None = None,
-    ):
-        self.lp = lp
-        self.mesh = mesh
-        self.tol = tol
-        self.max_iter = max_iter
-        self.c_bound = lp.c_bar if c_bound is None else c_bound
-
-    def acquire(self, c_mesh: np.ndarray) -> KernelPair:
-        return solve_kernels(
-            c_mesh,
-            self.lp,
-            self.mesh,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            c_bound=self.c_bound,
-        )
 
 
 def initial_plant_state(
@@ -418,10 +378,11 @@ def run_closed_loop(
         p: physical parameters; the linearization is derived here.
         cfg: controller configuration.
         g: space-time grid; the CFL bound is enforced up front.
-        model: trained kernel surrogate, required when
-            cfg.kernel_source == "neural".
+        model: trained kernel surrogate; when given, it supplies the
+            kernels, otherwise the solver does (with cfg.tol,
+            cfg.max_iter and cfg.c_bar).
         open_loop: if True, U = 0 throughout and no kernels are
-            computed (the identifier still runs).
+            computed (the identifier still runs); model is unused.
         on_refresh: optional hook called after each kernel acquisition
             with (t, c_mesh, kernel_pair, elapsed_ns); used by dataset
             generation.
@@ -434,18 +395,22 @@ def run_closed_loop(
     refresh_every = cfg.refresh_every(g)
     mesh = TriMesh(cfg.mesh_n)
 
-    source: KernelSource | None = None
-    if not open_loop:
-        if cfg.kernel_source == "solver":
-            source = SolverKernelSource(
-                lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter, c_bound=cfg.c_bar
-            )
-        else:
-            if model is None:
-                raise ValueError("kernel_source 'neural' requires a model")
-            from arzno.deeponet import NeuralKernelSource
+    # The kernel path follows from the inputs: none open-loop, the
+    # surrogate when one is given, the solver otherwise.
+    acquire: Callable[[np.ndarray], KernelPair] | None
+    if open_loop:
+        acquire = None
+    elif model is not None:
+        from arzno.deeponet import NeuralKernelSource
 
-            source = NeuralKernelSource(model, mesh, lp)
+        acquire = NeuralKernelSource(model, mesh, lp).acquire
+    else:
+
+        def acquire(c_mesh: np.ndarray) -> KernelPair:
+            return solve_kernels(
+                c_mesh, lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter,
+                c_bound=cfg.c_bar,
+            )
 
     n = g.n_x + 1
     rows = g.n_steps + 1
@@ -469,7 +434,7 @@ def run_closed_loop(
         nonlocal ac
         c_mesh = np.interp(mesh_x, g_x, c_hat[k])
         t0 = time.perf_counter_ns()
-        kp = source.acquire(c_mesh)
+        kp = acquire(c_mesh)
         elapsed = time.perf_counter_ns() - t0
         if ac is None:
             dku, dkv = 0.0, 0.0
@@ -486,41 +451,45 @@ def run_closed_loop(
         if on_refresh is not None:
             on_refresh(t[k], c_mesh, kp, elapsed)
 
-    for k in range(g.n_steps):
-        # z is the one recorded quantity that needs the kernels active at
-        # row k: those that set its boundary value.  So a refresh due at
-        # t_k lands after z[k] (except at k = 0, where no control has been
-        # applied yet and the refresh supplies the kernels of row 0).
-        due = source is not None and k % refresh_every == 0
-        if due and k == 0:
-            refresh(k)
-        if ac is not None:
-            z[k] = _z_field(ac, u_hat[k], v_hat[k])
-        if due and k > 0:
-            refresh(k)
+    # A blow-up surfaces as the steppers' InstabilityError alone, not as
+    # NumPy overflow warnings from the steps leading up to it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(g.n_steps):
+            # z is the one recorded quantity that needs the kernels active
+            # at row k: those that set its boundary value.  So a refresh due
+            # at t_k lands after z[k] (except at k = 0, where no control has
+            # been applied yet and the refresh supplies the kernels of row 0).
+            due = acquire is not None and k % refresh_every == 0
+            if due and k == 0:
+                refresh(k)
+            if ac is not None:
+                z[k] = _z_field(ac, u_hat[k], v_hat[k])
+            if due and k > 0:
+                refresh(k)
 
-        uh, vh = step_identifier(
-            u_hat[k], v_hat[k], c_hat[k], u[k], v[k], 0.0, cfg.rho_gain, lp, g, t[k]
-        )
-        if ac is None:
-            u_next = 0.0
-        else:
-            quad = ac.m_u[-1] @ uh + ac.m_v[-1] @ vh
-            u_next = float(quad / ac.denom)
-        u[k + 1], v[k + 1] = step_plant(u[k], v[k], u_next, lp, g, t[k])
-        u_hat[k + 1], v_hat[k + 1] = uh, vh
-        v_hat[k + 1, -1] = u_next
-        # Adaptation last, from the freshly advanced states.  Driving the
-        # estimate with the post-step regressor makes the discrete cross
-        # term in the identifier functional overshoot toward descent
-        # instead of lagging it, so per-step monotonicity survives the
-        # forward-Euler startup transient where the error fields grow
-        # from zero before any estimate credit has accrued.
-        c_hat[k + 1] = update_c_hat(
-            c_hat[k], v_hat[k + 1], u[k + 1], v[k + 1],
-            cfg.gamma1, cfg.gamma, cfg.c_bar, g,
-        )
-        t[k + 1] = t[k] + g.dt
+            uh, vh = step_identifier(
+                u_hat[k], v_hat[k], c_hat[k], u[k], v[k], 0.0, cfg.rho_gain,
+                lp, g, t[k],
+            )
+            if ac is None:
+                u_next = 0.0
+            else:
+                quad = ac.m_u[-1] @ uh + ac.m_v[-1] @ vh
+                u_next = float(quad / ac.denom)
+            u[k + 1], v[k + 1] = step_plant(u[k], v[k], u_next, lp, g, t[k])
+            u_hat[k + 1], v_hat[k + 1] = uh, vh
+            v_hat[k + 1, -1] = u_next
+            # Adaptation last, from the freshly advanced states.  Driving
+            # the estimate with the post-step regressor makes the discrete
+            # cross term in the identifier functional overshoot toward
+            # descent instead of lagging it, so per-step monotonicity
+            # survives the forward-Euler startup transient where the error
+            # fields grow from zero before any estimate credit has accrued.
+            c_hat[k + 1] = update_c_hat(
+                c_hat[k], v_hat[k + 1], u[k + 1], v[k + 1],
+                cfg.gamma1, cfg.gamma, cfg.c_bar, g,
+            )
+            t[k + 1] = t[k] + g.dt
 
     if ac is not None:
         z[-1] = _z_field(ac, u_hat[-1], v_hat[-1])
@@ -529,7 +498,7 @@ def run_closed_loop(
     eps = v - v_hat
     c_tilde = lp.c(g_x) - c_hat
     v3 = lyapunov_v3(e, eps, c_tilde, cfg.gamma, cfg.gamma1, g)
-    if source is None:
+    if acquire is None:
         v1, v2, v_lyap = np.full((3, rows), np.nan)
     else:
         v1, v2, v_lyap = lyapunov_v1_v2(u_hat, z, derive_constants(lp), g)

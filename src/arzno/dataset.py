@@ -71,6 +71,15 @@ def _entry_bytes(m: int) -> int:
     return _ENTRY_HEADER.size + 8 * m + record_byte_length(m)
 
 
+def _entry(t: float, c: np.ndarray, kp: KernelPair) -> bytes:
+    """One record entry: header, little-endian estimate, kernel record."""
+    return (
+        _ENTRY_HEADER.pack(t, c.size)
+        + np.ascontiguousarray(c, dtype="<f8").tobytes()
+        + kernel_record_bytes(kp)
+    )
+
+
 def _params_hash(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -101,26 +110,18 @@ def _run_family(args: tuple) -> dict:
             c_mesh, lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter,
             c_bound=cfg.c_bar,
         )
-        record = kernel_record_bytes(kp)
         n_snapshots = (g.n_steps + stride - 1) // stride
-        for j in range(n_snapshots):
-            t = j * stride * g.dt
-            entries.append(
-                _ENTRY_HEADER.pack(t, mesh.n) + c_mesh.tobytes() + record
-            )
+        entries.extend(
+            _entry(j * stride * g.dt, c_mesh, kp) for j in range(n_snapshots)
+        )
     else:
         counter = {"k": 0}
 
         def hook(t: float, c_mesh: np.ndarray, kp: KernelPair, ns: int) -> None:
             k = counter["k"]
             counter["k"] = k + 1
-            if k % stride:
-                return
-            entries.append(
-                _ENTRY_HEADER.pack(t, c_mesh.size)
-                + np.ascontiguousarray(c_mesh, dtype="<f8").tobytes()
-                + kernel_record_bytes(kp)
-            )
+            if k % stride == 0:
+                entries.append(_entry(t, c_mesh, kp))
 
         try:
             run_closed_loop(p_i, cfg, g, on_refresh=hook)
@@ -462,7 +463,9 @@ def verify_labels(
     root = Path(manifest["root"])
     mesh_n = manifest["mesh_n"]
     p = TrafficParams(**manifest["traffic"])
-    cfg = ControllerConfig(**manifest["controller"])
+    # Only the solver settings are read, so manifests whose controller
+    # section carries keys that are no longer settings still verify.
+    ctl = manifest["controller"]
     mesh = TriMesh(mesh_n)
     rng = np.random.default_rng(seed)
 
@@ -505,8 +508,8 @@ def verify_labels(
         # the lower triangles carry the whole sup-norm discrepancy.
         for c, ku, kv in zip(cs, kus, kvs):
             ref = solve_kernels(
-                c, lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter,
-                c_bound=cfg.c_bar,
+                c, lp, mesh, tol=ctl["tol"], max_iter=ctl["max_iter"],
+                c_bound=ctl["c_bar"],
             )
             err = max(
                 float(np.max(np.abs(ref.ku[ii, jj] - ku))),

@@ -5,7 +5,7 @@ gain kernels evaluated at arbitrary triangle points.  A branch stack
 embeds the samples into a latent vector g, a trunk stack embeds the
 query point (x, xi) into f, and each output head is the weighted inner
 product sum_i alpha_i g_i f_i.  Everything is float64 numpy: dense
-layers, tanh activations, analytic backprop, and an adaptive-moment
+layers with tanh hidden units, analytic backprop, and an adaptive-moment
 optimizer, so training is reproducible bit-for-bit from (seed, config).
 """
 
@@ -79,7 +79,6 @@ class DeepONetModel:
         c_scale: input normalization; the branch sees c_hat / c_scale.
         params: weight dict; keys {branch,trunk}_{w,b}{layer} and "head"
             with head[0] the Ku coefficients and head[1] the Kv ones.
-        activation: fixed smooth nonlinearity of the hidden layers.
     """
 
     m: int
@@ -87,11 +86,8 @@ class DeepONetModel:
     hidden: tuple[int, ...]
     c_scale: float
     params: dict[str, np.ndarray]
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
-        if self.activation != "tanh":
-            raise ValueError("only the tanh activation is supported")
         if self.m < 1 or self.b < 1 or not self.hidden:
             raise ValueError("m, b must be positive and hidden non-empty")
         if self.c_scale <= 0:

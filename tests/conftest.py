@@ -62,3 +62,21 @@ def read_table():
         return header, np.asarray(rows), comments
 
     return parse
+
+
+class _ReadLog(dict):
+    """A dict that adds each key read from it with [] to a given set."""
+
+    def __init__(self, data: dict, seen: set):
+        super().__init__(data)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.fixture
+def read_log():
+    """Wrap a dict as read_log(data, seen): its [] reads land in seen."""
+    return _ReadLog

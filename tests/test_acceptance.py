@@ -106,7 +106,7 @@ def trained(corpus, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def no_run(params, grid, trained):
-    cfg = ControllerConfig(kernel_source="neural")
+    cfg = ControllerConfig()
     t0 = time.perf_counter()
     tr = run_closed_loop(params, cfg, grid, model=trained["model"])
     return {"trace": tr, "wall": time.perf_counter() - t0}

@@ -6,6 +6,7 @@ import logging
 
 import pytest
 
+from arzno import config as cfgmod
 from arzno.cli import main
 from arzno.config import DEFAULTS
 
@@ -98,6 +99,25 @@ def test_full_workflow(fast_env, capsys, caplog):
     assert "CONFIG MISMATCH" in caplog.text
 
 
+def test_every_parsed_option_is_used(fast_env, monkeypatch, read_log):
+    # The option views hand plain dicts to the commands; each key they
+    # parse must be read by some command, or it is a setting that does
+    # nothing.  No flags are passed, so the commands fall back on the
+    # config for every path and count.
+    seen: dict[str, set] = {}
+    parsed: dict[str, set] = {}
+    for name in ("dataset_options", "deeponet_options", "bench_options"):
+        view = getattr(cfgmod, name)
+        parsed[name] = set(view(cfgmod.load_config()))
+        keys = seen[name] = set()
+        monkeypatch.setattr(
+            cfgmod, name, lambda cfg, view=view, keys=keys: read_log(view(cfg), keys)
+        )
+    for command in ("gen-dataset", "train", "bench"):
+        assert main([command]) == 0
+    assert seen == parsed
+
+
 def test_usage_errors_exit_1(fast_env, capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -113,6 +133,11 @@ def test_config_errors_exit_1(fast_env, tmp_path, capsys, monkeypatch):
 
     assert main(["--config", str(tmp_path / "missing.ini"),
                  "simulate", "--mode", "exact"]) == 1
+
+    # --mode alone selects the kernel path; kernel_source is no key.
+    bad.write_text("[controller]\nkernel_source = neural\n")
+    assert main(["--config", str(bad), "simulate", "--mode", "exact"]) == 1
+    assert "unknown key 'kernel_source'" in capsys.readouterr().err
 
     monkeypatch.setenv("ARZNO_GRID_N_X", "sixty")
     assert main(["simulate", "--mode", "exact"]) == 1

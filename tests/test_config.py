@@ -2,6 +2,7 @@
 
 import pytest
 
+from arzno import config as cfgmod
 from arzno.config import (
     ConfigError,
     DEFAULTS,
@@ -16,6 +17,7 @@ from arzno.config import (
     load_config,
     write_default_config,
 )
+from arzno.controller import ControllerConfig
 
 
 def test_defaults_without_file_or_env(monkeypatch):
@@ -45,6 +47,12 @@ def test_unknown_file_entries_are_named(tmp_path):
     path.write_text("[grid]\nn_xx = 80\n")
     with pytest.raises(ConfigError, match="unknown key 'n_xx'"):
         load_config(path)
+    # Neither selects anything: the model argument picks the kernel path,
+    # and bench draws no random numbers.
+    for section, key in (("controller", "kernel_source"), ("bench", "seed")):
+        path.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(path)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.ini")
     path.write_text("n_x = 80\n")  # key before any section header
@@ -90,9 +98,7 @@ def test_build_grid_and_controller():
     g = build_grid(cfg)
     assert (g.n_x, g.dt, g.t_end) == (60, 0.1, 300.0)
     ctl = build_controller(cfg)
-    assert ctl.kernel_source == "solver" and ctl.mesh_n == 41
-    forced = build_controller(cfg, kernel_source="neural")
-    assert forced.kernel_source == "neural"
+    assert ctl == ControllerConfig() and ctl.mesh_n == 41
 
 
 def test_build_train_and_option_views():
@@ -106,7 +112,22 @@ def test_build_train_and_option_views():
     nn = deeponet_options(cfg)
     assert nn["b"] == 32 and nn["hidden"] == (64, 64)
     bench = bench_options(cfg)
-    assert bench == {"n": 100, "warmup": 5, "seed": 0}
+    assert bench == {"n": 100, "warmup": 5}
+
+
+def test_every_default_key_is_parsed(read_log):
+    # Each shipped key must be read by a build_* function or an option
+    # view; a key that none of them reads is a setting that does nothing.
+    seen: dict[str, set] = {section: set() for section in DEFAULTS}
+    cfg = {s: read_log(kv, seen[s]) for s, kv in load_config().items()}
+    views = [
+        name for name in cfgmod.__all__
+        if name.startswith("build_") or name.endswith("_options")
+    ]
+    assert len(views) == 7
+    for name in views:
+        getattr(cfgmod, name)(cfg)
+    assert seen == {s: set(kv) for s, kv in DEFAULTS.items()}
 
 
 @pytest.mark.parametrize("key", ["n", "warmup"])

@@ -9,7 +9,6 @@ import pytest
 from arzno import controller
 from arzno.controller import (
     ControllerConfig,
-    SolverKernelSource,
     initial_plant_state,
     run_closed_loop,
 )
@@ -197,8 +196,10 @@ def test_runaway_identifier_gain_stops_the_loop(params, open_loop, steps):
     # 0.1, not 0.8).
     g = GridSpec(n_x=60, dt=0.1, t_end=20.0)
     cfg = ControllerConfig(mesh_n=21, rho_gain=1e3)
+    # The error is the only report of the blow-up: no NumPy overflow
+    # warning may precede it.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(InstabilityError, match="identifier state") as info:
             run_closed_loop(params, cfg, g, open_loop=open_loop)
     assert type(info.value.t) is float
@@ -255,7 +256,12 @@ def test_trace_csv_writers(params, tmp_path, read_table):
     ],
 )
 def test_controller_config_validation(kwargs, match):
-    with pytest.raises(ValueError, match=match):
+    # A bad value of a field fails validation; a key that is no field,
+    # such as kernel_source (the model argument selects the kernel path),
+    # is refused by the constructor itself.
+    fields = {f.name for f in dataclasses.fields(ControllerConfig)}
+    error = ValueError if set(kwargs) <= fields else TypeError
+    with pytest.raises(error, match=match):
         ControllerConfig(**kwargs)
 
 
@@ -268,18 +274,58 @@ def test_refresh_cadence_validation():
     assert ControllerConfig(kernel_refresh_dt=0.3).refresh_every(g) == 3
 
 
-def test_neural_source_requires_model(params):
+@pytest.mark.parametrize(
+    "with_model,open_loop,want",
+    [
+        (False, False, {"solver": 10, "neural": 0}),
+        (True, False, {"solver": 0, "neural": 10}),
+        (False, True, {"solver": 0, "neural": 0}),
+        (True, True, {"solver": 0, "neural": 0}),
+    ],
+    ids=["solver", "model", "open-loop", "open-loop-with-model"],
+)
+def test_model_selects_the_kernel_path(params, monkeypatch, with_model, open_loop, want):
+    calls = {"solver": 0, "neural": 0}
+
+    def count(path, fn):
+        def wrapped(*args, **kwargs):
+            calls[path] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(controller, "solve_kernels", count("solver", solve_kernels))
+    monkeypatch.setattr(
+        NeuralKernelSource, "acquire", count("neural", NeuralKernelSource.acquire)
+    )
     g = GridSpec(n_x=60, dt=0.1, t_end=1.0)
-    cfg = ControllerConfig(mesh_n=21, kernel_source="neural")
-    with pytest.raises(ValueError, match="model"):
-        run_closed_loop(params, cfg, g)
+    model = init_model(m=21, seed=7) if with_model else None
+    run_closed_loop(
+        params, ControllerConfig(mesh_n=21), g, model=model, open_loop=open_loop
+    )
+    assert calls == want
 
 
-def test_solver_source_threads_its_options(lp):
-    mesh = TriMesh(9)
-    source = SolverKernelSource(lp, mesh, tol=1e-10, max_iter=300, c_bound=0.02)
-    kp = source.acquire(np.full(9, -0.019))
-    ref = solve_kernels(np.full(9, -0.019), lp, mesh, tol=1e-10, c_bound=0.02)
+def test_solver_source_threads_its_options(params, lp, monkeypatch):
+    # Without a model the loop solves its kernels with the config's
+    # stopping rule and bound, through the solve_kernels name that
+    # arzno.controller imports.
+    seen = []
+
+    def spy(c_mesh, lp_arg, mesh, **kwargs):
+        seen.append(kwargs)
+        return solve_kernels(c_mesh, lp_arg, mesh, **kwargs)
+
+    monkeypatch.setattr(controller, "solve_kernels", spy)
+    g = GridSpec(n_x=60, dt=0.1, t_end=0.3)
+    cfg = ControllerConfig(mesh_n=9, tol=1e-10, max_iter=300, c_bar=0.03)
+    hooked = []
+    run_closed_loop(
+        params, cfg, g, on_refresh=lambda t, c, kp, ns: hooked.append((c, kp))
+    )
+    assert seen == [{"tol": 1e-10, "max_iter": 300, "c_bound": 0.03}] * 3
+    c, kp = hooked[-1]
+    ref = solve_kernels(c, lp, TriMesh(9), tol=1e-10, max_iter=300, c_bound=0.03)
     np.testing.assert_array_equal(kp.ku, ref.ku)
     np.testing.assert_array_equal(kp.kv, ref.kv)
 
@@ -564,7 +610,7 @@ def _assert_traces_equal(got, want):
 )
 def test_loop_matches_reference_steppers(params, monkeypatch, source, refresh_dt, open_loop):
     g = GridSpec(n_x=60, dt=0.1, t_end=20.0)
-    cfg = ControllerConfig(kernel_source=source, kernel_refresh_dt=refresh_dt)
+    cfg = ControllerConfig(kernel_refresh_dt=refresh_dt)
     model = init_model(seed=7) if source == "neural" else None
     got = run_closed_loop(params, cfg, g, model=model, open_loop=open_loop)
     want = _reference_run(monkeypatch, params, cfg, g, model=model, open_loop=open_loop)

@@ -158,6 +158,19 @@ def test_stored_labels_re_solve_exactly(corpus):
     assert report["max_err"] <= 1e-10
 
 
+def test_labels_verify_under_a_legacy_controller_section(corpus, tmp_path):
+    # Manifests written while the controller section still carried the
+    # kernel_source switch verify as before: only tol, max_iter and c_bar
+    # are read from it.
+    root, man = corpus
+    legacy = json.loads((root / "manifest.json").read_text())
+    legacy["controller"] = {"kernel_source": "solver", **legacy["controller"]}
+    legacy["root"] = str(root)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(legacy))
+    assert verify_labels(path, fraction=1.0) == verify_labels(man, fraction=1.0)
+
+
 def test_split_is_disjoint_complete_and_deterministic(corpus):
     _, man = corpus
     tr, va, te = split(man, (0.8, 0.1, 0.1), seed=0)

@@ -280,9 +280,6 @@ def test_train_config_validation(kwargs):
 
 def test_model_validation():
     good = init_model(m=4, b=2, hidden=(3,), seed=0)
-    with pytest.raises(ValueError, match="tanh"):
-        DeepONetModel(m=4, b=2, hidden=(3,), c_scale=0.02,
-                      params=dict(good.params), activation="relu")
     with pytest.raises(ValueError, match="c_scale"):
         DeepONetModel(m=4, b=2, hidden=(3,), c_scale=0.0,
                       params=dict(good.params))
