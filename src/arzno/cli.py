@@ -93,6 +93,7 @@ def _sim_stats(tr) -> dict:
         "eps_norm_final": float(tr.eps_norm[-1]),
         "kernel_time_total_ns": int(np.sum(tr.kernel_ns)),
         "n_refreshes": int(len(tr.refresh_t)),
+        "kernel_acquisitions": tr.kernel_acquisitions,
     }
 
 

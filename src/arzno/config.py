@@ -3,7 +3,8 @@
 Every physical and algorithmic parameter lives in one flat INI file
 with sections [traffic], [grid], [controller], [deeponet], [dataset],
 [bench].  Precedence is defaults < file < environment, where the
-environment override for section S key K is ARZNO_<S>_<K> (upper case).
+environment override for section S key K is ARZNO_<S>_<K> (upper case);
+any other ARZNO_ variable is an error, as an unknown key in a file is.
 A 12-hex-digit digest of the merged configuration is embedded in run
 artifacts so downstream commands can detect mismatched inputs.
 """
@@ -103,7 +104,8 @@ class ConfigError(ValueError):
 def load_config(path: str | Path | None = None) -> dict[str, dict[str, str]]:
     """Merge defaults, the optional file, and environment overrides.
 
-    Unknown sections or keys in the file are rejected with the
+    Unknown sections or keys in the file, and environment variables
+    that start with ARZNO_ but name no known key, are rejected with the
     offending name so typos surface immediately.
 
     Raises:
@@ -129,11 +131,17 @@ def load_config(path: str | Path | None = None) -> dict[str, dict[str, str]]:
                         f"{path}: unknown key '{key}' in section [{section}]"
                     )
                 cfg[section][key] = value
-    for section, kv in cfg.items():
-        for key in kv:
-            env = os.environ.get(f"{ENV_PREFIX}_{section.upper()}_{key.upper()}")
-            if env is not None:
-                kv[key] = env
+    names = {
+        f"{ENV_PREFIX}_{section.upper()}_{key.upper()}": (section, key)
+        for section, kv in cfg.items()
+        for key in kv
+    }
+    for env in sorted(os.environ):
+        if env.startswith(f"{ENV_PREFIX}_"):
+            if env not in names:
+                raise ConfigError(f"unknown environment variable {env}")
+            section, key = names[env]
+            cfg[section][key] = os.environ[env]
     return cfg
 
 

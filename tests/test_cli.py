@@ -50,6 +50,7 @@ def test_full_workflow(fast_env, capsys, caplog):
     assert main(["simulate", "--mode", "exact", "--out", "ex"]) == 0
     report = json.loads((root / "ex" / "report.json").read_text())
     assert "converged" in report and report["n_refreshes"] == 20
+    assert report["kernel_acquisitions"] == 20  # the estimate moves each step
     assert (root / "ex" / "refresh.csv").exists()
 
     assert main(["gen-dataset", "--out", "data"]) == 0
@@ -143,6 +144,14 @@ def test_config_errors_exit_1(fast_env, tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--mode", "exact"]) == 1
     monkeypatch.delenv("ARZNO_GRID_N_X")
 
+    # An environment variable naming no key is refused like a file key.
+    for name in ("ARZNO_GRID_NX", "ARZNO_CONTROLLER_KERNEL_SOURCE"):
+        monkeypatch.setenv(name, "80")
+        assert main(["simulate", "--mode", "exact", "--out", "x"]) == 1
+        assert name in capsys.readouterr().err
+        monkeypatch.delenv(name)
+    assert not (fast_env / "x").exists()
+
     # 0.25 s is not a whole number of 0.1 s steps.
     monkeypatch.setenv("ARZNO_GRID_T_END", "0.25")
     assert main(["simulate", "--mode", "exact", "--out", "x"]) == 1
@@ -199,3 +208,5 @@ def test_zero_initial_state_reports_no_decay_ratio(
     assert report["final_over_initial"] is None
     assert report[key] is None
     assert "undefined" in capsys.readouterr().out
+    # The estimate never moves, so one acquisition serves every refresh.
+    assert report["kernel_acquisitions"] == (1 if mode == "exact" else 0)

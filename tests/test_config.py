@@ -70,6 +70,20 @@ def test_environment_beats_file(tmp_path, monkeypatch):
     assert load_config(path)["grid"]["n_x"] == "80"
 
 
+@pytest.mark.parametrize(
+    "name", ["ARZNO_GRID_NX", "ARZNO_CONTROLLER_KERNEL_SOURCE", "ARZNO_GIRD_N_X"]
+)
+def test_unknown_environment_variables_are_named(monkeypatch, name):
+    # An ARZNO_ variable that names no key fails like the same key in a
+    # file, instead of being ignored.
+    monkeypatch.setenv(name, "80")
+    monkeypatch.setenv("ARZNO_GRID_N_X", "120")
+    with pytest.raises(ConfigError, match=name):
+        load_config()
+    monkeypatch.delenv(name)
+    assert load_config()["grid"]["n_x"] == "120"
+
+
 def test_config_hash_is_stable_and_sensitive():
     a = load_config()
     b = load_config()

@@ -1,6 +1,7 @@
 """Tests for the closed-loop orchestration and boundary feedback."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from arzno.diagnostics import (
 )
 from arzno.kernels import KernelPair, TriMesh, _volterra_weights, solve_kernels
 from arzno.model import derive_linearized, from_riemann, to_riemann
-from arzno.sim import GridSpec, InstabilityError, check_cfl, l2_norm
+from arzno.sim import GridSpec, InstabilityError, check_cfl, l2_norm, update_c_hat
 
 
 def _control_and_z(kp, u_hat, v_hat, g):
@@ -274,17 +275,8 @@ def test_refresh_cadence_validation():
     assert ControllerConfig(kernel_refresh_dt=0.3).refresh_every(g) == 3
 
 
-@pytest.mark.parametrize(
-    "with_model,open_loop,want",
-    [
-        (False, False, {"solver": 10, "neural": 0}),
-        (True, False, {"solver": 0, "neural": 10}),
-        (False, True, {"solver": 0, "neural": 0}),
-        (True, True, {"solver": 0, "neural": 0}),
-    ],
-    ids=["solver", "model", "open-loop", "open-loop-with-model"],
-)
-def test_model_selects_the_kernel_path(params, monkeypatch, with_model, open_loop, want):
+def _count_acquisitions(monkeypatch) -> dict:
+    """Count solver calls and surrogate acquisitions, by kernel path."""
     calls = {"solver": 0, "neural": 0}
 
     def count(path, fn):
@@ -298,6 +290,21 @@ def test_model_selects_the_kernel_path(params, monkeypatch, with_model, open_loo
     monkeypatch.setattr(
         NeuralKernelSource, "acquire", count("neural", NeuralKernelSource.acquire)
     )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "with_model,open_loop,want",
+    [
+        (False, False, {"solver": 10, "neural": 0}),
+        (True, False, {"solver": 0, "neural": 10}),
+        (False, True, {"solver": 0, "neural": 0}),
+        (True, True, {"solver": 0, "neural": 0}),
+    ],
+    ids=["solver", "model", "open-loop", "open-loop-with-model"],
+)
+def test_model_selects_the_kernel_path(params, monkeypatch, with_model, open_loop, want):
+    calls = _count_acquisitions(monkeypatch)
     g = GridSpec(n_x=60, dt=0.1, t_end=1.0)
     model = init_model(m=21, seed=7) if with_model else None
     run_closed_loop(
@@ -328,6 +335,60 @@ def test_solver_source_threads_its_options(params, lp, monkeypatch):
     ref = solve_kernels(c, lp, TriMesh(9), tol=1e-10, max_iter=300, c_bound=0.03)
     np.testing.assert_array_equal(kp.ku, ref.ku)
     np.testing.assert_array_equal(kp.kv, ref.kv)
+
+
+@pytest.mark.parametrize("with_model", [False, True], ids=["solver", "model"])
+def test_unchanged_estimate_reuses_the_kernels(params, monkeypatch, with_model):
+    # At equilibrium u = v = 0, so the estimate never moves: the first
+    # acquisition serves every refresh, and the hook still fires for each.
+    calls = _count_acquisitions(monkeypatch)
+    hooked = []
+    g = GridSpec(n_x=60, dt=0.1, t_end=2.0)
+    model = init_model(m=21, seed=7) if with_model else None
+    tr = run_closed_loop(
+        params, ControllerConfig(mesh_n=21, ic="zero"), g, model=model,
+        on_refresh=lambda t, c, kp, ns: hooked.append(kp),
+    )
+    path = "neural" if with_model else "solver"
+    assert calls == {"solver": 0, "neural": 0, path: 1}
+    assert len(hooked) == len(tr.refresh_t) == 20
+    assert all(kp is hooked[0] for kp in hooked)
+    assert np.all(tr.dku_dt == 0.0) and np.all(tr.dkv_dt == 0.0)
+    assert tr.kernel_acquisitions == 1
+
+
+def test_reused_refreshes_serve_the_pair_a_solve_would(params, lp, monkeypatch):
+    # Freeze the estimate on chosen steps, so that runs of refreshes see
+    # the same estimate while others see a new one.
+    frozen = set(range(3, 9)) | set(range(12, 15)) | {20}
+    steps = itertools.count()
+
+    def update(c_hat, *args):
+        out = update_c_hat(c_hat, *args)
+        return c_hat if next(steps) in frozen else out
+
+    monkeypatch.setattr(controller, "update_c_hat", update)
+    calls = _count_acquisitions(monkeypatch)
+    hooked = []
+    g = GridSpec(n_x=60, dt=0.1, t_end=3.0)
+    cfg = ControllerConfig(mesh_n=21)
+    tr = run_closed_loop(
+        params, cfg, g, on_refresh=lambda t, c, kp, ns: hooked.append((c, kp))
+    )
+    mesh = TriMesh(cfg.mesh_n)
+    for c, kp in hooked:
+        ref = solve_kernels(
+            c, lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter, c_bound=cfg.c_bar
+        )
+        np.testing.assert_array_equal(kp.ku, ref.ku)
+        np.testing.assert_array_equal(kp.kv, ref.kv)
+    keys = [c.tobytes() for c, _ in hooked]
+    moved = [a != b for a, b in zip(keys, keys[1:])]
+    assert tr.kernel_acquisitions == calls["solver"] == 1 + sum(moved)
+    assert 1 < tr.kernel_acquisitions < len(hooked) == len(tr.refresh_t)
+    kept = ~np.array([True] + moved)
+    assert np.all(tr.dku_dt[kept] == 0.0) and np.all(tr.dkv_dt[kept] == 0.0)
+    assert np.all(tr.dku_dt[1:][np.array(moved)] > 0.0)
 
 
 def _four_corner_rows(tri: np.ndarray, mesh: TriMesh, g: GridSpec) -> np.ndarray:
@@ -597,7 +658,7 @@ def _reference_run(monkeypatch, *args, **kwargs):
 def _assert_traces_equal(got, want):
     for f in dataclasses.fields(got):
         if f.name not in _TIMING:
-            a, b = getattr(got, f.name), getattr(want, f.name)
+            a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
             assert a.dtype == b.dtype, f.name
             assert np.array_equal(a, b, equal_nan=True), f.name
 
