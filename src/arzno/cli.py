@@ -18,6 +18,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from arzno.controller import run_closed_loop
 from arzno.deeponet import (
     ModelFormatError,
     NeuralKernelSource,
-    TrainConfig,
     eval_accuracy,
     init_model,
     load_model,
@@ -147,6 +147,8 @@ def cmd_gen_dataset(args, cfg) -> int:
     ctl = cfgmod.build_controller(cfg)
     opts = cfgmod.dataset_options(cfg)
     out = Path(args.out or opts["out_dir"])
+    # Fail on a split the family count cannot cover before simulating.
+    dsmod.split_counts(opts["split"], opts["n_families"])
 
     t0 = time.perf_counter()
     manifest = dsmod.generate(
@@ -156,8 +158,6 @@ def cmd_gen_dataset(args, cfg) -> int:
         opts["subsample_dt"],
         out,
         seed=opts["seed"],
-        equispaced=opts["equispaced"],
-        c_source=opts["c_source"],
         jobs=args.jobs,
         g=g,
         cfg=ctl,
@@ -184,26 +184,21 @@ def cmd_train(args, cfg) -> int:
     net = cfgmod.deeponet_options(cfg)
     tc = cfgmod.build_train(cfg)
     if args.epochs is not None:
-        tc = TrainConfig(
-            lr=tc.lr, batch_size=tc.batch_size, epochs=args.epochs,
-            val_split=tc.val_split, seed=tc.seed,
-        )
+        tc = replace(tc, epochs=args.epochs)
 
     data_dir = Path(args.data or opts["out_dir"])
     train_path = data_dir / "train.json"
     val_path = data_dir / "val.json"
     if train_path.exists():
         man_train = dsmod.load_manifest(train_path)
-        ds_train = dsmod.load_records(man_train)
-        ds_val = (
-            dsmod.load_records(dsmod.load_manifest(val_path))
-            if val_path.exists()
-            else None
-        )
+        man_val = dsmod.load_manifest(val_path) if val_path.exists() else None
     else:
         man_train = dsmod.load_manifest(data_dir / "manifest.json")
-        ds_train = dsmod.load_records(man_train)
-        ds_val = None
+        man_val = None
+    ds_train = dsmod.load_records(man_train)
+    # A part with no families, as a zero validation share writes, counts
+    # as absent: train then carves val_split off the training records.
+    ds_val = dsmod.load_records(man_val) if man_val and man_val["families"] else None
     _check_hash(man_train.get("config_hash"), chash, str(data_dir))
 
     c_scale = float(np.max(np.abs(ds_train.c)))
@@ -259,9 +254,14 @@ def cmd_eval(args, cfg) -> int:
 
     data_dir = Path(args.data or opts["out_dir"])
     test_path = data_dir / "test.json"
-    man = dsmod.load_manifest(
-        test_path if test_path.exists() else data_dir / "manifest.json"
-    )
+    if not test_path.exists():
+        test_path = data_dir / "manifest.json"
+    man = dsmod.load_manifest(test_path)
+    if not man["families"]:
+        raise UsageError(
+            f"{test_path} lists no test families: the test split is empty; "
+            "give the [dataset] split a nonzero test share"
+        )
     _check_hash(man.get("config_hash"), chash, str(data_dir))
     ds = dsmod.load_records(man)
     kernel_report = eval_accuracy(model, ds)

@@ -5,6 +5,8 @@ with sections [traffic], [grid], [controller], [deeponet], [dataset],
 [bench].  Precedence is defaults < file < environment, where the
 environment override for section S key K is ARZNO_<S>_<K> (upper case);
 any other ARZNO_ variable is an error, as an unknown key in a file is.
+Sections that back a dataclass are read field by field: each key names
+a field and is converted by the type of that field's default.
 A 12-hex-digit digest of the merged configuration is embedded in run
 artifacts so downstream commands can detect mismatched inputs.
 """
@@ -15,6 +17,7 @@ import configparser
 import hashlib
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 from arzno.controller import ControllerConfig
@@ -84,8 +87,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "tau_hi": "70.0",
         "subsample_dt": "0.1",
         "seed": "0",
-        "equispaced": "false",
-        "c_source": "estimate",
         "out_dir": "dataset",
         "split": "0.8,0.1,0.1",
         "split_seed": "0",
@@ -164,18 +165,7 @@ def _get(cfg: dict, section: str, key: str, conv, what: str):
     try:
         return conv(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r}: expected {what}"
-        ) from exc
-
-
-def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+        raise ConfigError(f"[{section}] {key} = {raw!r}: expected {what}") from exc
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -186,72 +176,45 @@ def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _build(cls, cfg: dict, section: str, **given):
+    """cls from the keys of section named like its fields.
+
+    Each field not in given is read from the section and converted by
+    the type of the field's default; a value the dataclass rejects
+    surfaces as a ConfigError naming the section.
+    """
+    for f in fields(cls):
+        if f.name not in given:
+            kind = type(f.default)
+            given[f.name] = _get(cfg, section, f.name, kind, _KINDS[kind])
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from exc
+
+
 def build_traffic(cfg: dict) -> TrafficParams:
     """Physical parameters; densities converted from veh/km to veh/m."""
-    try:
-        return TrafficParams(
-            v_f=_get(cfg, "traffic", "v_f", float, "a number"),
-            rho_m=_get(cfg, "traffic", "rho_m_veh_km", float, "a number") / 1000.0,
-            rho_star=_get(cfg, "traffic", "rho_star_veh_km", float, "a number")
-            / 1000.0,
-            tau=_get(cfg, "traffic", "tau", float, "a number"),
-            gamma0=_get(cfg, "traffic", "gamma0", float, "a number"),
-            length=_get(cfg, "traffic", "length", float, "a number"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[traffic]: {exc}") from exc
+    veh_km = {
+        name: _get(cfg, "traffic", f"{name}_veh_km", float, "a number") / 1000.0
+        for name in ("rho_m", "rho_star")
+    }
+    return _build(TrafficParams, cfg, "traffic", **veh_km)
 
 
 def build_grid(cfg: dict) -> GridSpec:
-    try:
-        return GridSpec(
-            n_x=_get(cfg, "grid", "n_x", int, "an integer"),
-            dt=_get(cfg, "grid", "dt", float, "a number"),
-            t_end=_get(cfg, "grid", "t_end", float, "a number"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[grid]: {exc}") from exc
+    return _build(GridSpec, cfg, "grid")
 
 
 def build_controller(cfg: dict) -> ControllerConfig:
-    try:
-        return ControllerConfig(
-            kernel_refresh_dt=_get(
-                cfg, "controller", "kernel_refresh_dt", float, "a number"
-            ),
-            mesh_n=_get(cfg, "controller", "mesh_n", int, "an integer"),
-            tol=_get(cfg, "controller", "tol", float, "a number"),
-            max_iter=_get(cfg, "controller", "max_iter", int, "an integer"),
-            rho_gain=_get(cfg, "controller", "rho_gain", float, "a number"),
-            gamma=_get(cfg, "controller", "gamma", float, "a number"),
-            gamma1=_get(cfg, "controller", "gamma1", float, "a number"),
-            tau_guess=_get(cfg, "controller", "tau_guess", float, "a number"),
-            c_bar=_get(cfg, "controller", "c_bar", float, "a number"),
-            ic=cfg["controller"]["ic"],
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[controller]: {exc}") from exc
+    return _build(ControllerConfig, cfg, "controller")
 
 
 def build_train(cfg: dict) -> TrainConfig:
-    try:
-        return TrainConfig(
-            lr=_get(cfg, "deeponet", "lr", float, "a number"),
-            batch_size=_get(cfg, "deeponet", "batch_size", int, "an integer"),
-            epochs=_get(cfg, "deeponet", "epochs", int, "an integer"),
-            val_split=_get(cfg, "deeponet", "val_split", float, "a number"),
-            seed=_get(cfg, "deeponet", "seed", int, "an integer"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[deeponet]: {exc}") from exc
+    return _build(TrainConfig, cfg, "deeponet")
 
 
 def dataset_options(cfg: dict) -> dict:
@@ -267,8 +230,6 @@ def dataset_options(cfg: dict) -> dict:
         ),
         "subsample_dt": _get(cfg, "dataset", "subsample_dt", float, "a number"),
         "seed": _get(cfg, "dataset", "seed", int, "an integer"),
-        "equispaced": _get(cfg, "dataset", "equispaced", _bool, "a boolean"),
-        "c_source": cfg["dataset"]["c_source"],
         "out_dir": cfg["dataset"]["out_dir"],
         "split": split,
         "split_seed": _get(cfg, "dataset", "split_seed", int, "an integer"),

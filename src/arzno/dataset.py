@@ -20,11 +20,13 @@ corpora, which stored both heads, are rejected and must be regenerated.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -50,6 +52,7 @@ __all__ = [
     "DatasetFormatError",
     "generate",
     "split",
+    "split_counts",
     "load_manifest",
     "iter_family",
     "load_records",
@@ -93,40 +96,21 @@ def _file_sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _run_family(args: tuple) -> dict:
+def _run_family(idx: int, tau: float, p: TrafficParams, cfg: ControllerConfig,
+                g: GridSpec, stride: int, out_dir: Path) -> dict:
     """Generate one family file; executed in a worker process."""
-    (idx, tau, p, cfg, g, stride, c_source, out_dir) = args
-    p_i = replace(p, tau=tau)
-    path = Path(out_dir) / f"family_{idx:03d}.bin"
+    path = out_dir / f"family_{idx:03d}.bin"
     entries: list[bytes] = []
+    refreshes = itertools.count()
 
-    if c_source == "true":
-        # Static ground-truth pairs: one solve, repeated per snapshot
-        # time so the record count matches the estimate mode.
-        lp = derive_linearized(p_i)
-        mesh = TriMesh(cfg.mesh_n)
-        c_mesh = np.array([lp.c(xx) for xx in mesh.x])
-        kp = solve_kernels(
-            c_mesh, lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter,
-            c_bound=cfg.c_bar,
-        )
-        n_snapshots = (g.n_steps + stride - 1) // stride
-        entries.extend(
-            _entry(j * stride * g.dt, c_mesh, kp) for j in range(n_snapshots)
-        )
-    else:
-        counter = {"k": 0}
+    def hook(t: float, c_mesh: np.ndarray, kp: KernelPair, ns: int) -> None:
+        if next(refreshes) % stride == 0:
+            entries.append(_entry(t, c_mesh, kp))
 
-        def hook(t: float, c_mesh: np.ndarray, kp: KernelPair, ns: int) -> None:
-            k = counter["k"]
-            counter["k"] = k + 1
-            if k % stride == 0:
-                entries.append(_entry(t, c_mesh, kp))
-
-        try:
-            run_closed_loop(p_i, cfg, g, on_refresh=hook)
-        except InstabilityError as exc:
-            return {"family": idx, "tau": tau, "error": str(exc)}
+    try:
+        run_closed_loop(replace(p, tau=tau), cfg, g, on_refresh=hook)
+    except InstabilityError as exc:
+        return {"family": idx, "tau": tau, "error": str(exc)}
 
     path.write_bytes(b"".join(entries))
     return {
@@ -146,14 +130,16 @@ def generate(
     subsample_dt: float,
     out_dir: str | Path,
     seed: int = 0,
-    equispaced: bool = False,
-    c_source: str = "estimate",
     jobs: int = 1,
     g: GridSpec | None = None,
     cfg: ControllerConfig | None = None,
     config_hash: str | None = None,
 ) -> dict:
     """Run one adaptive loop per relaxation-time draw and snapshot pairs.
+
+    Each record pairs the identifier's estimate at a refresh with the
+    kernels the controller acquired for it, the input the surrogate
+    must serve at runtime.
 
     Args:
         p: base physical parameters; tau is overridden per family.
@@ -163,11 +149,8 @@ def generate(
             the kernel refresh cadence, since pairs exist only at
             refresh instants.
         out_dir: directory for the family files and manifest.json.
-        seed: seeds the tau draws (the loop itself is deterministic).
-        equispaced: draw taus on a uniform grid instead of i.i.d.
-        c_source: "estimate" stores the evolving identifier estimate
-            (what the surrogate must serve at runtime); "true" stores
-            the static ground-truth coupling instead.
+        seed: seeds the i.i.d. uniform tau draws (the loop itself is
+            deterministic).
         jobs: worker processes; families are independent.
         g: space-time grid (default grid when omitted).
         cfg: controller settings (defaults when omitted).
@@ -179,7 +162,7 @@ def generate(
         a "root" key pointing at out_dir for direct loading.
 
     Raises:
-        ValueError: bad ranges, cadence mismatch, or unknown c_source.
+        ValueError: bad ranges or a cadence mismatch.
     """
     g = g or GridSpec()
     cfg = cfg or ControllerConfig()
@@ -188,8 +171,6 @@ def generate(
         raise ValueError("tau_range must satisfy 0 < lo <= hi")
     if n_families < 1:
         raise ValueError("n_families must be positive")
-    if c_source not in ("estimate", "true"):
-        raise ValueError(f"unknown c_source {c_source!r}")
     if subsample_dt < g.dt:
         raise ValueError("subsample_dt must be at least the simulation dt")
     cadence = cfg.kernel_refresh_dt
@@ -208,13 +189,7 @@ def generate(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    if equispaced and n_families > 1:
-        taus = np.linspace(lo, hi, n_families)
-    elif equispaced:
-        taus = np.array([0.5 * (lo + hi)])
-    else:
-        taus = rng.uniform(lo, hi, n_families)
+    taus = np.random.default_rng(seed).uniform(lo, hi, n_families).tolist()
 
     gen_params = {
         "traffic": asdict(p),
@@ -224,21 +199,16 @@ def generate(
         "n_families": n_families,
         "tau_range": [lo, hi],
         "subsample_dt": subsample_dt,
-        "equispaced": equispaced,
-        "c_source": c_source,
     }
     if config_hash is None:
         config_hash = _params_hash(gen_params)
 
-    work = [
-        (i, float(taus[i]), p, cfg, g, stride, c_source, str(out))
-        for i in range(n_families)
-    ]
+    run = partial(_run_family, p=p, cfg=cfg, g=g, stride=stride, out_dir=out)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_family, work))
+            results = list(pool.map(run, range(n_families), taus))
     else:
-        results = [_run_family(w) for w in work]
+        results = list(map(run, range(n_families), taus))
 
     families = [r for r in results if "error" not in r]
     skipped = [r for r in results if "error" in r]
@@ -384,6 +354,35 @@ def load_records(manifest: dict | str | Path) -> KernelDataset:
     return KernelDataset(mesh_n=mesh_n, c=c, ku=ku, ratio=ratio)
 
 
+def split_counts(ratio: Sequence[float], n: int) -> np.ndarray:
+    """Families per train/validation/test part for n families.
+
+    Counts follow largest-remainder rounding of the ratios, and every
+    part with a nonzero share gets at least one family.
+
+    Raises:
+        ValueError: ratios invalid, or fewer families than parts with a
+            nonzero share.
+    """
+    r = np.asarray(ratio, dtype=float)
+    if r.shape != (3,) or np.any(r < 0) or abs(r.sum() - 1.0) > 1e-9:
+        raise ValueError("ratio must be three non-negative shares summing to 1")
+    n_parts = int(np.count_nonzero(r))
+    if n < n_parts:
+        raise ValueError(f"{n} families cannot cover {n_parts} nonzero splits")
+
+    counts = np.floor(r * n).astype(int)
+    # Nonzero shares get at least one family before remainders are dealt.
+    counts[(r > 0) & (counts == 0)] = 1
+    while counts.sum() > n:
+        counts[int(np.argmax(counts))] -= 1
+    # Remainders go round the nonzero shares, largest fraction first.
+    order = [i for i in np.argsort(-(r * n - np.floor(r * n))) if r[i] > 0]
+    for k in range(n - counts.sum()):
+        counts[order[k % len(order)]] += 1
+    return counts
+
+
 def split(
     manifest: dict | str | Path,
     ratio: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -393,58 +392,28 @@ def split(
 
     Whole families are assigned to one part so the held-out score
     measures generalization across relaxation times, not interpolation
-    within a trajectory.  Counts follow largest-remainder rounding of
-    the ratios.
+    within a trajectory.  Part sizes come from split_counts.
 
     Raises:
-        ValueError: ratios invalid, or fewer families than parts with a
-            nonzero share.
+        ValueError: as split_counts.
     """
     manifest = _coerce_manifest(manifest)
-    r = np.asarray(ratio, dtype=float)
-    if r.shape != (3,) or np.any(r < 0) or abs(r.sum() - 1.0) > 1e-9:
-        raise ValueError("ratio must be three non-negative shares summing to 1")
     families = manifest["families"]
     n = len(families)
-    n_parts = int(np.count_nonzero(r))
-    if n < n_parts:
-        raise ValueError(f"{n} families cannot cover {n_parts} nonzero splits")
-
-    counts = np.floor(r * n).astype(int)
-    # Nonzero shares get at least one family before remainders are dealt.
-    for i in range(3):
-        if r[i] > 0 and counts[i] == 0:
-            counts[i] = 1
-    while counts.sum() > n:
-        counts[int(np.argmax(counts))] -= 1
-    if counts.sum() < n:
-        frac = r * n - np.floor(r * n)
-        order = np.argsort(-frac)
-        k = 0
-        while counts.sum() < n:
-            idx = int(order[k % 3])
-            if r[idx] > 0:
-                counts[idx] += 1
-            k += 1
+    counts = split_counts(ratio, n)
 
     perm = np.random.default_rng(seed).permutation(n)
-    bounds = np.cumsum(counts)
-    parts = (
-        perm[: bounds[0]],
-        perm[bounds[0] : bounds[1]],
-        perm[bounds[1] : bounds[2]],
-    )
-    out = []
-    for part in parts:
+    parts = []
+    for part in np.split(perm, np.cumsum(counts)[:2]):
         sel = [families[int(i)] for i in sorted(part)]
-        out.append(
+        parts.append(
             {
                 **{k: v for k, v in manifest.items() if k != "families"},
                 "families": sel,
                 "n_records": sum(f["n_records"] for f in sel),
             }
         )
-    return out[0], out[1], out[2]
+    return tuple(parts)
 
 
 def verify_labels(

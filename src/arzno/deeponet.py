@@ -1,12 +1,14 @@
 """Operator surrogate for the kernel solver: branch-trunk network.
 
 The network maps m samples of the coupling estimate c_hat to the two
-gain kernels evaluated at arbitrary triangle points.  A branch stack
-embeds the samples into a latent vector g, a trunk stack embeds the
-query point (x, xi) into f, and each output head is the weighted inner
-product sum_i alpha_i g_i f_i.  Everything is float64 numpy: dense
-layers with tanh hidden units, analytic backprop, and an adaptive-moment
-optimizer, so training is reproducible bit-for-bit from (seed, config).
+gain kernels at the nodes of the triangular kernel mesh.  A branch
+stack embeds the samples into a latent vector g, a trunk stack embeds
+a node (x, xi) into f, and each output head is the weighted inner
+product sum_i alpha_i g_i f_i.  NeuralKernelSource serves the loop;
+training and scoring form the same products batch by batch.
+Everything is float64 numpy: dense layers with tanh hidden units,
+analytic backprop, and an adaptive-moment optimizer, so training is
+reproducible bit-for-bit from (seed, config).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "as_kernel_dataset",
     "mesh_queries",
     "init_model",
-    "forward",
     "loss_and_grads",
     "train",
     "eval_accuracy",
@@ -303,46 +304,6 @@ def _backward_stack(
             slope = np.multiply(a, a, out=ws(f"{prefix}_s{layer}", *a.shape))
             np.subtract(1.0, slope, out=slope)
             d *= slope
-
-
-def _check_queries(queries: np.ndarray) -> np.ndarray:
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if q.ndim != 2 or q.shape[1] != 2:
-        raise ValueError("queries must be (x, xi) pairs")
-    x, xi = q[:, 0], q[:, 1]
-    tol = 1e-9
-    if np.any(x < -tol) or np.any(x > 1 + tol) or np.any(xi < -tol):
-        raise ValueError("query outside the unit triangle")
-    if np.any(xi > x + tol):
-        raise ValueError("query outside the unit triangle: xi must not exceed x")
-    return q
-
-
-def forward(
-    model: DeepONetModel, c_samples: np.ndarray, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (Ku, Kv) at the query points for one input function.
-
-    Args:
-        model: trained or fresh surrogate.
-        c_samples: m samples of c_hat on the uniform edge grid.
-        queries: (Q, 2) array of (x, xi) points inside the triangle
-            0 <= xi <= x <= 1 (a single pair is also accepted).
-
-    Returns:
-        Two length-Q arrays of kernel values.
-    """
-    c_samples = np.asarray(c_samples, dtype=float)
-    if c_samples.shape != (model.m,):
-        raise ValueError(f"c_samples must have length {model.m}")
-    q = _check_queries(queries)
-    n_hidden = len(model.hidden)
-    g = _forward_stack(
-        model.params, "branch", c_samples[None, :] / model.c_scale, n_hidden
-    )[-1][0]
-    f = _forward_stack(model.params, "trunk", q, n_hidden)[-1]
-    head = model.params["head"]
-    return (f * head[0]) @ g, (f * head[1]) @ g
 
 
 def loss_and_grads(

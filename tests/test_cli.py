@@ -210,3 +210,34 @@ def test_zero_initial_state_reports_no_decay_ratio(
     assert "undefined" in capsys.readouterr().out
     # The estimate never moves, so one acquisition serves every refresh.
     assert report["kernel_acquisitions"] == (1 if mode == "exact" else 0)
+
+
+def test_zero_validation_share_trains_and_empty_test_split_exits_1(
+    fast_env, capsys, monkeypatch
+):
+    # A zero share writes a part with no families; train treats the empty
+    # val.json as absent and carves val_split off the training records.
+    monkeypatch.setenv("ARZNO_DATASET_SPLIT", "1.0,0.0,0.0")
+    assert main(["gen-dataset", "--out", "data"]) == 0
+    for part in ("val", "test"):
+        blob = json.loads((fast_env / "data" / f"{part}.json").read_text())
+        assert blob["families"] == []
+    assert main(["train", "--data", "data", "--out", "model.bin"]) == 0
+    rows = (fast_env / "model.history.csv").read_text().splitlines()[2:]
+    assert len(rows) == 3 and all(row.split(",")[2] != "inf" for row in rows)
+
+    # eval has nothing to score and says which split is empty.
+    capsys.readouterr()
+    assert main(["eval", "--model", "model.bin", "--data", "data"]) == 1
+    err = capsys.readouterr().err
+    assert "test.json" in err and "test split is empty" in err
+    assert not (fast_env / "eval.json").exists()
+
+
+def test_uncoverable_split_exits_1_before_generating(fast_env, capsys, monkeypatch):
+    # One family cannot cover the default 0.8/0.1/0.1 split: the command
+    # fails before it simulates or writes any family.
+    monkeypatch.setenv("ARZNO_DATASET_N_FAMILIES", "1")
+    assert main(["gen-dataset", "--out", "data"]) == 1
+    assert "1 families cannot cover 3 nonzero splits" in capsys.readouterr().err
+    assert not list(fast_env.glob("data/family_*.bin"))

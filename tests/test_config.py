@@ -47,9 +47,14 @@ def test_unknown_file_entries_are_named(tmp_path):
     path.write_text("[grid]\nn_xx = 80\n")
     with pytest.raises(ConfigError, match="unknown key 'n_xx'"):
         load_config(path)
-    # Neither selects anything: the model argument picks the kernel path,
-    # and bench draws no random numbers.
-    for section, key in (("controller", "kernel_source"), ("bench", "seed")):
+    # None selects anything: the model argument picks the kernel path,
+    # bench draws no random numbers, and the corpus always draws tau
+    # i.i.d. and stores the estimate the loop acquired kernels for.
+    retired = (
+        ("controller", "kernel_source"), ("bench", "seed"),
+        ("dataset", "equispaced"), ("dataset", "c_source"),
+    )
+    for section, key in retired:
         path.write_text(f"[{section}]\n{key} = 1\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             load_config(path)
@@ -71,7 +76,13 @@ def test_environment_beats_file(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name", ["ARZNO_GRID_NX", "ARZNO_CONTROLLER_KERNEL_SOURCE", "ARZNO_GIRD_N_X"]
+    "name",
+    [
+        "ARZNO_GRID_NX",
+        "ARZNO_CONTROLLER_KERNEL_SOURCE",
+        "ARZNO_GIRD_N_X",
+        "ARZNO_DATASET_C_SOURCE",
+    ],
 )
 def test_unknown_environment_variables_are_named(monkeypatch, name):
     # An ARZNO_ variable that names no key fails like the same key in a
@@ -122,7 +133,6 @@ def test_build_train_and_option_views():
     ds = dataset_options(cfg)
     assert ds["tau_range"] == (50.0, 70.0)
     assert ds["split"] == (0.8, 0.1, 0.1)
-    assert ds["equispaced"] is False
     nn = deeponet_options(cfg)
     assert nn["b"] == 32 and nn["hidden"] == (64, 64)
     bench = bench_options(cfg)
@@ -158,26 +168,21 @@ def test_hidden_widths_parse_from_csv(monkeypatch):
     assert deeponet_options(load_config())["hidden"] == (16, 16, 8)
 
 
-@pytest.mark.parametrize(
-    "raw,expect",
-    [("1", True), ("true", True), ("YES", True), ("on", True),
-     ("0", False), ("False", False), ("no", False), ("OFF", False)],
-)
-def test_boolean_forms(monkeypatch, raw, expect):
-    monkeypatch.setenv("ARZNO_DATASET_EQUISPACED", raw)
-    assert dataset_options(load_config())["equispaced"] is expect
-
-
 def test_bad_values_name_section_and_key(monkeypatch):
-    monkeypatch.setenv("ARZNO_GRID_N_X", "sixty")
-    with pytest.raises(ConfigError, match=r"\[grid\] n_x"):
-        build_grid(load_config())
-    monkeypatch.delenv("ARZNO_GRID_N_X")
-
-    monkeypatch.setenv("ARZNO_DATASET_EQUISPACED", "maybe")
-    with pytest.raises(ConfigError, match="equispaced"):
-        dataset_options(load_config())
-    monkeypatch.delenv("ARZNO_DATASET_EQUISPACED")
+    # The builders read a section field by field and convert by the type
+    # of the field's default, so a bad value names its own key.
+    for build, section, key, raw in (
+        (build_grid, "grid", "n_x", "sixty"),
+        (build_traffic, "traffic", "rho_m_veh_km", "jam"),
+        (build_traffic, "traffic", "tau", "slow"),
+        (build_controller, "controller", "max_iter", "2.5"),
+        (build_train, "deeponet", "batch_size", "big"),
+    ):
+        name = f"ARZNO_{section.upper()}_{key.upper()}"
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = '{raw}'"):
+            build(load_config())
+        monkeypatch.delenv(name)
 
     monkeypatch.setenv("ARZNO_DATASET_SPLIT", "0.8,0.2")
     with pytest.raises(ConfigError, match="three components"):
@@ -194,3 +199,4 @@ def test_semantic_errors_wrap_as_config_errors(monkeypatch):
     monkeypatch.setenv("ARZNO_CONTROLLER_IC", "box")
     with pytest.raises(ConfigError, match=r"\[controller\]"):
         build_controller(load_config())
+

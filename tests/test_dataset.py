@@ -21,15 +21,11 @@ from arzno.dataset import (
     load_manifest,
     load_records,
     split,
+    split_counts,
     verify_labels,
 )
-from arzno.kernels import (
-    RECORD_HEADER_BYTES,
-    TriMesh,
-    record_byte_length,
-    solve_kernels,
-)
-from arzno.model import TrafficParams, derive_linearized
+from arzno.kernels import RECORD_HEADER_BYTES, record_byte_length
+from arzno.model import TrafficParams
 from arzno.sim import GridSpec
 
 _GRID = GridSpec(n_x=60, dt=0.1, t_end=1.0)
@@ -203,6 +199,12 @@ def test_split_validation(corpus):
     two["families"] = man["families"][:2]
     with pytest.raises(ValueError, match="cannot cover"):
         split(two, (0.8, 0.1, 0.1))
+    # split_counts is the rule split applies, usable before any family exists.
+    with pytest.raises(ValueError, match="2 families cannot cover 3"):
+        split_counts((0.8, 0.1, 0.1), 2)
+    for ratio in ((0.8, 0.1, 0.1), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)):
+        parts = split(man, ratio)
+        assert list(split_counts(ratio, 10)) == [len(q["families"]) for q in parts]
 
 
 def test_generation_is_byte_deterministic(tmp_path):
@@ -223,29 +225,6 @@ def test_parallel_generation_matches_serial(tmp_path):
     assert [f["sha256"] for f in one["families"]] == [
         f["sha256"] for f in two["families"]
     ]
-
-
-def test_equispaced_tau_grid(tmp_path):
-    man = generate(TrafficParams(), 3, _TAUS, 0.1, tmp_path, seed=0,
-                   equispaced=True, g=_GRID, cfg=_CFG)
-    np.testing.assert_allclose(
-        [f["tau"] for f in man["families"]], np.linspace(52.0, 70.0, 3)
-    )
-
-
-def test_true_coupling_mode_stores_static_labels(tmp_path):
-    man = generate(TrafficParams(), 1, _TAUS, 0.1, tmp_path, seed=3,
-                   c_source="true", g=_GRID, cfg=_CFG)
-    fam = man["families"][0]
-    assert fam["n_records"] == 10
-    entries = list(iter_family(tmp_path / fam["path"], 21))
-    lp_i = derive_linearized(replace(TrafficParams(), tau=fam["tau"]))
-    expect_c = np.array([lp_i.c(x) for x in TriMesh(21).x])
-    np.testing.assert_array_equal(entries[0][1], expect_c)
-    for _, c, kp in entries[1:]:
-        np.testing.assert_array_equal(c, expect_c)
-        np.testing.assert_array_equal(kp.ku, entries[0][2].ku)
-        np.testing.assert_array_equal(kp.kv, entries[0][2].kv)
 
 
 def test_unstable_families_are_skipped(tmp_path, caplog):
@@ -300,25 +279,15 @@ def test_manifest_and_file_format_errors(corpus, tmp_path):
         load_records(tampered)
 
 
-@pytest.mark.parametrize("c_source", ["estimate", "true"])
-def test_loaded_records_are_the_acquired_pairs(tmp_path, c_source):
+def test_loaded_records_are_the_acquired_pairs(tmp_path):
     man = generate(TrafficParams(), 2, _TAUS, 0.1, tmp_path, seed=4,
-                   c_source=c_source, g=_GRID, cfg=_CFG)
-    mesh = TriMesh(21)
+                   g=_GRID, cfg=_CFG)
     pairs = []
     for fam in man["families"]:
-        p_i = replace(TrafficParams(), tau=fam["tau"])
-        if c_source == "estimate":
-            run_closed_loop(
-                p_i, _CFG, _GRID,
-                on_refresh=lambda t, c, kp, ns: pairs.append((c.copy(), kp)),
-            )
-        else:
-            lp = derive_linearized(p_i)
-            c = np.array([lp.c(x) for x in mesh.x])
-            kp = solve_kernels(c, lp, mesh, tol=_CFG.tol, max_iter=_CFG.max_iter,
-                               c_bound=_CFG.c_bar)
-            pairs += [(c, kp)] * fam["n_records"]
+        run_closed_loop(
+            replace(TrafficParams(), tau=fam["tau"]), _CFG, _GRID,
+            on_refresh=lambda t, c, kp, ns: pairs.append((c.copy(), kp)),
+        )
     data = load_records(man)
     stored = [
         (c, kp)
@@ -384,7 +353,6 @@ def test_version_1_corpus_is_rejected(corpus, tmp_path, capsys):
         ({"subsample_dt": 0.05}, "at least the simulation dt"),
         ({"subsample_dt": 0.25}, "whole multiple"),
         ({"tau_range": (40.0, 60.0)}, "c_bar"),
-        ({"c_source": "both"}, "c_source"),
     ],
 )
 def test_generate_argument_validation(tmp_path, kwargs, match):

@@ -15,7 +15,6 @@ from arzno.deeponet import (
     _forward_stack,
     as_kernel_dataset,
     eval_accuracy,
-    forward,
     init_model,
     load_model,
     loss_and_grads,
@@ -47,38 +46,23 @@ def _naive_stack(params, prefix, x, n_hidden):
     return a @ params[f"{prefix}_w{n_hidden}"] + params[f"{prefix}_b{n_hidden}"]
 
 
-def test_forward_matches_naive_inner_product():
-    model = init_model(m=6, b=3, hidden=(5,), seed=11, c_scale=0.5)
+def test_forward_matches_naive_inner_product(lp):
+    # The surrogate's forward pass, as the loop acquires it, is at every
+    # mesh node the head-weighted inner product of the branch and trunk
+    # stacks, written out term by term.
+    mesh = TriMesh(8)
+    model = init_model(m=8, b=3, hidden=(5,), seed=11, c_scale=0.5)
     rng = np.random.default_rng(0)
-    c = rng.uniform(-0.4, 0.4, 6)
-    queries = np.array([[0.0, 0.0], [1.0, 1.0], [0.7, 0.3], [1.0, 0.2], [0.5, 0.5]])
-    ku, kv = forward(model, c, queries)
+    c = rng.uniform(-0.4, 0.4, 8)
+    kp = NeuralKernelSource(model, mesh, lp).acquire(c)
     g = _naive_stack(model.params, "branch", c / model.c_scale, 1)
     head = model.params["head"]
-    for q, (x, xi) in enumerate(queries):
+    for (x, xi), i, j in zip(mesh_queries(mesh), *np.tril_indices(8)):
         f = _naive_stack(model.params, "trunk", np.array([x, xi]), 1)
-        want_u = sum(head[0, i] * g[i] * f[i] for i in range(3))
-        want_v = sum(head[1, i] * g[i] * f[i] for i in range(3))
-        assert ku[q] == pytest.approx(want_u, rel=1e-12)
-        assert kv[q] == pytest.approx(want_v, rel=1e-12)
-
-
-def test_forward_accepts_single_query_pair():
-    model = init_model(m=4, b=2, hidden=(3,), seed=0)
-    ku, kv = forward(model, np.zeros(4), [0.5, 0.2])
-    assert ku.shape == (1,) and kv.shape == (1,)
-
-
-def test_forward_rejects_bad_inputs():
-    model = init_model(m=4, b=2, hidden=(3,), seed=0)
-    with pytest.raises(ValueError, match="length 4"):
-        forward(model, np.zeros(5), [0.5, 0.2])
-    with pytest.raises(ValueError, match="triangle"):
-        forward(model, np.zeros(4), [0.2, 0.5])
-    with pytest.raises(ValueError, match="triangle"):
-        forward(model, np.zeros(4), [1.2, 0.1])
-    with pytest.raises(ValueError, match="pairs"):
-        forward(model, np.zeros(4), np.zeros((2, 3)))
+        want_u = sum(head[0, k] * g[k] * f[k] for k in range(3))
+        want_v = sum(head[1, k] * g[k] * f[k] for k in range(3))
+        assert kp.ku[i, j] == pytest.approx(want_u, rel=1e-12)
+        assert kp.kv[i, j] == pytest.approx(want_v, rel=1e-12)
 
 
 def test_gradients_match_central_differences():
@@ -115,7 +99,7 @@ def test_gradients_match_central_differences():
 
 def test_memorizes_solver_kernels(lp):
     # The surrogate must be able to drive the fit error of a handful of
-    # solved kernel pairs to the noise floor; this exercises forward,
+    # solved kernel pairs to the noise floor; this exercises the forward pass,
     # backprop, and the optimizer together against real labels.
     mesh = TriMesh(9)
     pairs = _solved_pairs(lp, mesh, (52.0, 60.0, 70.0))
@@ -207,16 +191,20 @@ def test_load_rejects_malformed_files(tmp_path):
 
 
 def test_neural_source_matches_forward(lp):
+    # Both heads at all mesh nodes at once, against the naive stacks.
     mesh = TriMesh(12)
     model = init_model(m=12, b=6, hidden=(8, 8), seed=2, c_scale=0.02)
     source = NeuralKernelSource(model, mesh, lp)
     rng = np.random.default_rng(1)
     c = rng.uniform(-0.02, 0.0, 12)
     kp = source.acquire(c)
-    ku_ref, kv_ref = forward(model, c, mesh_queries(mesh))
+    g = _naive_stack(model.params, "branch", c / model.c_scale, 2)
+    f = _naive_stack(model.params, "trunk", mesh_queries(mesh), 2)
+    head = model.params["head"]
     ii, jj = np.tril_indices(12)
-    np.testing.assert_allclose(kp.ku[ii, jj], ku_ref, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(kp.kv[ii, jj], kv_ref, rtol=1e-12, atol=1e-15)
+    for k, arr in enumerate((kp.ku, kp.kv)):
+        want = (f * head[k]) @ g
+        np.testing.assert_allclose(arr[ii, jj], want, rtol=1e-12, atol=1e-15)
     assert np.all(kp.ku[np.triu_indices(12, k=1)] == 0.0)
     assert np.all(kp.kv[np.triu_indices(12, k=1)] == 0.0)
     assert kp.mesh is mesh
