@@ -36,7 +36,7 @@ from arzno.deeponet import (
     save_model,
     train,
 )
-from arzno.kernels import ConvergenceError, RecordFormatError, TriMesh, solve_kernels
+from arzno.kernels import ConvergenceError, TriMesh, solve_kernels
 from arzno.model import derive_linearized
 from arzno.sim import CFLError, InstabilityError
 
@@ -191,6 +191,11 @@ def cmd_train(args, cfg) -> int:
     val_path = data_dir / "val.json"
     if train_path.exists():
         man_train = dsmod.load_manifest(train_path)
+        if not man_train["families"]:
+            raise UsageError(
+                f"{train_path} lists no training families: the train split is "
+                "empty; give the [dataset] split a nonzero train share"
+            )
         man_val = dsmod.load_manifest(val_path) if val_path.exists() else None
     else:
         man_train = dsmod.load_manifest(data_dir / "manifest.json")
@@ -501,7 +506,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except (
         ModelFormatError,
-        RecordFormatError,
         dsmod.DatasetFormatError,
         FileNotFoundError,
         OSError,

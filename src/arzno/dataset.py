@@ -7,14 +7,18 @@ them.  Families are written to separate binary files so generation can
 fan out across processes without write contention; a JSON manifest ties
 the files together with counts, draws, and a provenance hash.
 
-Record entry layout (little endian, format version 2):
+Record entry layout (packed little endian, format version 2), one
+numpy structured dtype written and read here alone:
 
-    [f64 snapshot time][u32 m][f64 x m estimate at mesh nodes]
-    [kernel record bytes as written by kernel_record_bytes]
+    [f64 t][u32 m][f64 x m c][u32 n][f64 lam_n][f64 mu_n][f64 r]
+    [f64 x n(n+1)/2 Ku]
 
-The kernel record's layout belongs to arzno.kernels; since version 2 it
-holds Ku only, and Kv is rebuilt from the edge of Ku on read.  Version 1
-corpora, which stored both heads, are rejected and must be regenerated.
+t is the snapshot time, c the estimate at the m mesh nodes, and
+(lam_n, mu_n, r) the coefficients the kernels were solved for; Ku is the
+lower triangle of the Ku kernel in row-major order.  m and n both equal
+the manifest's mesh_n.  Kv is not stored: it is rebuilt from the edge of
+Ku on read.  Version 1 corpora, which stored both heads, are rejected
+and must be regenerated.
 """
 
 from __future__ import annotations
@@ -23,10 +27,9 @@ import hashlib
 import itertools
 import json
 import logging
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -36,13 +39,10 @@ from arzno.controller import ControllerConfig, run_closed_loop
 from arzno.deeponet import KernelDataset
 from arzno.kernels import (
     KernelPair,
-    RecordFormatError,
     TriMesh,
+    _ku_and_ratio,
     _kv_from_edge,
-    kernel_arrays_from_records,
-    kernel_pair_from_record,
-    kernel_record_bytes,
-    record_byte_length,
+    _tril_layout,
     solve_kernels,
 )
 from arzno.model import TrafficParams, derive_linearized
@@ -55,6 +55,7 @@ __all__ = [
     "split_counts",
     "load_manifest",
     "iter_family",
+    "kernel_record_bytes",
     "load_records",
     "verify_labels",
 ]
@@ -63,24 +64,77 @@ log = logging.getLogger(__name__)
 
 _FORMAT = "arzno-dataset"
 _VERSION = 2
-_ENTRY_HEADER = struct.Struct("<dI")
 
 
 class DatasetFormatError(ValueError):
     """Raised for malformed manifests or record files."""
 
 
-def _entry_bytes(m: int) -> int:
-    return _ENTRY_HEADER.size + 8 * m + record_byte_length(m)
+@lru_cache(maxsize=None)
+def _entry_dtype(n: int) -> np.dtype:
+    """The record entry on a mesh of n nodes per side (module docstring)."""
+    return np.dtype([
+        ("t", "<f8"), ("m", "<u4"), ("c", "<f8", (n,)),
+        ("n", "<u4"), ("lam_n", "<f8"), ("mu_n", "<f8"), ("r", "<f8"),
+        ("ku", "<f8", (n * (n + 1) // 2,)),
+    ])
+
+
+def kernel_record_bytes(kp: KernelPair) -> bytes:
+    """The kernel part of a record entry: n, lam_n, mu_n, r and Ku.
+
+    Raises:
+        ValueError: kp.kv is not exactly the trace the edge of Ku
+            implies (a surrogate pair, say), so it would not survive.
+    """
+    ku, _ = _ku_and_ratio(kp)
+    dt = _entry_dtype(kp.mesh.n)
+    e = np.zeros((), dt)
+    e["n"], e["lam_n"], e["mu_n"], e["r"], e["ku"] = (
+        kp.mesh.n, kp.lam_n, kp.mu_n, kp.r, ku
+    )
+    return e.tobytes()[dt.fields["n"][1] :]  # fields n to ku
 
 
 def _entry(t: float, c: np.ndarray, kp: KernelPair) -> bytes:
-    """One record entry: header, little-endian estimate, kernel record."""
-    return (
-        _ENTRY_HEADER.pack(t, c.size)
-        + np.ascontiguousarray(c, dtype="<f8").tobytes()
-        + kernel_record_bytes(kp)
-    )
+    """One record entry: fields t to c, then kernel_record_bytes(kp)."""
+    dt = _entry_dtype(c.size)
+    e = np.zeros((), dt)
+    e["t"], e["m"], e["c"] = t, c.size, c
+    return e.tobytes()[: dt.fields["n"][1]] + kernel_record_bytes(kp)
+
+
+def _decode(
+    blob: bytes, mesh_n: int, name: str, entries: Sequence[int] | None = None
+) -> np.ndarray:
+    """The entries of blob, a structured array of _entry_dtype(mesh_n).
+
+    The array views blob.  entries numbers its rows within the family
+    file called name, when they are not the file's first rows in order.
+
+    Raises:
+        DatasetFormatError: blob is not a whole number of entries, or an
+            entry's m or n is not mesh_n.
+    """
+    dt = _entry_dtype(mesh_n)
+    if len(blob) % dt.itemsize:
+        raise DatasetFormatError(
+            f"{name}: size {len(blob)} is not a multiple of {dt.itemsize}"
+        )
+    rec = np.frombuffer(blob, dt)
+    for field, what in (("m", "entry"), ("n", "record")):
+        bad = np.flatnonzero(rec[field] != mesh_n)
+        if bad.size:
+            k = bad[0] if entries is None else entries[bad[0]]
+            raise DatasetFormatError(
+                f"{name}: {what} mesh {rec[field][bad[0]]} != {mesh_n} (entry {k})"
+            )
+    return rec
+
+
+def _ratio(rec: np.ndarray) -> np.ndarray:
+    """Each entry's lam r / mu, from which _kv_from_edge rebuilds Kv."""
+    return rec["lam_n"] * rec["r"] / rec["mu_n"]
 
 
 def _params_hash(payload: dict) -> str:
@@ -118,7 +172,7 @@ def _run_family(idx: int, tau: float, p: TrafficParams, cfg: ControllerConfig,
         "tau": tau,
         "path": path.name,
         "n_records": len(entries),
-        "entry_bytes": _entry_bytes(cfg.mesh_n),
+        "entry_bytes": _entry_dtype(cfg.mesh_n).itemsize,
         "sha256": _file_sha256(path),
     }
 
@@ -261,58 +315,17 @@ def iter_family(
     path: str | Path, mesh_n: int
 ) -> Iterator[tuple[float, np.ndarray, KernelPair]]:
     """Yield (time, estimate, KernelPair) entries from one family file."""
-    blob = Path(path).read_bytes()
-    entry = _entry_bytes(mesh_n)
-    if len(blob) % entry:
-        raise DatasetFormatError(
-            f"{path}: size {len(blob)} is not a multiple of {entry}"
-        )
-    for off in range(0, len(blob), entry):
-        t, m = _ENTRY_HEADER.unpack_from(blob, off)
-        if m != mesh_n:
-            raise DatasetFormatError(f"{path}: entry mesh {m} != {mesh_n}")
-        c_off = off + _ENTRY_HEADER.size
-        c = np.frombuffer(blob, dtype="<f8", count=m, offset=c_off).copy()
-        rec = blob[c_off + 8 * m : off + entry]
-        yield float(t), c, kernel_pair_from_record(rec)
-
-
-def _decode_entries(
-    raw: np.ndarray,
-    mesh_n: int,
-    name: str,
-    entries: Sequence[int],
-    c: np.ndarray | None = None,
-    ku: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, ku, ratio) of a (rows, entry bytes) uint8 stack of entries.
-
-    ku is in row-major tril order and ratio is each record's lam r / mu;
-    Kv is not decoded.  c and ku, when given, receive the values in
-    place (slices of a larger stack, say).  entries numbers the rows
-    within the family file called name; a bad record's number in an
-    error message counts rows instead.
-
-    Raises:
-        DatasetFormatError: an entry's m or a record's n is not mesh_n.
-    """
-    m = raw[:, 8 : _ENTRY_HEADER.size].copy().view("<u4")[:, 0]  # after f64 t
-    bad = np.flatnonzero(m != mesh_n)
-    if bad.size:
-        raise DatasetFormatError(
-            f"{name}: entry mesh {m[bad[0]]} != {mesh_n} (entry {entries[bad[0]]})"
-        )
-    c_end = _ENTRY_HEADER.size + 8 * mesh_n
-    payload = raw[:, _ENTRY_HEADER.size : c_end].view("<f8")
-    if c is None:
-        c = payload.astype(float)
-    else:
-        c[...] = payload
-    try:
-        ku, ratio = kernel_arrays_from_records(raw[:, c_end:], mesh_n, ku)
-    except RecordFormatError as exc:
-        raise DatasetFormatError(f"{name}: {exc}") from exc
-    return c, ku, ratio
+    rec = _decode(Path(path).read_bytes(), mesh_n, str(path))
+    mesh = TriMesh(mesh_n)
+    ii, jj, _ = _tril_layout(mesh_n)
+    for e, ratio in zip(rec, _ratio(rec)):
+        ku = np.zeros((mesh_n, mesh_n))
+        kv = np.zeros((mesh_n, mesh_n))
+        ku[ii, jj] = e["ku"]
+        kv[ii, jj] = _kv_from_edge(e["ku"], ratio, mesh_n)
+        kp = KernelPair(mesh=mesh, ku=ku, kv=kv, lam_n=float(e["lam_n"]),
+                        mu_n=float(e["mu_n"]), r=float(e["r"]))
+        yield float(e["t"]), e["c"].copy(), kp
 
 
 def load_records(manifest: dict | str | Path) -> KernelDataset:
@@ -322,9 +335,7 @@ def load_records(manifest: dict | str | Path) -> KernelDataset:
     families count, and each family file's payload is copied straight
     into its slice: beyond the returned arrays, one family file is held
     at a time.  Kv is not decoded; KernelDataset rebuilds it from the
-    edge of Ku where it is needed.  Entries are parsed vectorized per
-    family file rather than through iter_family, since full corpora run
-    to tens of thousands of records.
+    edge of Ku where it is needed.
     """
     manifest = _coerce_manifest(manifest)
     mesh_n = manifest["mesh_n"]
@@ -332,7 +343,7 @@ def load_records(manifest: dict | str | Path) -> KernelDataset:
     families = manifest["families"]
     if not families:
         raise DatasetFormatError("manifest lists no families")
-    entry = _entry_bytes(mesh_n)
+    entry = _entry_dtype(mesh_n).itemsize
     n_records = sum(fam["n_records"] for fam in families)
     c = np.empty((n_records, mesh_n))
     ku = np.empty((n_records, mesh_n * (mesh_n + 1) // 2))
@@ -344,13 +355,11 @@ def load_records(manifest: dict | str | Path) -> KernelDataset:
             raise DatasetFormatError(
                 f"{fam['path']}: size {len(blob)} does not match manifest"
             )
-        raw = np.frombuffer(blob, dtype=np.uint8).reshape(fam["n_records"], entry)
+        rec = _decode(blob, mesh_n, fam["path"])
         rows = slice(start, start + fam["n_records"])
-        ratio[rows] = _decode_entries(
-            raw, mesh_n, fam["path"], range(fam["n_records"]), c[rows], ku[rows]
-        )[2]
+        c[rows], ku[rows], ratio[rows] = rec["c"], rec["ku"], _ratio(rec)
         start = rows.stop
-        del blob, raw  # free this file before the next one is read
+        del blob, rec  # free this file before the next one is read
     return KernelDataset(mesh_n=mesh_n, c=c, ku=ku, ratio=ratio)
 
 
@@ -449,8 +458,8 @@ def verify_labels(
     picks = rng.choice(len(index), size=min(n_check, len(index)), replace=False)
 
     worst = 0.0
-    entry = _entry_bytes(mesh_n)
-    ii, jj = np.tril_indices(mesh_n)
+    entry = _entry_dtype(mesh_n).itemsize
+    ii, jj, _ = _tril_layout(mesh_n)
     by_file: dict[str, list[int]] = {}
     for k in picks:
         fam, j = index[int(k)]
@@ -467,15 +476,12 @@ def verify_labels(
             for j in rows:
                 f.seek(j * entry)
                 blob += f.read(entry)
-        raw = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), entry)
-        cs, kus, ratios = _decode_entries(
-            raw, mesh_n, f"{fname} (sampled entries {rows})", rows
-        )
-        kvs = _kv_from_edge(kus, ratios[:, None], mesh_n)
+        rec = _decode(blob, mesh_n, fname, rows)
+        kvs = _kv_from_edge(rec["ku"], _ratio(rec)[:, None], mesh_n)
         lp = derive_linearized(replace(p, tau=fam["tau"]))
         # Solver kernels are zero above the diagonal, like decoded ones, so
         # the lower triangles carry the whole sup-norm discrepancy.
-        for c, ku, kv in zip(cs, kus, kvs):
+        for c, ku, kv in zip(rec["c"], rec["ku"], kvs):
             ref = solve_kernels(
                 c, lp, mesh, tol=ctl["tol"], max_iter=ctl["max_iter"],
                 c_bound=ctl["c_bar"],

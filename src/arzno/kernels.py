@@ -12,16 +12,12 @@ Kv constant along lines of constant x - xi, so Kv(x, xi) =
 (lam r / mu) Ku(x - xi, 0).  Ku is integrated along its characteristics
 (slope dxi/dx = -lam/mu) from the diagonal; the coupling to Kv is
 resolved by successive approximation starting from Kv == 0.
-
-Serialized kernel records therefore hold Ku only; Kv is rebuilt from
-the edge of Ku when a record is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-import struct
 import warnings
 
 import numpy as np
@@ -30,7 +26,6 @@ from arzno.model import LinearizedParams, unit_nodes
 
 __all__ = [
     "ConvergenceError",
-    "RecordFormatError",
     "TriMesh",
     "KernelPair",
     "InverseKernelPair",
@@ -38,10 +33,6 @@ __all__ = [
     "solve_kernels",
     "solve_inverse_kernels",
     "kernel_time_derivative",
-    "kernel_record_bytes",
-    "kernel_pair_from_record",
-    "kernel_arrays_from_records",
-    "RECORD_HEADER_BYTES",
 ]
 
 
@@ -55,10 +46,6 @@ class ConvergenceError(RuntimeError):
         )
         self.iterations = iterations
         self.residual = residual
-
-
-class RecordFormatError(ValueError):
-    """Raised for malformed or truncated kernel records."""
 
 
 @dataclass(frozen=True)
@@ -365,18 +352,6 @@ def kernel_time_derivative(
     return (curr.ku - prev.ku) / dt, (curr.kv - prev.kv) / dt
 
 
-_HEADER = struct.Struct("<I3d")
-RECORD_HEADER_BYTES = _HEADER.size
-_HEADER_DTYPE = np.dtype(
-    [("n", "<u4"), ("lam_n", "<f8"), ("mu_n", "<f8"), ("r", "<f8")]
-)
-
-
-def record_byte_length(n: int) -> int:
-    """Byte length of a serialized kernel record with n nodes per side."""
-    return RECORD_HEADER_BYTES + 8 * (n * (n + 1) // 2)
-
-
 @lru_cache(maxsize=None)
 def _tril_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-major lower-triangle indices (i, j) and, per node, the position
@@ -415,66 +390,3 @@ def _ku_and_ratio(kp: KernelPair) -> tuple[np.ndarray, float]:
     if not np.array_equal(kp.kv[ii, jj], _kv_from_edge(ku, ratio, n)):
         raise ValueError("Kv is not the edge trace of Ku; it cannot be rebuilt from Ku")
     return ku, ratio
-
-
-def kernel_record_bytes(kp: KernelPair) -> bytes:
-    """Serialize a KernelPair: header (n, lam, mu, r), then the lower
-    triangle of Ku as little-endian float64, row-major.
-
-    Kv is not stored: it is rebuilt on read from the edge of Ku.
-
-    Raises:
-        ValueError: kp.kv is not exactly the trace the edge of Ku
-            implies (a surrogate pair, say), so it would not survive.
-    """
-    ku, _ = _ku_and_ratio(kp)
-    header = _HEADER.pack(kp.mesh.n, kp.lam_n, kp.mu_n, kp.r)
-    return header + ku.astype("<f8", copy=False).tobytes()
-
-
-def kernel_arrays_from_records(
-    raw: np.ndarray, n: int, ku: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a (records, record_byte_length(n)) uint8 stack of records.
-
-    Returns (ku, ratio): Ku as (records, n (n + 1) / 2) in row-major tril
-    order, and each record's lam r / mu, from which _kv_from_edge rebuilds
-    its Kv.  Ku is copied straight into ku when given (a float64 array
-    of that shape, such as a slice of a larger stack).
-
-    Raises:
-        RecordFormatError: the row length or a record's mesh size is not n.
-    """
-    if raw.shape[1] != record_byte_length(n):
-        raise RecordFormatError(
-            f"record length {raw.shape[1]} does not match n = {n} "
-            f"(expected {record_byte_length(n)})"
-        )
-    head = raw[:, :RECORD_HEADER_BYTES].copy().view(_HEADER_DTYPE)[:, 0]
-    bad = np.flatnonzero(head["n"] != n)
-    if bad.size:
-        raise RecordFormatError(
-            f"record {bad[0]} has mesh size {head['n'][bad[0]]}, expected {n}"
-        )
-    payload = raw[:, RECORD_HEADER_BYTES:].view("<f8")
-    if ku is None:
-        ku = payload.astype(float)
-    else:
-        ku[...] = payload
-    return ku, head["lam_n"] * head["r"] / head["mu_n"]
-
-
-def kernel_pair_from_record(buf: bytes) -> KernelPair:
-    """Parse bytes produced by kernel_record_bytes."""
-    if len(buf) < RECORD_HEADER_BYTES:
-        raise RecordFormatError("record shorter than its header")
-    n, lam_n, mu_n, r = _HEADER.unpack_from(buf)
-    if n < 8:
-        raise RecordFormatError(f"implausible mesh size {n}")
-    ku_tri, ratio = kernel_arrays_from_records(np.frombuffer(buf, np.uint8)[None], n)
-    ii, jj, _ = _tril_layout(n)
-    ku = np.zeros((n, n))
-    kv = np.zeros((n, n))
-    ku[ii, jj] = ku_tri[0]
-    kv[ii, jj] = _kv_from_edge(ku_tri[0], ratio[0], n)
-    return KernelPair(mesh=TriMesh(n), ku=ku, kv=kv, lam_n=lam_n, mu_n=mu_n, r=r)

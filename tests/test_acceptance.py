@@ -21,7 +21,7 @@ from arzno.controller import (
     run_closed_loop,
     transform_on_mesh,
 )
-from arzno.dataset import generate, load_records, split
+from arzno.dataset import _entry, generate, iter_family, load_records, split
 from arzno.deeponet import (
     TrainConfig,
     eval_accuracy,
@@ -32,13 +32,7 @@ from arzno.deeponet import (
     save_model,
     train,
 )
-from arzno.kernels import (
-    TriMesh,
-    kernel_pair_from_record,
-    kernel_record_bytes,
-    solve_inverse_kernels,
-    solve_kernels,
-)
+from arzno.kernels import TriMesh, solve_inverse_kernels, solve_kernels
 from arzno.sim import GridSpec, step_identifier, step_plant, update_c_hat
 
 
@@ -367,9 +361,10 @@ def _check_exact_knowledge(lp):
 def _check_serialization(lp, tmp_path):
     mesh = TriMesh(21)
     kp = solve_kernels(lp.c_samples(21), lp, mesh)
-    back = kernel_pair_from_record(kernel_record_bytes(kp))
+    (tmp_path / "family.bin").write_bytes(_entry(0.0, lp.c_samples(21), kp))
+    [(_, _, back)] = iter_family(tmp_path / "family.bin", 21)
     if not (np.array_equal(back.ku, kp.ku) and np.array_equal(back.kv, kp.kv)):
-        return False, "kernel record round trip not exact"
+        return False, "corpus entry round trip not exact"
 
     model = init_model(m=5, b=3, hidden=(4,), seed=1, c_scale=0.02)
     save_model(model, tmp_path / "m.bin")

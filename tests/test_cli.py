@@ -3,6 +3,7 @@
 import configparser
 import json
 import logging
+import struct
 
 import pytest
 
@@ -232,6 +233,34 @@ def test_zero_validation_share_trains_and_empty_test_split_exits_1(
     err = capsys.readouterr().err
     assert "test.json" in err and "test split is empty" in err
     assert not (fast_env / "eval.json").exists()
+
+
+def test_zero_train_share_exits_1_and_writes_no_model(fast_env, capsys, monkeypatch):
+    # A zero train share writes a train.json with no families; train says
+    # which split is empty instead of failing on an empty record set.
+    monkeypatch.setenv("ARZNO_DATASET_SPLIT", "0,0.5,0.5")
+    assert main(["gen-dataset", "--out", "data"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", "data", "--out", "model.bin"]) == 1
+    err = capsys.readouterr().err
+    assert "train.json" in err and "train split is empty" in err
+    assert "nonzero train share" in err
+    assert not (fast_env / "model.bin").exists()
+
+
+def test_damaged_record_header_exits_3(fast_env, capsys):
+    assert main(["gen-dataset", "--out", "data"]) == 0
+    fam = json.loads((fast_env / "data" / "train.json").read_text())["families"][0]
+    path = fast_env / "data" / fam["path"]
+    blob = bytearray(path.read_bytes())
+    # Entry 4's record header: after its f64 t, u32 m and 21 f64 estimates.
+    start = 4 * fam["entry_bytes"] + 12 + 8 * 21
+    blob[start : start + 4] = struct.pack("<I", 22)
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["train", "--data", "data", "--out", "model.bin"]) == 3
+    assert "record mesh 22 != 21 (entry 4)" in capsys.readouterr().err
+    assert not (fast_env / "model.bin").exists()
 
 
 def test_uncoverable_split_exits_1_before_generating(fast_env, capsys, monkeypatch):

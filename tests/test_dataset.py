@@ -1,5 +1,6 @@
 """Tests for corpus generation, storage format, and splits."""
 
+import hashlib
 import json
 import logging
 import re
@@ -16,26 +17,32 @@ from arzno.cli import main
 from arzno.controller import ControllerConfig, run_closed_loop
 from arzno.dataset import (
     DatasetFormatError,
+    _entry,
     generate,
     iter_family,
+    kernel_record_bytes,
     load_manifest,
     load_records,
     split,
     split_counts,
     verify_labels,
 )
-from arzno.kernels import RECORD_HEADER_BYTES, record_byte_length
+from arzno.deeponet import NeuralKernelSource, init_model
+from arzno.kernels import KernelPair, TriMesh, solve_kernels
 from arzno.model import TrafficParams
 from arzno.sim import GridSpec
 
 _GRID = GridSpec(n_x=60, dt=0.1, t_end=1.0)
 _CFG = ControllerConfig(mesh_n=21)
 _TAUS = (52.0, 70.0)
+_GOLDEN = Path(__file__).parent / "data" / "corpus-v2"
+# An entry is [f64 t][u32 m][f64 x m c], then the 28-byte record header
+# [u32 n][f64 lam_n][f64 mu_n][f64 r] and Ku's lower triangle as f64.
+_RECORD_HEADER = 28
 
 
 def _entry_size(mesh_n: int) -> int:
-    # [f64 t][u32 m][f64 x m][kernel record]
-    return 12 + 8 * mesh_n + record_byte_length(mesh_n)
+    return 12 + 8 * mesh_n + _RECORD_HEADER + 8 * (mesh_n * (mesh_n + 1) // 2)
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +119,8 @@ def _ref_load_records(manifest):
     for fam in manifest["families"]:
         blob = (root / fam["path"]).read_bytes()
         raw = np.frombuffer(blob, np.uint8).reshape(fam["n_records"], entry)
-        head = raw[:, c_end : c_end + RECORD_HEADER_BYTES].copy().view(head_dtype)[:, 0]
-        ku = raw[:, c_end + RECORD_HEADER_BYTES :].copy().view("<f8")
+        head = raw[:, c_end : c_end + _RECORD_HEADER].copy().view(head_dtype)[:, 0]
+        ku = raw[:, c_end + _RECORD_HEADER :].copy().view("<f8")
         ratio = head["lam_n"] * head["r"] / head["mu_n"]
         cs.append(raw[:, 12:c_end].copy().view("<f8"))
         kus.append(ku)
@@ -329,8 +336,10 @@ def test_load_records_rejects_corrupt_entry_headers(corpus, tmp_path):
     record_start = 5 * entry + 12 + 8 * 21
     blob[record_start : record_start + 4] = struct.pack("<I", 22)
     path.write_bytes(bytes(blob))
-    with pytest.raises(DatasetFormatError, match="record 5 has mesh size 22"):
+    with pytest.raises(DatasetFormatError, match=r"record mesh 22 != 21 \(entry 5\)"):
         load_records(man)
+    with pytest.raises(DatasetFormatError, match=r"record mesh 22 != 21 \(entry 5\)"):
+        list(iter_family(path, 21))
 
 
 def test_version_1_corpus_is_rejected(corpus, tmp_path, capsys):
@@ -395,9 +404,112 @@ def test_verify_labels_reads_and_checks_only_sampled_entries(corpus, tmp_path):
     start = j * entry + 12 + 8 * 21
     blob[start : start + 4] = struct.pack("<I", 22)
     path.write_bytes(bytes(blob))
-    with pytest.raises(DatasetFormatError, match="sampled entries.*has mesh size 22"):
+    with pytest.raises(DatasetFormatError, match=rf"record mesh 22 != 21 \(entry {j}\)"):
         verify_labels(one_family, fraction=0.3, seed=4)
 
     path.write_bytes(clean[:-1])
     with pytest.raises(DatasetFormatError, match="does not match manifest"):
         verify_labels(one_family, fraction=0.3, seed=4)
+
+
+def _one_family(tmp_path, blob: bytes, mesh_n: int) -> dict:
+    """A manifest dict for blob written as the one family file."""
+    (tmp_path / "family_000.bin").write_bytes(blob)
+    n_records = len(blob) // _entry_size(mesh_n)
+    return {"root": str(tmp_path), "mesh_n": mesh_n, "n_records": n_records,
+            "families": [{"path": "family_000.bin", "n_records": n_records}]}
+
+
+def test_entry_round_trip(lp, tmp_path):
+    for n in (21, 41):
+        kp = solve_kernels(lp.c_samples(n), lp, TriMesh(n))
+        c = 0.5 * lp.c_samples(n)
+        buf = _entry(0.3, c, kp)
+        # Ku's lower triangle only: Kv is rebuilt from the edge of Ku.
+        assert len(buf) == _entry_size(n)
+        assert buf[12 + 8 * n :] == kernel_record_bytes(kp)
+        assert len(kernel_record_bytes(kp)) == _RECORD_HEADER + 8 * n * (n + 1) // 2
+        _one_family(tmp_path, buf, n)
+        [(t, c_back, back)] = iter_family(tmp_path / "family_000.bin", n)
+        assert t == 0.3 and np.array_equal(c_back, c)
+        assert np.array_equal(back.ku, kp.ku)
+        assert np.array_equal(back.kv, kp.kv)
+        assert (back.lam_n, back.mu_n, back.r) == (kp.lam_n, kp.mu_n, kp.r)
+        assert back.mesh.n == n
+
+
+def test_stacked_entries_decode_like_single_entries(lp, tmp_path):
+    mesh = TriMesh(21)
+    cs = [s * lp.c_samples(21) for s in (0.0, 0.5, -1.0)]
+    pairs = [solve_kernels(c, lp, mesh) for c in cs]
+    blob = b"".join(_entry(0.1 * k, c, kp) for k, (c, kp) in enumerate(zip(cs, pairs)))
+    man = _one_family(tmp_path, blob, 21)
+    data = load_records(man)
+    stored = list(iter_family(tmp_path / "family_000.bin", 21))
+    ii, jj = np.tril_indices(21)
+    assert data.ku.shape == (3, 231) and data.ratio.shape == (3,)
+    for k, (c, kp) in enumerate(zip(cs, pairs)):
+        assert np.array_equal(data.c[k], c) and np.array_equal(stored[k][1], c)
+        assert np.array_equal(data.ku[k], kp.ku[ii, jj])
+        assert data.ratio[k] == kp.lam_n * kp.r / kp.mu_n
+        assert np.array_equal(data.kv[k], kp.kv[ii, jj])
+        assert np.array_equal(stored[k][2].ku, kp.ku)
+        assert np.array_equal(stored[k][2].kv, kp.kv)
+    (tmp_path / "empty.bin").write_bytes(b"")
+    assert list(iter_family(tmp_path / "empty.bin", 21)) == []
+
+
+def test_entry_format_errors(lp, tmp_path):
+    kp = solve_kernels(lp.c_samples(21), lp, TriMesh(21))
+    buf = _entry(0.0, lp.c_samples(21), kp)
+    path = tmp_path / "family_000.bin"
+    for damaged in (buf[: 12 + 8 * 21 + _RECORD_HEADER - 4], buf[:-8], buf + bytes(8)):
+        path.write_bytes(damaged)
+        with pytest.raises(DatasetFormatError, match="not a multiple"):
+            list(iter_family(path, 21))
+    man = _one_family(tmp_path, buf + buf, 21)
+    man["families"][0]["n_records"] = 3
+    with pytest.raises(DatasetFormatError, match="does not match manifest"):
+        load_records(man)
+    bad = bytearray(buf + buf)
+    bad[len(buf) + 12 + 8 * 21 : len(buf) + 16 + 8 * 21] = struct.pack("<I", 33)
+    man = _one_family(tmp_path, bytes(bad), 21)
+    for read in (load_records, lambda m: list(iter_family(path, 21))):
+        with pytest.raises(DatasetFormatError, match=r"record mesh 33 != 21 \(entry 1\)"):
+            read(man)
+
+
+def test_underived_kv_is_not_stored(lp):
+    mesh = TriMesh(21)
+    kp = solve_kernels(lp.c_samples(21), lp, mesh)
+    kv = kp.kv.copy()
+    kv[7, 3] = np.nextafter(kv[7, 3], np.inf)
+    nudged = KernelPair(mesh=mesh, ku=kp.ku, kv=kv, lam_n=kp.lam_n, mu_n=kp.mu_n, r=kp.r)
+    surrogate = NeuralKernelSource(init_model(m=21, b=8, hidden=(16,)), mesh, lp)
+    for pair in (nudged, surrogate.acquire(lp.c_samples(21))):
+        with pytest.raises(ValueError, match="edge trace"):
+            kernel_record_bytes(pair)
+        with pytest.raises(ValueError, match="edge trace"):
+            _entry(0.0, lp.c_samples(21), pair)
+
+
+def test_golden_v2_corpus_round_trips_byte_for_byte():
+    """A committed three-entry mesh-8 family pins the version 2 bytes."""
+    man = load_manifest(_GOLDEN / "manifest.json")
+    [fam] = man["families"]
+    blob = (_GOLDEN / fam["path"]).read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == fam["sha256"]
+    assert len(blob) == 3 * _entry_size(8) == 3 * fam["entry_bytes"]
+    entries = list(iter_family(_GOLDEN / fam["path"], 8))
+    assert [t for t, _, _ in entries] == pytest.approx([0.0, 0.1, 0.2], abs=1e-12)
+    assert b"".join(_entry(t, c, kp) for t, c, kp in entries) == blob
+
+    data = load_records(man)
+    ref_c, ref_ku, ref_kv = _ref_load_records(man)
+    ii, jj = np.tril_indices(8)
+    for k, (_, c, kp) in enumerate(entries):
+        assert np.array_equal(data.c[k], c)
+        assert np.array_equal(data.ku[k], kp.ku[ii, jj])
+        assert data.ratio[k] == kp.lam_n * kp.r / kp.mu_n
+    assert np.array_equal(data.c, ref_c) and np.array_equal(data.ku, ref_ku)
+    assert np.array_equal(data.kv, ref_kv)

@@ -15,22 +15,14 @@ from arzno.kernels import (
     ConvergenceError,
     InverseKernelPair,
     KernelPair,
-    RECORD_HEADER_BYTES,
-    RecordFormatError,
     TriMesh,
-    _kv_from_edge,
     _volterra_weights,
-    kernel_arrays_from_records,
-    kernel_pair_from_record,
-    kernel_record_bytes,
     kernel_sup_cap,
     kernel_time_derivative,
-    record_byte_length,
     solve_inverse_kernels,
     solve_kernels,
 )
 from arzno.controller import inverse_transform_on_mesh, transform_on_mesh
-from arzno.deeponet import NeuralKernelSource, init_model
 from arzno.model import LinearizedParams
 
 
@@ -248,81 +240,6 @@ def test_time_derivative(lp):
         kernel_time_derivative(a, b, 0.0)
     with pytest.raises(ValueError):
         kernel_time_derivative(a, solve_kernels(lp.c_samples(33), lp, TriMesh(33)), 0.1)
-
-
-def test_record_round_trip(lp):
-    for n in (21, 41):
-        mesh = TriMesh(n)
-        kp = solve_kernels(lp.c_samples(n), lp, mesh)
-        buf = kernel_record_bytes(kp)
-        # Ku's lower triangle only: Kv is rebuilt from the edge of Ku.
-        tri_bytes = 8 * n * (n + 1) // 2
-        assert len(buf) == record_byte_length(n) == RECORD_HEADER_BYTES + tri_bytes
-        back = kernel_pair_from_record(buf)
-        assert np.array_equal(back.ku, kp.ku)
-        assert np.array_equal(back.kv, kp.kv)
-        assert back.lam_n == kp.lam_n
-        assert back.mu_n == kp.mu_n
-        assert back.r == kp.r
-        assert back.mesh.n == n
-
-
-def test_stacked_records_decode_like_single_records(lp):
-    mesh = TriMesh(21)
-    pairs = [
-        solve_kernels(s * lp.c_samples(21), lp, mesh) for s in (0.0, 0.5, -1.0)
-    ]
-    bufs = [kernel_record_bytes(kp) for kp in pairs]
-    raw = np.frombuffer(b"".join(bufs), np.uint8).reshape(3, -1)
-    ku, ratio = kernel_arrays_from_records(raw, 21)
-    ii, jj = np.tril_indices(21)
-    assert ku.shape == (3, 231) and ratio.shape == (3,)
-    for k, kp in enumerate(pairs):
-        assert np.array_equal(ku[k], kp.ku[ii, jj])
-        assert ratio[k] == kp.lam_n * kp.r / kp.mu_n
-        assert np.array_equal(_kv_from_edge(ku[k], ratio[k], 21), kp.kv[ii, jj])
-    # Decoding into a slice of a larger stack fills just that slice.
-    stack = np.full((5, 231), np.nan)
-    into, _ = kernel_arrays_from_records(raw, 21, stack[1:4])
-    assert np.shares_memory(into, stack)
-    assert np.array_equal(stack[1:4], ku) and np.isnan(stack[[0, 4]]).all()
-    empty = kernel_arrays_from_records(raw[:0], 21)
-    assert empty[0].shape == (0, 231) and empty[1].shape == (0,)
-    with pytest.raises(RecordFormatError, match="length"):
-        kernel_arrays_from_records(raw[:, :-8], 21)
-    bad = raw.copy()
-    bad[1, :4] = np.frombuffer((33).to_bytes(4, "little"), np.uint8)
-    with pytest.raises(RecordFormatError, match="record 1 has mesh size 33"):
-        kernel_arrays_from_records(bad, 21)
-
-
-def test_underived_kv_is_not_stored(lp):
-    mesh = TriMesh(21)
-    kp = solve_kernels(lp.c_samples(21), lp, mesh)
-    kv = kp.kv.copy()
-    kv[7, 3] = np.nextafter(kv[7, 3], np.inf)
-    nudged = KernelPair(mesh=mesh, ku=kp.ku, kv=kv, lam_n=kp.lam_n, mu_n=kp.mu_n, r=kp.r)
-    with pytest.raises(ValueError, match="edge trace"):
-        kernel_record_bytes(nudged)
-    surrogate = NeuralKernelSource(init_model(m=21, b=8, hidden=(16,)), mesh, lp)
-    with pytest.raises(ValueError, match="edge trace"):
-        kernel_record_bytes(surrogate.acquire(lp.c_samples(21)))
-
-
-def test_record_format_errors(lp):
-    mesh = TriMesh(21)
-    kp = solve_kernels(lp.c_samples(21), lp, mesh)
-    buf = kernel_record_bytes(kp)
-    with pytest.raises(RecordFormatError, match="header"):
-        kernel_pair_from_record(buf[: RECORD_HEADER_BYTES - 4])
-    with pytest.raises(RecordFormatError, match="length"):
-        kernel_pair_from_record(buf[:-8])
-    with pytest.raises(RecordFormatError, match="length"):
-        kernel_pair_from_record(buf + b"\x00" * 8)
-    bad_n = bytearray(buf)
-    bad_n[:4] = (5).to_bytes(4, "little")
-    with pytest.raises(RecordFormatError, match="implausible"):
-        kernel_pair_from_record(bytes(bad_n))
 
 
 def test_kernel_pair_validation(lp):
