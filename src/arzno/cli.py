@@ -116,9 +116,8 @@ def cmd_simulate(args, cfg) -> int:
 
     comments = (f"config_hash={chash}", f"mode={mode}")
     tr.write_csv(out / "trace.csv", comments=comments)
-    tr.write_fields_csv(out / "fields.csv", comments=comments)
-    if mode != "open-loop":
-        tr.write_refresh_csv(out / "refresh.csv", comments=comments)
+    tr.write_fields_csv(out / "fields.npz", comments=comments)
+    tr.write_refresh_csv(out / "refresh.csv", comments=comments)
 
     stats = _sim_stats(tr)
     ratio = stats["final_over_initial"]

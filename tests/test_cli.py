@@ -5,6 +5,7 @@ import json
 import logging
 import struct
 
+import numpy as np
 import pytest
 
 from arzno import config as cfgmod
@@ -45,8 +46,11 @@ def test_full_workflow(fast_env, capsys, caplog):
     assert report["mode"] == "open-loop"
     assert "amplitude_ratio" in report
     assert (root / "ol" / "trace.csv").exists()
-    assert (root / "ol" / "fields.csv").exists()
-    assert not (root / "ol" / "refresh.csv").exists()
+    assert (root / "ol" / "fields.npz").exists()
+    # No refreshes open-loop: comments and the header alone.
+    assert (root / "ol" / "refresh.csv").read_text().splitlines()[2:] == [
+        "t,kernel_ns,dku_dt,dkv_dt"
+    ]
 
     assert main(["simulate", "--mode", "exact", "--out", "ex"]) == 0
     report = json.loads((root / "ex" / "report.json").read_text())
@@ -99,6 +103,23 @@ def test_full_workflow(fast_env, capsys, caplog):
             mp.setenv("ARZNO_GRID_N_X", "50")
             assert main(["train", "--data", "data", "--out", "m2.bin"]) == 0
     assert "CONFIG MISMATCH" in caplog.text
+
+
+def test_rerun_into_one_directory_replaces_every_artifact(fast_env):
+    # An open-loop run after a closed-loop one leaves nothing of the
+    # closed-loop run behind, refresh.csv included.
+    out = fast_env / "run"
+    assert main(["simulate", "--mode", "exact", "--out", str(out)]) == 0
+    assert main(["simulate", "--mode", "open-loop", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fields.npz", "refresh.csv", "report.json", "trace.csv",
+    ]
+    for name in ("trace.csv", "refresh.csv"):
+        assert "# mode=open-loop" in (out / name).read_text().splitlines(), name
+    with np.load(out / "fields.npz", allow_pickle=False) as z:
+        assert "mode=open-loop" in z["comments"].tolist()
+    report = json.loads((out / "report.json").read_text())
+    assert report["mode"] == "open-loop" and report["n_refreshes"] == 0
 
 
 def test_every_parsed_option_is_used(fast_env, monkeypatch, read_log):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import time
 import warnings
 
 import numpy as np
@@ -231,15 +232,28 @@ def test_trace_csv_writers(params, tmp_path, read_table):
     assert comments == []
     assert arr.shape == (len(tr.refresh_t), 4)
 
-    path = tmp_path / "fields.csv"
+    path = tmp_path / "fields.npz"
     tr.write_fields_csv(path)
-    header, arr, _ = read_table(path)
-    assert header == ["t", "x", "u", "v", "rho", "speed"]
-    assert arr.shape == (len(tr.t) * len(tr.x), 6)
-    np.testing.assert_array_equal(arr[: len(tr.x), 1], tr.x)
-    np.testing.assert_array_equal(
-        arr[:, 4].reshape(len(tr.t), len(tr.x)), tr.rho
-    )
+    _check_fields_npz(path, tr, ())
+
+
+def _check_fields_npz(path, tr, comments: tuple[str, ...]) -> None:
+    """fields.npz holds the trace's arrays exactly, and one write's bytes."""
+    with np.load(path, allow_pickle=False) as z:
+        assert z.files == ["t", "x", "u", "v", "rho", "speed", "comments"]
+        for name in ("t", "x", "u", "v", "rho", "speed"):
+            assert z[name].dtype == np.float64, name
+            assert z[name].shape == getattr(tr, name).shape, name
+            np.testing.assert_array_equal(z[name], getattr(tr, name), err_msg=name)
+        assert z["comments"].dtype.kind == "U"
+        assert z["comments"].tolist() == list(comments)
+    # No wall-clock stamp: a write a day later gives the same bytes.
+    again = path.with_name("again.npz")
+    later = time.time() + 86400.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(time, "time", lambda: later)
+        tr.write_fields_csv(again, comments)
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -531,7 +545,7 @@ def _fmt(v: float) -> str:
 
 
 def _per_cell_csvs(tr, comments: tuple[str, ...]) -> dict[str, str]:
-    """Reference: the three artifacts built cell by cell and joined."""
+    """Reference: the two CSV artifacts built cell by cell and joined."""
     head = [f"# {c}" for c in comments]
     trace = head + ["t,u_norm,v_norm,e_norm,eps_norm,U,V1,V2,V3,V4,S,kernel_ns"]
     for k in range(len(tr.t)):
@@ -546,17 +560,10 @@ def _per_cell_csvs(tr, comments: tuple[str, ...]) -> dict[str, str]:
             _fmt(tr.refresh_t[k]), str(int(tr.refresh_ns[k])),
             _fmt(tr.dku_dt[k]), _fmt(tr.dkv_dt[k]),
         ]))
-    fields = head + ["t,x,u,v,rho,speed"]
-    for k in range(len(tr.t)):
-        for j in range(len(tr.x)):
-            fields.append(",".join(_fmt(c) for c in (
-                tr.t[k], tr.x[j], tr.u[k, j], tr.v[k, j], tr.rho[k, j],
-                tr.speed[k, j],
-            )))
     return {
         name: "\n".join(lines) + "\n"
         for name, lines in (
-            ("trace.csv", trace), ("refresh.csv", refresh), ("fields.csv", fields),
+            ("trace.csv", trace), ("refresh.csv", refresh),
         )
     }
 
@@ -570,9 +577,10 @@ def test_streamed_csvs_match_per_cell_format(params, tmp_path, open_loop):
     comments = ("mode=exact", "hash=abc")
     tr.write_csv(tmp_path / "trace.csv", comments)
     tr.write_refresh_csv(tmp_path / "refresh.csv", comments)
-    tr.write_fields_csv(tmp_path / "fields.csv", comments)
     for name, text in _per_cell_csvs(tr, comments).items():
         assert (tmp_path / name).read_bytes() == text.encode(), name
+    tr.write_fields_csv(tmp_path / "fields.npz", comments)
+    _check_fields_npz(tmp_path / "fields.npz", tr, comments)
 
 
 # Reference stepping: the stepper bodies and the surrogate acquisition as
