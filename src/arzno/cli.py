@@ -102,13 +102,12 @@ def cmd_simulate(args, cfg) -> int:
     p = cfgmod.build_traffic(cfg)
     g = cfgmod.build_grid(cfg)
     mode = args.mode
-    out = Path(args.out or f"run_{mode.replace('-', '_')}")
-    out.mkdir(parents=True, exist_ok=True)
-
     ctl = cfgmod.build_controller(cfg)
     model = None
     if mode == "no":
         model = _read_model(args.model or cfgmod.deeponet_options(cfg)["model_path"])
+    out = Path(args.out or f"run_{mode.replace('-', '_')}")
+    out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     tr = run_closed_loop(p, ctl, g, model=model, open_loop=(mode == "open-loop"))

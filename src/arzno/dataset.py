@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from arzno.controller import ControllerConfig, run_closed_loop
+from arzno.controller import _LOOP_TOL_SCALE, ControllerConfig, run_closed_loop
 from arzno.deeponet import KernelDataset
 from arzno.kernels import (
     KernelPair,
@@ -434,8 +434,10 @@ def verify_labels(
 
     Returns a report dict with the number checked and the worst sup-norm
     discrepancy; records are solver outputs, so anything beyond the
-    solver tolerance indicates corruption.  Entries have a fixed size, so
-    only the sampled ones are read and decoded.
+    solver tolerance indicates corruption.  The re-solve is cold and
+    sweeps to the loop's tolerance, so it ends as close to the fixed
+    point as the loop's warm-started labels.  Entries have a fixed size,
+    so only the sampled ones are read and decoded.
     """
     manifest = _coerce_manifest(manifest)
     root = Path(manifest["root"])
@@ -483,8 +485,8 @@ def verify_labels(
         # the lower triangles carry the whole sup-norm discrepancy.
         for c, ku, kv in zip(rec["c"], rec["ku"], kvs):
             ref = solve_kernels(
-                c, lp, mesh, tol=ctl["tol"], max_iter=ctl["max_iter"],
-                c_bound=ctl["c_bar"],
+                c, lp, mesh, tol=_LOOP_TOL_SCALE * ctl["tol"],
+                max_iter=ctl["max_iter"], c_bound=ctl["c_bar"],
             )
             err = max(
                 float(np.max(np.abs(ref.ku[ii, jj] - ku))),

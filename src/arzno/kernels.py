@@ -11,7 +11,8 @@ with lam, mu the normalized transport rates.  The second equation makes
 Kv constant along lines of constant x - xi, so Kv(x, xi) =
 (lam r / mu) Ku(x - xi, 0).  Ku is integrated along its characteristics
 (slope dxi/dx = -lam/mu) from the diagonal; the coupling to Kv is
-resolved by successive approximation starting from Kv == 0.
+resolved by successive approximation starting from Kv == 0, or, inside
+the adaptive loop, from the pair solved at the previous refresh.
 """
 
 from __future__ import annotations
@@ -211,6 +212,7 @@ def solve_kernels(
     tol: float = 1e-8,
     max_iter: int = 200,
     c_bound: float | None = None,
+    start: KernelPair | None = None,
 ) -> KernelPair:
     """Solve the kernel equations for a frozen coupling estimate.
 
@@ -223,6 +225,11 @@ def solve_kernels(
         max_iter: sweep budget; exceeding it raises ConvergenceError.
         c_bound: known bound on |c_hat|.  Defaults to lp.c_bar; adaptive
             callers pass their projection bound, which may be larger.
+        start: a pair on the same mesh to begin the sweeps from instead
+            of Kv == 0, such as the adaptive loop's active pair, solved
+            for an estimate one refresh away.  It saves sweeps, and the
+            stop rule then ends them farther from the fixed point than a
+            cold solve at the same tol ends (see controller._LOOP_TOL_SCALE).
 
     Returns:
         KernelPair with the diagonal and edge conditions satisfied
@@ -237,6 +244,8 @@ def solve_kernels(
         raise ValueError("c_hat violates the known bound |c_hat| <= c_bar")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if start is not None and start.mesh.n != mesh.n:
+        raise ValueError(f"start must be a pair on a {mesh.n}-node mesh")
 
     a, b = lp.lam_n, lp.mu_n
     ratio = a * lp.r / b
@@ -248,8 +257,12 @@ def solve_kernels(
     quad_vals = geo["q_weight"] * c_at_quad
 
     n_nodes = mesh.n_nodes
-    ku_flat = diag_at_foot.copy()
-    g = np.zeros(mesh.n)  # edge values Ku(:, 0); g == 0 encodes Kv == 0
+    if start is None:
+        ku_flat = diag_at_foot.copy()
+        g = np.zeros(mesh.n)  # edge values Ku(:, 0); g == 0 encodes Kv == 0
+    else:
+        ku_flat = start.ku[geo["rows_i"], geo["cols_j"]]
+        g = ku_flat[geo["edge_ids"]]
     residual = np.inf
     for _ in range(max_iter):
         contrib = np.bincount(

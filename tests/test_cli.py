@@ -190,6 +190,15 @@ def test_negative_bench_counts_exit_1(fast_env, capsys, monkeypatch):
     assert not (fast_env / "b.json").exists()
 
 
+@pytest.mark.parametrize("name, raw", [("TOL", "-1"), ("MAX_ITER", "0")])
+def test_solver_settings_exit_1_before_out(fast_env, capsys, monkeypatch, name, raw):
+    # Refused at load as a configuration error, not a stalled solve (2).
+    monkeypatch.setenv(f"ARZNO_CONTROLLER_{name}", raw)
+    assert main(["simulate", "--mode", "exact", "--out", "x"]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (fast_env / "x").exists()
+
+
 def test_numerical_failure_exits_2(fast_env, capsys, monkeypatch):
     # dt = 2 s divides the 2 s horizon but breaks the CFL bound.
     monkeypatch.setenv("ARZNO_GRID_DT", "2")
@@ -205,6 +214,8 @@ def test_io_errors_exit_3(fast_env, capsys):
     (fast_env / "junk.bin").write_bytes(b"AZNO" + b"\x01" * 7)
     assert main(["simulate", "--mode", "no", "--model", "junk.bin",
                  "--out", "x"]) == 3
+    # The model is read before --out is made.
+    assert not (fast_env / "x").exists()
 
     (fast_env / "model8.bin").write_bytes(b"NOTAMODEL")
     assert main(["eval", "--model", "model8.bin", "--data", "nowhere"]) == 3

@@ -200,3 +200,15 @@ def test_semantic_errors_wrap_as_config_errors(monkeypatch):
     with pytest.raises(ConfigError, match=r"\[controller\]"):
         build_controller(load_config())
 
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [("tol", "-1"), ("tol", "0"), ("tol", "nan"), ("max_iter", "0")],
+)
+def test_solver_settings_are_checked_at_load(monkeypatch, key, raw):
+    # A tol that is not > 0 would send every solve through the whole
+    # sweep budget to a ConvergenceError; max_iter < 1 allows no sweep.
+    monkeypatch.setenv(f"ARZNO_CONTROLLER_{key.upper()}", raw)
+    with pytest.raises(ConfigError, match=r"\[controller\].*tol must be positive"):
+        build_controller(load_config())

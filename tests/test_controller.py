@@ -33,19 +33,21 @@ def _control_and_z(kp, u_hat, v_hat, g):
     return u_next, controller._z_field(ac, u_hat, v_hat)
 
 
-def test_transformed_boundary_vanishes_along_trajectory(params, lp):
+def test_transformed_boundary_vanishes_along_trajectory(params):
     # The boundary value is solved implicitly against the same quadrature
     # used by the transform, so z(1) = 0 must hold to rounding at every
     # recorded step, with the kernels that produced that step's boundary.
     g = GridSpec(n_x=60, dt=0.1, t_end=3.0)
     cfg = ControllerConfig(mesh_n=21)
-    tr = run_closed_loop(params, cfg, g)
+    hooked = []
+    tr = run_closed_loop(
+        params, cfg, g, on_refresh=lambda t, c, kp, ns: hooked.append((c, kp))
+    )
     mesh = TriMesh(cfg.mesh_n)
     for k in (1, 7, 23):
-        c_mesh = np.interp(mesh.x, g.x, tr.c_hat[k - 1])
-        kp = solve_kernels(
-            c_mesh, lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter, c_bound=cfg.c_bar
-        )
+        # A refresh every step: the pair refreshed at step k - 1 set u(1).
+        c_mesh, kp = hooked[k - 1]
+        assert np.array_equal(c_mesh, np.interp(mesh.x, g.x, tr.c_hat[k - 1]))
         ac = controller._grid_caches(kp, g)
         z = controller._z_field(ac, tr.u_hat[k], tr.v_hat[k])
         scale = max(1.0, float(np.max(np.abs(z))))
@@ -329,8 +331,9 @@ def test_model_selects_the_kernel_path(params, monkeypatch, with_model, open_loo
 
 def test_solver_source_threads_its_options(params, lp, monkeypatch):
     # Without a model the loop solves its kernels with the config's
-    # stopping rule and bound, through the solve_kernels name that
-    # arzno.controller imports.
+    # stopping rule (its tol scaled by _LOOP_TOL_SCALE) and bound, through
+    # the solve_kernels name that arzno.controller imports; each solve
+    # after the first starts from the pair the previous one returned.
     seen = []
 
     def spy(c_mesh, lp_arg, mesh, **kwargs):
@@ -344,9 +347,11 @@ def test_solver_source_threads_its_options(params, lp, monkeypatch):
     run_closed_loop(
         params, cfg, g, on_refresh=lambda t, c, kp, ns: hooked.append((c, kp))
     )
-    assert seen == [{"tol": 1e-10, "max_iter": 300, "c_bound": 0.03}] * 3
+    pairs = [kp for _, kp in hooked]
+    opts = {"tol": controller._LOOP_TOL_SCALE * 1e-10, "max_iter": 300, "c_bound": 0.03}
+    assert seen == [{**opts, "start": start} for start in [None, *pairs[:2]]]
     c, kp = hooked[-1]
-    ref = solve_kernels(c, lp, TriMesh(9), tol=1e-10, max_iter=300, c_bound=0.03)
+    ref = solve_kernels(c, lp, TriMesh(9), **opts, start=pairs[-2])
     np.testing.assert_array_equal(kp.ku, ref.ku)
     np.testing.assert_array_equal(kp.kv, ref.kv)
 
@@ -390,13 +395,17 @@ def test_reused_refreshes_serve_the_pair_a_solve_would(params, lp, monkeypatch):
         params, cfg, g, on_refresh=lambda t, c, kp, ns: hooked.append((c, kp))
     )
     mesh = TriMesh(cfg.mesh_n)
-    for c, kp in hooked:
-        ref = solve_kernels(
-            c, lp, mesh, tol=cfg.tol, max_iter=cfg.max_iter, c_bound=cfg.c_bar
-        )
+    keys = [c.tobytes() for c, _ in hooked]
+    ref = None
+    for k, (c, kp) in enumerate(hooked):
+        # The loop's own solve: started from the previous pair, to its tol.
+        if k == 0 or keys[k] != keys[k - 1]:
+            ref = solve_kernels(
+                c, lp, mesh, tol=controller._LOOP_TOL_SCALE * cfg.tol,
+                max_iter=cfg.max_iter, c_bound=cfg.c_bar, start=ref,
+            )
         np.testing.assert_array_equal(kp.ku, ref.ku)
         np.testing.assert_array_equal(kp.kv, ref.kv)
-    keys = [c.tobytes() for c, _ in hooked]
     moved = [a != b for a, b in zip(keys, keys[1:])]
     assert tr.kernel_acquisitions == calls["solver"] == 1 + sum(moved)
     assert 1 < tr.kernel_acquisitions < len(hooked) == len(tr.refresh_t)

@@ -22,8 +22,15 @@ from arzno.kernels import (
     solve_inverse_kernels,
     solve_kernels,
 )
-from arzno.controller import inverse_transform_on_mesh, transform_on_mesh
+from arzno.controller import (
+    _LOOP_TOL_SCALE,
+    ControllerConfig,
+    inverse_transform_on_mesh,
+    run_closed_loop,
+    transform_on_mesh,
+)
 from arzno.model import LinearizedParams
+from arzno.sim import GridSpec
 
 
 def _march_kernels(c: np.ndarray, lam_n: float, mu_n: float, r: float) -> np.ndarray:
@@ -154,6 +161,73 @@ def test_convergence_error(lp):
         solve_kernels(lp.c_samples(21), lp, mesh, tol=1e-14, max_iter=1)
     assert info.value.iterations == 1
     assert info.value.residual > 1e-14
+
+
+def _loop_estimates(params, n: int) -> list[np.ndarray]:
+    """The distinct estimates a 20 s loop refreshes its n-node kernels for."""
+    seen: list[np.ndarray] = []
+    run_closed_loop(
+        params, ControllerConfig(mesh_n=n), GridSpec(t_end=20.0),
+        on_refresh=lambda t, c_mesh, kp, ns: seen.append(c_mesh.copy()),
+    )
+    return [c for k, c in enumerate(seen) if k == 0 or not np.array_equal(c, seen[k - 1])]
+
+
+def _sup_gap(a: KernelPair, b: KernelPair) -> float:
+    return float(max(np.max(np.abs(a.ku - b.ku)), np.max(np.abs(a.kv - b.kv))))
+
+
+@pytest.mark.parametrize("n", [8, 21, 41])
+def test_warm_start_lands_as_close_as_a_cold_solve(params, lp, n):
+    # Chained as in the loop, each solve started from the previous pair
+    # and swept to the loop's tol ends at least as close to the fixed
+    # point as a cold solve at tol.
+    mesh = TriMesh(n)
+    c_bound = ControllerConfig().c_bar
+    tol = 1e-8
+    estimates = _loop_estimates(params, n)
+    assert len(estimates) > 100
+    prev = solve_kernels(estimates[0], lp, mesh, tol=_LOOP_TOL_SCALE * tol, c_bound=c_bound)
+    worst_warm = worst_cold = 0.0
+    for c in estimates[1:]:
+        ref = solve_kernels(c, lp, mesh, tol=1e-14, max_iter=2000, c_bound=c_bound)
+        warm = solve_kernels(
+            c, lp, mesh, tol=_LOOP_TOL_SCALE * tol, c_bound=c_bound, start=prev
+        )
+        cold = solve_kernels(c, lp, mesh, tol=tol, c_bound=c_bound)
+        worst_warm = max(worst_warm, _sup_gap(warm, ref))
+        worst_cold = max(worst_cold, _sup_gap(cold, ref))
+        prev = warm
+    assert worst_warm <= worst_cold
+
+
+def test_warm_start_saves_sweeps(params, lp):
+    # At the end of a 20 s loop a start from the previous pair reaches the
+    # loop's tol (residual 3.6e-12 <= 1e-11) within a budget that leaves a
+    # cold solve 80x short of a 1000x looser tol (8.1e-7 > 1e-8).
+    mesh = TriMesh(41)
+    c_bound = ControllerConfig().c_bar
+    *_, c_prev, c = _loop_estimates(params, 41)
+    prev = solve_kernels(c_prev, lp, mesh, tol=1e-11, c_bound=c_bound)
+    solve_kernels(c, lp, mesh, tol=1e-11, max_iter=5, c_bound=c_bound, start=prev)
+    with pytest.raises(ConvergenceError):
+        solve_kernels(c, lp, mesh, tol=1e-8, max_iter=5, c_bound=c_bound)
+
+
+def test_warm_start_from_its_own_solution(lp):
+    # A start at the fixed point moves by less than tol in one sweep, and
+    # a start from any pair on the mesh converges to the same kernels.
+    mesh = TriMesh(21)
+    c = lp.c_samples(21)
+    kp = solve_kernels(c, lp, mesh, tol=1e-13, max_iter=2000)
+    again = solve_kernels(c, lp, mesh, tol=1e-13, max_iter=1, start=kp)
+    assert _sup_gap(again, kp) <= 1e-13
+    far = solve_kernels(
+        np.zeros(21), lp, mesh, start=solve_kernels(-c, lp, mesh)
+    )
+    assert np.all(far.ku == 0.0) and np.all(far.kv == 0.0)
+    with pytest.raises(ValueError, match="21-node mesh"):
+        solve_kernels(c, lp, mesh, start=solve_kernels(lp.c_samples(8), lp, TriMesh(8)))
 
 
 def test_sup_cap_formula():
