@@ -9,15 +9,18 @@ plant and identifier advance by upwind steps, and the estimate adapts
 under projection.  A refresh whose estimate on the kernel mesh is
 bitwise unchanged since the last acquisition keeps the active kernels
 and their grid tables instead of acquiring them again; the refresh hook
-still fires for it, with the kept pair.  The boundary value entering a
-step is solved implicitly (the quadrature includes the endpoint being
-set), which makes the transformed boundary z(1, t) vanish identically.
-The state lives in its history arrays: each step advances row k of the
-plant, identifier and estimate histories into row k + 1 through the
-array steppers of arzno.sim, and z, which needs the kernels active at
-each step, is stored beside them.  Norms, Lyapunov functionals and
-physical fields are derived from the histories in one vectorized pass
-after the last step.
+still fires for it, with the kept pair.  An estimate row that is itself
+unchanged since the last refresh is not interpolated onto the mesh
+again.  The boundary value entering a step is solved implicitly (the
+quadrature includes the endpoint being set), which makes the
+transformed boundary z(1, t) vanish identically.
+The state lives in its history arrays: the array steppers of arzno.sim
+write row k + 1 of the plant, identifier and estimate histories in
+place from row k.  z needs the kernels active at each row, so it is
+filled once per run of rows that share one kernel pair, when a fresh
+pair replaces that one and after the last step.  Norms, Lyapunov
+functionals and physical fields are derived from the histories in one
+vectorized pass after the last step.
 """
 
 from __future__ import annotations
@@ -253,8 +256,15 @@ def _z_field(ac: _ActiveKernels, u_hat: np.ndarray, v_hat: np.ndarray) -> np.nda
     z = v_hat minus the running kernel integrals; the other transformed
     field is w = u_hat itself.  Feeds the Lyapunov functionals; z(1)
     vanishes when the boundary carries the matching control value.
+    Takes one state or a (rows, n_x + 1) stack of them.  Each row is a
+    matrix-vector product of its own (the trailing unit axis keeps
+    matmul on BLAS gemv), so a stacked row has the bits it has alone.
     """
-    return v_hat - ac.m_u @ u_hat - ac.m_v @ v_hat
+    return (
+        v_hat
+        - (ac.m_u @ u_hat[..., None])[..., 0]
+        - (ac.m_v @ v_hat[..., None])[..., 0]
+    )
 
 
 def transform_on_mesh(
@@ -285,7 +295,8 @@ class SimTrace:
 
     Per-step arrays are aligned with t; per-refresh arrays are aligned
     with refresh_t.  Field histories have shape (len(t), n_x + 1).
-    V1, V2, V4 are NaN on open-loop runs, where no kernels exist.
+    V1, V2, V4 are NaN on runs without kernels: open-loop ones, and
+    those with no step (t_end = 0), which never refresh.
     kernel_acquisitions counts the refreshes that solved or queried the
     surrogate; the others kept the active pair (zero drift rates).
     """
@@ -436,27 +447,39 @@ def run_closed_loop(
 
     n = g.n_x + 1
     rows = g.n_steps + 1
+    refresh_rows = np.arange(0, 0 if acquire is None else g.n_steps, refresh_every)
 
     t = np.zeros(rows)
     kernel_ns = np.zeros(rows, dtype=np.int64)
-    u, v, u_hat, v_hat, c_hat, z = (np.empty((rows, n)) for _ in range(6))
-    refresh_t: list[float] = []
-    refresh_ns: list[int] = []
-    dku_dt: list[float] = []
-    dkv_dt: list[float] = []
+    # Row k of a block holds (u, v), or (u_hat, v_hat), at t[k], so each
+    # stepper writes and checks one contiguous (2, n) row.
+    plant, ident = np.empty((rows, 2, n)), np.empty((rows, 2, n))
+    u, v = plant[:, 0], plant[:, 1]
+    u_hat, v_hat = ident[:, 0], ident[:, 1]
+    c_hat, z = np.empty((rows, n)), np.empty((rows, n))
+    dku_dt, dkv_dt = np.zeros((2, refresh_rows.size))
 
     u[0], v[0] = initial_plant_state(lp, g, cfg.ic)
-    u_hat[0], v_hat[0] = u[0], v[0]
+    ident[0] = plant[0]
     c_hat[0] = -0.5 / cfg.tau_guess
 
     ac: _ActiveKernels | None = None
     ac_key: bytes | None = None
+    c_row: bytes | None = None
+    c_mesh: np.ndarray | None = None
+    seg = 0  # first row of z still to fill, with the active kernels
     acquisitions = 0
     mesh_x, g_x = mesh.x, g.x
 
     def refresh(k: int) -> None:
-        nonlocal ac, ac_key, acquisitions
-        c_mesh = np.interp(mesh_x, g_x, c_hat[k])
+        nonlocal ac, ac_key, c_row, c_mesh, seg, acquisitions
+        # Equal estimate rows interpolate to equal bytes, so an unchanged
+        # row keeps the last c_mesh; read-only, as the hook may hold it.
+        row = c_hat[k].tobytes()
+        if row != c_row:
+            c_mesh = np.interp(mesh_x, g_x, c_hat[k])
+            c_mesh.setflags(write=False)
+            c_row = row
         t0 = time.perf_counter_ns()
         # Both kernel paths are pure functions of the estimate's bytes, so
         # an unchanged estimate keeps the active pair and its tables.
@@ -464,20 +487,20 @@ def run_closed_loop(
         fresh = key != ac_key
         kp = acquire(c_mesh) if fresh else ac.kp
         elapsed = time.perf_counter_ns() - t0
-        if fresh and ac is not None:
-            d_u, d_v = kernel_time_derivative(kp, ac.kp, cfg.kernel_refresh_dt)
-            dku = float(np.abs(d_u).max())
-            dkv = float(np.abs(d_v).max())
-        else:
-            # The first pair, or a kept one, whose drift is exactly zero.
-            dku, dkv = 0.0, 0.0
         if fresh:
+            if ac is not None:
+                # A kept pair's drift is exactly zero, as is the first's.
+                j = k // refresh_every
+                d_u, d_v = kernel_time_derivative(kp, ac.kp, cfg.kernel_refresh_dt)
+                dku_dt[j] = np.abs(d_u).max()
+                dkv_dt[j] = np.abs(d_v).max()
+                # Rows seg..k took their boundary value from the outgoing
+                # pair (row 0 has none and takes the first pair), so their
+                # z uses it; the new pair's rows start at k + 1.
+                z[seg : k + 1] = _z_field(ac, u_hat[seg : k + 1], v_hat[seg : k + 1])
+                seg = k + 1
             acquisitions += 1
             ac, ac_key = _grid_caches(kp, g), key
-        refresh_t.append(t[k])
-        refresh_ns.append(elapsed)
-        dku_dt.append(dku)
-        dkv_dt.append(dkv)
         kernel_ns[k] = elapsed
         if on_refresh is not None:
             on_refresh(t[k], c_mesh, kp, elapsed)
@@ -486,50 +509,40 @@ def run_closed_loop(
     # NumPy overflow warnings from the steps leading up to it.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(g.n_steps):
-            # z is the one recorded quantity that needs the kernels active
-            # at row k: those that set its boundary value.  So a refresh due
-            # at t_k lands after z[k] (except at k = 0, where no control has
-            # been applied yet and the refresh supplies the kernels of row 0).
-            due = acquire is not None and k % refresh_every == 0
-            if due and k == 0:
+            if acquire is not None and k % refresh_every == 0:
                 refresh(k)
-            if ac is not None:
-                z[k] = _z_field(ac, u_hat[k], v_hat[k])
-            if due and k > 0:
-                refresh(k)
-
             uh, vh = step_identifier(
                 u_hat[k], v_hat[k], c_hat[k], u[k], v[k], 0.0, cfg.rho_gain,
-                lp, g, t[k],
+                lp, g, t[k], out=ident[k + 1],
             )
             if ac is None:
                 u_next = 0.0
             else:
-                quad = ac.m_u[-1] @ uh + ac.m_v[-1] @ vh
+                # ndarray.dot: the BLAS dot of @, at half its call overhead.
+                quad = ac.m_u[-1].dot(uh) + ac.m_v[-1].dot(vh)
                 u_next = float(quad / ac.denom)
-            u[k + 1], v[k + 1] = step_plant(u[k], v[k], u_next, lp, g, t[k])
-            u_hat[k + 1], v_hat[k + 1] = uh, vh
-            v_hat[k + 1, -1] = u_next
+            step_plant(u[k], v[k], u_next, lp, g, t[k], out=plant[k + 1])
+            vh[-1] = u_next
             # Adaptation last, from the freshly advanced states.  Driving
             # the estimate with the post-step regressor makes the discrete
             # cross term in the identifier functional overshoot toward
             # descent instead of lagging it, so per-step monotonicity
             # survives the forward-Euler startup transient where the error
             # fields grow from zero before any estimate credit has accrued.
-            c_hat[k + 1] = update_c_hat(
-                c_hat[k], v_hat[k + 1], u[k + 1], v[k + 1],
-                cfg.gamma1, cfg.gamma, cfg.c_bar, g,
+            update_c_hat(
+                c_hat[k], vh, u[k + 1], v[k + 1],
+                cfg.gamma1, cfg.gamma, cfg.c_bar, g, out=c_hat[k + 1],
             )
             t[k + 1] = t[k] + g.dt
 
     if ac is not None:
-        z[-1] = _z_field(ac, u_hat[-1], v_hat[-1])
+        z[seg:] = _z_field(ac, u_hat[seg:], v_hat[seg:])
 
     e = u - u_hat
     eps = v - v_hat
     c_tilde = lp.c(g_x) - c_hat
     v3 = lyapunov_v3(e, eps, c_tilde, cfg.gamma, cfg.gamma1, g)
-    if acquire is None:
+    if ac is None:
         v1, v2, v_lyap = np.full((3, rows), np.nan)
     else:
         v1, v2, v_lyap = lyapunov_v1_v2(u_hat, z, derive_constants(lp), g)
@@ -551,10 +564,10 @@ def run_closed_loop(
         v4=v_lyap + v3,
         s_norm=global_norm_S(u, v, u_hat, v_hat, c_tilde, g),
         kernel_ns=kernel_ns,
-        refresh_t=np.asarray(refresh_t),
-        refresh_ns=np.asarray(refresh_ns, dtype=np.int64),
-        dku_dt=np.asarray(dku_dt),
-        dkv_dt=np.asarray(dkv_dt),
+        refresh_t=t[refresh_rows],
+        refresh_ns=kernel_ns[refresh_rows],
+        dku_dt=dku_dt,
+        dkv_dt=dkv_dt,
         kernel_acquisitions=acquisitions,
         u=u,
         v=v,

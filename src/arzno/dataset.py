@@ -292,13 +292,20 @@ def load_manifest(path: str | Path) -> dict:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetFormatError(f"cannot read manifest {path}: {exc}") from exc
-    if manifest.get("format") != _FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
         raise DatasetFormatError(f"{path} is not a dataset manifest")
     if manifest.get("version") != _VERSION:
         raise DatasetFormatError(
             f"unsupported dataset version {manifest.get('version')} "
             f"(expected {_VERSION}); rerun gen-dataset to regenerate the corpus"
         )
+    # Record loading reads these keys unchecked.
+    families = manifest.get("families")
+    if "mesh_n" not in manifest or not isinstance(families, list):
+        raise DatasetFormatError(f"{path} lacks 'mesh_n' or a 'families' list")
+    for j, fam in enumerate(families):
+        if not (isinstance(fam, dict) and "path" in fam and "n_records" in fam):
+            raise DatasetFormatError(f"{path}: family {j} lacks 'path' or 'n_records'")
     manifest.setdefault("root", str(path.parent))
     return manifest
 

@@ -598,7 +598,10 @@ def load_model(path: str | Path) -> DeepONetModel:
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode()
+        try:
+            name = reader.take(name_len).decode()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"parameter name is not UTF-8: {exc}") from exc
         (ndim,) = reader.unpack("<B")
         shape = reader.unpack(f"<{ndim}I")
         size = int(np.prod(shape)) if ndim else 1

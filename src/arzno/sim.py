@@ -3,8 +3,9 @@
 Fields live on the n_x + 1 nodes of a uniform grid over the normalized
 stretch [0, 1].  Interior nodes are updated by donor-cell upwinding,
 then the boundary conditions u(0) = r v(0) and v(1) = U are applied.
-The steppers take the fields as plain arrays and return fresh ones;
-the caller holds the state and its time.
+The steppers take the fields as plain arrays and return fresh ones, or
+write them into a caller's array given as out; the caller holds the
+state and its time.
 """
 
 from __future__ import annotations
@@ -110,27 +111,23 @@ def l2_norm(field: np.ndarray, g: GridSpec) -> float | np.ndarray:
     return float(out) if field.ndim == 1 else out
 
 
-def regressor_norm2(u: np.ndarray, v: np.ndarray, g: GridSpec) -> float:
-    """Squared norm of the plant state, ||u||^2 + ||v||^2.
+def regressor_norm2(w: np.ndarray, g: GridSpec) -> float:
+    """Squared norm of the plant state w = (u, v), ||u||^2 + ||v||^2.
 
     l2_norm(u, g) ** 2 + l2_norm(v, g) ** 2 with np.trapezoid's
-    arithmetic written out, since the identifier needs it every step.
+    arithmetic written out on the (2, n_x + 1) block, since the
+    identifier needs it every step; each row sums as it would alone.
     """
-    if u.shape != (g.n_x + 1,):
+    if w.shape != (2, g.n_x + 1):
         raise ValueError("field does not match the grid")
-    dx = g.dx
-    u2 = u * u
-    v2 = v * v
-    return (
-        math.sqrt((dx * (u2[1:] + u2[:-1]) / 2.0).sum()) ** 2
-        + math.sqrt((dx * (v2[1:] + v2[:-1]) / 2.0).sum()) ** 2
-    )
+    w2 = w * w
+    su, sv = np.add.reduce(g.dx * (w2[:, 1:] + w2[:, :-1]) / 2.0, 1).tolist()
+    return math.sqrt(su) ** 2 + math.sqrt(sv) ** 2
 
 
-def _require_finite(arrs: tuple[np.ndarray, ...], t: float, what: str) -> None:
-    for a in arrs:
-        if not np.isfinite(a).all():
-            raise InstabilityError(t, what)
+def _require_finite(fields: np.ndarray, t: float, what: str) -> None:
+    if not np.isfinite(fields).all():
+        raise InstabilityError(t, what)
 
 
 @lru_cache(maxsize=64)
@@ -164,22 +161,25 @@ def step_plant(
     lp: LinearizedParams,
     g: GridSpec,
     t: float = 0.0,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the plant fields one step of g.dt from time t with input U.
 
     Interior update first (upwind in the transport direction of each
     field), then v(1) = U and u(0) = r v(0) using the fresh v.  Returns
-    fresh arrays; a non-finite result raises InstabilityError at t + dt.
+    fresh arrays, or, given a (2, n_x + 1) array out that overlaps no
+    input, writes the new u and v into its rows and returns those; a
+    non-finite result raises InstabilityError at t + dt.
     """
     nu_a, nu_b, dt, r, c = _stepping(g, lp)
-    u_new = np.empty_like(u)
-    v_new = np.empty_like(v)
+    new = np.empty((2, u.size)) if out is None else out
+    u_new, v_new = new
     u_new[1:] = u[1:] - nu_a * (u[1:] - u[:-1])
     v_new[:-1] = v[:-1] + nu_b * (v[1:] - v[:-1]) + dt * (c * u[:-1])
     v_new[-1] = U
     u_new[0] = r * v_new[0]
-    _require_finite((u_new, v_new), t + dt, "plant state")
-    return u_new, v_new
+    _require_finite(new, t + dt, "plant state")
+    return (u_new, v_new) if out is not None else (u_new.copy(), v_new.copy())
 
 
 def step_identifier(
@@ -193,6 +193,7 @@ def step_identifier(
     lp: LinearizedParams,
     g: GridSpec,
     t: float = 0.0,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the identifier one step from time t, driven by the plant (u, v).
 
@@ -200,23 +201,24 @@ def step_identifier(
     c_hat * u plus output-error corrections rho ||w||^2 e and
     rho ||w||^2 eps, with ||w||^2 = ||u||^2 + ||v||^2 evaluated once.
     c_hat itself is advanced separately by update_c_hat.  Returns fresh
-    (u_hat, v_hat); a non-finite result raises InstabilityError at t + dt.
+    (u_hat, v_hat), or writes them into the rows of out as step_plant
+    does; a non-finite result raises InstabilityError at t + dt.
     """
     nu_a, nu_b, dt, r, _ = _stepping(g, lp)
     e = u - u_hat
     eps = v - v_hat
-    gain = rho_gain * regressor_norm2(u, v, g)
+    gain = rho_gain * regressor_norm2(np.array((u, v)), g)
 
-    u_new = np.empty_like(u_hat)
-    v_new = np.empty_like(v_hat)
+    new = np.empty((2, u_hat.size)) if out is None else out
+    u_new, v_new = new
     u_new[1:] = u_hat[1:] - nu_a * (u_hat[1:] - u_hat[:-1]) + dt * (gain * e[1:])
     v_new[:-1] = v_hat[:-1] + nu_b * (v_hat[1:] - v_hat[:-1]) + dt * (
         c_hat[:-1] * u[:-1] + gain * eps[:-1]
     )
     v_new[-1] = U
     u_new[0] = r * v_new[0]
-    _require_finite((u_new, v_new), t + dt, "identifier state")
-    return u_new, v_new
+    _require_finite(new, t + dt, "identifier state")
+    return (u_new, v_new) if out is not None else (u_new.copy(), v_new.copy())
 
 
 def update_c_hat(
@@ -228,6 +230,7 @@ def update_c_hat(
     gamma: float,
     c_bar: float,
     g: GridSpec,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One forward-Euler step of the adaptation law; returns the new c_hat.
 
@@ -236,7 +239,7 @@ def update_c_hat(
     projection: where c_hat sits on the bound and the update points
     outward, both give the bound, and elsewhere the projection passes the
     update through unchanged.  Callers sequence this against the field
-    steps.
+    steps.  Given out, the new c_hat is written there and returned.
     """
     raw = _adaptation_weight(gamma1, gamma, g) * (v - v_hat) * u
-    return np.minimum(np.maximum(c_hat + g.dt * raw, -c_bar), c_bar)
+    return np.minimum(np.maximum(c_hat + g.dt * raw, -c_bar), c_bar, out=out)

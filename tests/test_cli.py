@@ -11,6 +11,7 @@ import pytest
 from arzno import config as cfgmod
 from arzno.cli import main
 from arzno.config import DEFAULTS
+from arzno.deeponet import init_model, save_model
 
 # Small-but-real settings so the whole chain runs in seconds.
 _FAST_ENV = {
@@ -219,6 +220,42 @@ def test_io_errors_exit_3(fast_env, capsys):
 
     (fast_env / "model8.bin").write_bytes(b"NOTAMODEL")
     assert main(["eval", "--model", "model8.bin", "--data", "nowhere"]) == 3
+
+
+def test_model_with_non_utf8_parameter_name_exits_3(fast_env, capsys):
+    # A parameter name that is not UTF-8 is a damaged model file (exit 3),
+    # not a usage error, and it is read before --out is made.
+    save_model(init_model(m=21, b=8, hidden=(16, 16)), fast_env / "good.bin")
+    blob = bytearray((fast_env / "good.bin").read_bytes())
+    # Magic, four u32 header fields, two hidden widths, c_scale and the
+    # parameter count come before the first name's u16 length.
+    start = 4 + 16 + 8 + 8 + 4
+    (name_len,) = struct.unpack_from("<H", blob, start)
+    blob[start + 2 : start + 2 + name_len] = b"\xff" * name_len
+    (fast_env / "badname.bin").write_bytes(bytes(blob))
+    assert main(["simulate", "--mode", "no", "--model", "badname.bin",
+                 "--out", "x"]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "not UTF-8" in err
+    assert not (fast_env / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_without_mesh_n_exits_3(fast_env, capsys, command):
+    # A manifest that passes the format and version check but lacks a key
+    # the record loader reads is a damaged corpus (exit 3), not a KeyError.
+    assert main(["gen-dataset", "--out", "data"]) == 0
+    save_model(init_model(m=21, b=8, hidden=(16, 16)), fast_env / "model.bin")
+    part = "train" if command == "train" else "test"
+    path = fast_env / "data" / f"{part}.json"
+    blob = json.loads(path.read_text())
+    del blob["mesh_n"]
+    path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    extra = ["--out", "trained.bin"] if command == "train" else ["--model", "model.bin"]
+    assert main([command, "--data", "data", *extra]) == 3
+    assert "lacks 'mesh_n'" in capsys.readouterr().err
+    assert not (fast_env / "trained.bin").exists()
 
 
 def test_simulate_requires_known_mode(fast_env, capsys):

@@ -157,6 +157,12 @@ def test_open_loop_has_no_kernel_functionals(params):
     assert np.all(np.isnan(tr.v4))
     assert np.all(np.isfinite(tr.v3))
     assert len(tr.refresh_t) == 0
+    # A closed loop with no step to take never refreshes either, so it
+    # has no kernels, no z and no kernel functionals.
+    g = GridSpec(n_x=60, dt=0.1, t_end=0.0)
+    tr = run_closed_loop(params, ControllerConfig(mesh_n=21), g)
+    assert len(tr.refresh_t) == 0 and tr.kernel_acquisitions == 0
+    assert np.all(np.isnan(tr.v1)) and np.all(np.isnan(tr.v2)) and np.all(np.isnan(tr.v4))
 
 
 def test_closed_loop_functionals_are_finite(params):
@@ -376,17 +382,24 @@ def test_unchanged_estimate_reuses_the_kernels(params, monkeypatch, with_model):
     assert tr.kernel_acquisitions == 1
 
 
-def test_reused_refreshes_serve_the_pair_a_solve_would(params, lp, monkeypatch):
-    # Freeze the estimate on chosen steps, so that runs of refreshes see
-    # the same estimate while others see a new one.
-    frozen = set(range(3, 9)) | set(range(12, 15)) | {20}
+# Steps whose adaptation is undone, so that runs of refreshes see the same
+# estimate while others see a new one.
+_FROZEN = frozenset(range(3, 9)) | frozenset(range(12, 15)) | {20}
+
+
+def _freezing(update):
+    """update, except that the steps in _FROZEN keep the estimate."""
     steps = itertools.count()
 
-    def update(c_hat, *args):
-        out = update_c_hat(c_hat, *args)
-        return c_hat if next(steps) in frozen else out
+    def frozen(c_hat, *args, out=None):
+        new = update(c_hat, *args)
+        return _written(out, c_hat if next(steps) in _FROZEN else new)
 
-    monkeypatch.setattr(controller, "update_c_hat", update)
+    return frozen
+
+
+def test_reused_refreshes_serve_the_pair_a_solve_would(params, lp, monkeypatch):
+    monkeypatch.setattr(controller, "update_c_hat", _freezing(update_c_hat))
     calls = _count_acquisitions(monkeypatch)
     hooked = []
     g = GridSpec(n_x=60, dt=0.1, t_end=3.0)
@@ -594,10 +607,19 @@ def test_streamed_csvs_match_per_cell_format(params, tmp_path, open_loop):
 
 # Reference stepping: the stepper bodies and the surrogate acquisition as
 # they were before their per-run constants were cached, with the
-# adaptation step clipped after the explicit projection.
+# adaptation step clipped after the explicit projection.  Each computes
+# fresh arrays and copies them into out when the loop passes one.
 
 
-def _ref_step_plant(u, v, U, lp, g, t):
+def _written(out, new):
+    """new copied into out, as the steppers' out argument asks, or new."""
+    if out is None:
+        return new
+    out[...] = new
+    return tuple(out) if out.ndim == 2 else out
+
+
+def _ref_step_plant(u, v, U, lp, g, t, out=None):
     check_cfl(g, lp)
     nu_a = lp.lam_n * g.dt / g.dx
     nu_b = lp.mu_n * g.dt / g.dx
@@ -609,10 +631,10 @@ def _ref_step_plant(u, v, U, lp, g, t):
     v_new[-1] = U
     u_new[0] = lp.r * v_new[0]
     assert np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
-    return u_new, v_new
+    return _written(out, (u_new, v_new))
 
 
-def _ref_step_identifier(u_hat, v_hat, c_hat, u, v, U, rho_gain, lp, g, t):
+def _ref_step_identifier(u_hat, v_hat, c_hat, u, v, U, rho_gain, lp, g, t, out=None):
     check_cfl(g, lp)
     nu_a = lp.lam_n * g.dt / g.dx
     nu_b = lp.mu_n * g.dt / g.dx
@@ -630,15 +652,15 @@ def _ref_step_identifier(u_hat, v_hat, c_hat, u, v, U, rho_gain, lp, g, t):
     v_new[-1] = U
     u_new[0] = lp.r * v_new[0]
     assert np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
-    return u_new, v_new
+    return _written(out, (u_new, v_new))
 
 
-def _ref_update_c_hat(c_hat, v_hat, u, v, gamma1, gamma, c_bar, g):
+def _ref_update_c_hat(c_hat, v_hat, u, v, gamma1, gamma, c_bar, g, out=None):
     eps = v - v_hat
     raw = gamma1 * np.exp(gamma * g.x) * eps * u
     outward = ((c_hat >= c_bar) & (raw > 0)) | ((c_hat <= -c_bar) & (raw < 0))
     masked = np.where(outward, 0.0, raw)
-    return np.clip(c_hat + g.dt * masked, -c_bar, c_bar)
+    return _written(out, np.clip(c_hat + g.dt * masked, -c_bar, c_bar))
 
 
 def _ref_acquire(self, c_mesh):
@@ -663,11 +685,11 @@ def _ref_acquire(self, c_mesh):
 _TIMING = ("kernel_ns", "refresh_ns")
 
 
-def _reference_run(monkeypatch, *args, **kwargs):
+def _reference_run(monkeypatch, *args, update=_ref_update_c_hat, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(controller, "step_plant", _ref_step_plant)
         m.setattr(controller, "step_identifier", _ref_step_identifier)
-        m.setattr(controller, "update_c_hat", _ref_update_c_hat)
+        m.setattr(controller, "update_c_hat", update)
         m.setattr(NeuralKernelSource, "acquire", _ref_acquire)
         return run_closed_loop(*args, **kwargs)
 
@@ -711,3 +733,45 @@ def test_cached_constants_do_not_leak_between_runs(params, monkeypatch):
     got = [run_closed_loop(*run) for run in runs]
     for run, trace in zip(runs, got):
         _assert_traces_equal(trace, _reference_run(monkeypatch, *run))
+
+
+def test_loop_with_reuse_mid_run_matches_reference_steppers(params, monkeypatch):
+    # With the estimate frozen on chosen steps, refreshes after the first
+    # keep their pair: the loop must still match the reference steppers,
+    # its z must be the per-row z of the pair active at each row, and a
+    # refresh whose estimate row is unchanged hands the hook the last
+    # c_mesh again, read-only.
+    g = GridSpec(n_x=60, dt=0.1, t_end=3.0)
+    cfg = ControllerConfig(mesh_n=21)
+    hooked = []
+    with monkeypatch.context() as m:
+        m.setattr(controller, "update_c_hat", _freezing(update_c_hat))
+        got = run_closed_loop(
+            params, cfg, g, on_refresh=lambda t, c, kp, ns: hooked.append((c, kp))
+        )
+    want = _reference_run(
+        monkeypatch, params, cfg, g, update=_freezing(_ref_update_c_hat)
+    )
+    _assert_traces_equal(got, want)
+    assert 1 < got.kernel_acquisitions < len(hooked) == len(got.refresh_t)
+
+    mesh = TriMesh(cfg.mesh_n)
+    kept = 0
+    for k, (c, kp) in enumerate(hooked):
+        assert not c.flags.writeable
+        assert np.array_equal(c, np.interp(mesh.x, g.x, got.c_hat[k]))
+        if k and np.array_equal(got.c_hat[k], got.c_hat[k - 1]):
+            assert c is hooked[k - 1][0] and kp is hooked[k - 1][1]
+            kept += 1
+    assert kept == len(_FROZEN)
+
+    # Row k > 0 carries the pair refreshed at row k - 1, row 0 the first.
+    caches = {}
+    z = np.empty_like(got.v_hat)
+    for k in range(len(got.t)):
+        kp = hooked[max(k - 1, 0)][1]
+        ac = caches.setdefault(id(kp), controller._grid_caches(kp, g))
+        z[k] = got.v_hat[k] - ac.m_u @ got.u_hat[k] - ac.m_v @ got.v_hat[k]
+    v1, v2, _ = lyapunov_v1_v2(got.u_hat, z, derive_constants(derive_linearized(params)), g)
+    np.testing.assert_allclose(got.v1, v1, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(got.v2, v2, rtol=1e-15, atol=0)

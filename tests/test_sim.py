@@ -14,6 +14,7 @@ from arzno.sim import (
     InstabilityError,
     check_cfl,
     l2_norm,
+    regressor_norm2,
     step_identifier,
     step_plant,
     update_c_hat,
@@ -280,3 +281,34 @@ def test_steppers_return_fresh_arrays_and_leave_inputs_alone(lp):
         assert not any(np.shares_memory(arr, a) for a in inputs)
     for i, arr in enumerate(out):
         assert not any(np.shares_memory(arr, b) for b in out[i + 1:])
+
+
+def test_steppers_write_into_out_what_they_would_return(lp):
+    # Given out, each stepper writes the arrays it would return fresh, bit
+    # for bit, into out's rows and returns those rows.
+    g = GridSpec(n_x=32, dt=0.1)
+    rng = np.random.default_rng(6)
+    u, v, u_hat, v_hat = rng.standard_normal((4, 33))
+    c_hat = rng.uniform(-0.02, 0.02, 33)
+    calls = [
+        lambda **kw: step_plant(u, v, 0.3, lp, g, 1.0, **kw),
+        lambda **kw: step_identifier(u_hat, v_hat, c_hat, u, v, 0.3, 0.05, lp, g, 1.0, **kw),
+    ]
+    for call in calls:
+        out = np.full((2, 33), np.nan)
+        got = call(out=out)
+        for row, arr, want in zip(out, got, call()):
+            assert np.shares_memory(arr, row) and np.array_equal(row, want)
+    out = np.full(33, np.nan)
+    got = update_c_hat(c_hat, v_hat, u, v, 0.01, 1.0, 0.02, g, out=out)
+    assert got is out
+    assert np.array_equal(out, update_c_hat(c_hat, v_hat, u, v, 0.01, 1.0, 0.02, g))
+
+
+def test_regressor_norm_is_the_sum_of_squared_l2_norms():
+    # The identifier's stacked norm keeps l2_norm's arithmetic row by row.
+    g = GridSpec(n_x=60, dt=0.1)
+    rng = np.random.default_rng(7)
+    for scale in (1e-6, 1.0, 1e3):
+        u, v = scale * rng.standard_normal((2, 61))
+        assert regressor_norm2(np.array((u, v)), g) == l2_norm(u, g) ** 2 + l2_norm(v, g) ** 2
