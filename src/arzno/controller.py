@@ -115,13 +115,13 @@ class ControllerConfig:
         if self.ic not in ("sine", "zero"):
             raise ValueError("ic must be 'sine' or 'zero'")
         for name in ("rho_gain", "gamma", "gamma1"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.tau_guess <= 0 or self.c_bar <= 0:
+        if not (self.tau_guess > 0 and self.c_bar > 0):
             raise ValueError("tau_guess and c_bar must be positive")
         if 0.5 / self.tau_guess > self.c_bar * (1 + 1e-12):
             raise ValueError("initial estimate -1/(2 tau_guess) exceeds c_bar")
-        if self.kernel_refresh_dt <= 0:
+        if not self.kernel_refresh_dt > 0:
             raise ValueError("kernel_refresh_dt must be positive")
         if not self.tol > 0 or self.max_iter < 1:
             raise ValueError("tol must be positive and max_iter at least 1")

@@ -85,7 +85,7 @@ def kernel_record_bytes(kp: KernelPair) -> bytes:
 
     Raises:
         ValueError: kp.kv is not exactly the trace the edge of Ku
-            implies (a surrogate pair, say), so it would not survive.
+            implies (a pair whose Kv was altered, say), so it would not survive.
     """
     ku, _ = _ku_and_ratio(kp)
     dt = _entry_dtype(kp.mesh.n)
@@ -381,7 +381,7 @@ def split_counts(ratio: Sequence[float], n: int) -> np.ndarray:
             nonzero share.
     """
     r = np.asarray(ratio, dtype=float)
-    if r.shape != (3,) or np.any(r < 0) or abs(r.sum() - 1.0) > 1e-9:
+    if r.shape != (3,) or not (np.all(r >= 0) and abs(r.sum() - 1.0) <= 1e-9):
         raise ValueError("ratio must be three non-negative shares summing to 1")
     n_parts = int(np.count_nonzero(r))
     if n < n_parts:

@@ -1,13 +1,12 @@
-"""Operator surrogate for the kernel solver: branch-trunk network.
+"""Operator surrogate for the kernel solver: a POD DeepONet.
 
-The network maps m samples of the coupling estimate c_hat to the two
-gain kernels at the nodes of the triangular kernel mesh.  A branch
-stack embeds the samples into a latent vector g, a trunk stack embeds
-a node (x, xi) into f, and each output head is the weighted inner
-product sum_i alpha_i g_i f_i.  NeuralKernelSource serves the loop;
-training and scoring form the same products batch by batch.
-Everything is float64 numpy: dense layers with tanh hidden units,
-analytic backprop, and an adaptive-moment optimizer, so training is
+A branch MLP maps m samples of the coupling estimate c_hat to the
+coefficients of the gain kernel Ku on a fixed trunk, the training Ku's
+mean and leading b POD modes (Lu et al., arXiv 2111.05512), fitted once
+in train and stored with the model.  Kv is, as for solved pairs and
+corpus records, the edge trace (lam r / mu) Ku(x - xi, 0).
+NeuralKernelSource serves the loop.  Everything is float64 numpy with
+analytic backprop and an adaptive-moment optimizer, so training is
 reproducible bit-for-bit from (seed, config).
 """
 
@@ -16,7 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "TrainConfig",
     "KernelDataset",
     "as_kernel_dataset",
-    "mesh_queries",
     "init_model",
     "loss_and_grads",
     "train",
@@ -46,27 +44,11 @@ __all__ = [
 ]
 
 _MAGIC = b"AZNO"
-_VERSION = 1
+_VERSION = 2
 
 
 class ModelFormatError(ValueError):
     """Raised for malformed, truncated, or mismatched model files."""
-
-
-def _layer_sizes(m: int, hidden: tuple[int, ...], b: int) -> list[int]:
-    return [m, *hidden, b]
-
-
-def _expected_shapes(
-    m: int, hidden: tuple[int, ...], b: int
-) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {"head": (2, b)}
-    for prefix, first in (("branch", m), ("trunk", 2)):
-        sizes = _layer_sizes(first, hidden, b)
-        for layer, (din, dout) in enumerate(zip(sizes[:-1], sizes[1:])):
-            shapes[f"{prefix}_w{layer}"] = (din, dout)
-            shapes[f"{prefix}_b{layer}"] = (dout,)
-    return shapes
 
 
 @dataclass
@@ -74,12 +56,14 @@ class DeepONetModel:
     """Parameters and structure of the kernel surrogate.
 
     Attributes:
-        m: branch input size (samples of c_hat on the mesh edge grid).
-        b: latent width (number of basis pairs).
-        hidden: hidden layer widths, shared by branch and trunk.
+        m: branch input size, the samples of c_hat on the mesh edge grid:
+            Ku has m (m + 1) / 2 nodes, in row-major tril order.
+        b: number of POD modes, the branch's output width.
+        hidden: hidden layer widths of the branch.
         c_scale: input normalization; the branch sees c_hat / c_scale.
-        params: weight dict; keys {branch,trunk}_{w,b}{layer} and "head"
-            with head[0] the Ku coefficients and head[1] the Kv ones.
+        params: the trained branch_{w,b}{layer}, and the basis: "mean"
+            (Ku's training mean) and "modes" ((b, nodes), orthonormal
+            rows); Ku is mean + a @ modes for the branch output a.
     """
 
     m: int
@@ -91,9 +75,16 @@ class DeepONetModel:
     def __post_init__(self) -> None:
         if self.m < 1 or self.b < 1 or not self.hidden:
             raise ValueError("m, b must be positive and hidden non-empty")
-        if self.c_scale <= 0:
+        n_tri = self.m * (self.m + 1) // 2
+        if self.b > n_tri:
+            raise ValueError("b must not exceed the m (m + 1) / 2 kernel nodes")
+        if not self.c_scale > 0:
             raise ValueError("c_scale must be positive")
-        expected = _expected_shapes(self.m, tuple(self.hidden), self.b)
+        expected = {"mean": (n_tri,), "modes": (self.b, n_tri)}
+        sizes = [self.m, *self.hidden, self.b]
+        for layer, (din, dout) in enumerate(zip(sizes[:-1], sizes[1:])):
+            expected[f"branch_w{layer}"] = (din, dout)
+            expected[f"branch_b{layer}"] = (dout,)
         if set(self.params) != set(expected):
             raise ValueError("parameter keys do not match the architecture")
         for key, shape in expected.items():
@@ -116,7 +107,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 1:
+        if not self.lr > 0 or self.batch_size < 1 or self.epochs < 1:
             raise ValueError("lr, batch_size, epochs must be positive")
         if not 0.0 < self.val_split < 1.0:
             raise ValueError("val_split must lie in (0, 1)")
@@ -128,9 +119,9 @@ class KernelDataset:
 
     ku holds Ku's lower-triangle node values in row-major tril order,
     matching the serialized kernel records, and ratio each record's
-    lam r / mu from its header.  Kv is not held: training and scoring
-    rebuild it from the edge of Ku for the rows in use, bit-identical
-    to the solver's; the kv property rebuilds it for the whole set.
+    lam r / mu from its header.  Kv is not held: it is the edge trace of
+    Ku, _kv_from_edge(ku, ratio[:, None], mesh_n), bit-identical to the
+    solver's; training and scoring use the edge of Ku for the rows in use.
     """
 
     mesh_n: int
@@ -152,13 +143,6 @@ class KernelDataset:
     def __len__(self) -> int:
         return self.c.shape[0]
 
-    @property
-    def kv(self) -> np.ndarray:
-        """Kv of every record, rebuilt from the edge of Ku (read-only)."""
-        kv = _kv_from_edge(self.ku, self.ratio[:, None], self.mesh_n)
-        kv.setflags(write=False)
-        return kv
-
 
 def as_kernel_dataset(
     data: KernelDataset | Iterable[tuple[np.ndarray, KernelPair]],
@@ -168,7 +152,7 @@ def as_kernel_dataset(
     Raises:
         ValueError: pairs on different meshes, c_samples off the edge
             grid, no pairs, or a pair whose Kv is not the edge trace of
-            its Ku (a surrogate pair, say), which the set cannot hold.
+            its Ku, which the set cannot hold.
     """
     if isinstance(data, KernelDataset):
         return data
@@ -216,23 +200,56 @@ class _Workspace:
 def _gather(
     data: KernelDataset, rows: np.ndarray, ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c, Ku and Kv of the given records, in ws buffers.
-
-    Kv is ratio * Ku(x - xi, 0), the product _kv_from_edge forms.
-    """
-    nb, n_tri = rows.size, data.ku.shape[1]
+    """c and Ku of the given records, in ws buffers, and their lam r / mu."""
+    nb = rows.size
     c = np.take(data.c, rows, axis=0, out=ws("c", nb, data.c.shape[1]), mode="clip")
-    yu = np.take(data.ku, rows, axis=0, out=ws("yu", nb, n_tri), mode="clip")
-    edge = _tril_layout(data.mesh_n)[2]
-    yv = np.take(yu, edge, axis=1, out=ws("yv", nb, n_tri), mode="clip")
-    yv *= data.ratio[rows][:, None]
-    return c, yu, yv
+    yu = np.take(data.ku, rows, axis=0, out=ws("yu", nb, data.ku.shape[1]), mode="clip")
+    return c, yu, data.ratio[rows]
 
 
-def mesh_queries(mesh: TriMesh) -> np.ndarray:
-    """Triangle node coordinates (x, xi) in row-major tril order."""
-    ii, jj = np.tril_indices(mesh.n)
-    return np.column_stack([mesh.x[ii], mesh.x[jj]])
+def _edge(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tril positions of the edge nodes (d, 0), and the n - d nodes on
+    each line x - xi = d dx, whose Kv is (lam r / mu) Ku(d dx, 0)."""
+    d = np.arange(n)
+    return d * (d + 1) // 2, (n - d).astype(float)
+
+
+def _fit_basis(
+    data: KernelDataset, rows: np.ndarray, b: int, chunk: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and b leading POD modes of the given records' Ku.
+
+    The Gram matrix is taken on the short side of the centred (records,
+    nodes) matrix, the nodes' summed chunk by chunk.  One QR makes the
+    modes orthonormal where snapshot modes are not (energy at rounding
+    level, or b past the data's rank), and each mode's largest |entry| is
+    made positive, so that a seeded fit is byte-reproducible.
+    """
+    n_tri = data.ku.shape[1]
+    starts = range(0, rows.size, chunk)
+    mean = sum(data.ku[rows[s : s + chunk]].sum(axis=0) for s in starts) / rows.size
+
+    def centred(s: int) -> np.ndarray:
+        return data.ku[rows[s : s + chunk]] - mean
+
+    if rows.size <= n_tri:
+        yc = data.ku[rows]
+        yc -= mean
+        gram = yc @ yc.T
+        del yc  # eigh's workspace is the peak; the modes are summed by chunk
+        vecs = np.linalg.eigh(gram)[1][:, ::-1][:, :b]
+        raw = sum(vecs[s : s + chunk].T @ centred(s) for s in starts)
+    else:
+        gram = np.zeros((n_tri, n_tri))
+        for s in starts:
+            y = centred(s)
+            gram += y.T @ y
+        raw = np.linalg.eigh(gram)[1][:, ::-1][:, :b].T
+    modes = np.zeros((n_tri, b))
+    modes[:, : raw.shape[0]] = raw.T
+    modes = np.linalg.qr(modes)[0].T
+    modes *= np.sign(modes[np.arange(b), np.argmax(np.abs(modes), axis=1)])[:, None]
+    return mean, np.ascontiguousarray(modes)
 
 
 def init_model(
@@ -242,21 +259,22 @@ def init_model(
     seed: int = 0,
     c_scale: float = 0.02,
 ) -> DeepONetModel:
-    """Fresh model with uniform Glorot weights and zero biases.
+    """Fresh model with uniform Glorot branch weights and zero biases.
 
-    The draw order is fixed (branch stack, trunk stack, head) so a seed
-    pins every parameter byte.
+    The draw order is fixed (layer by layer) so a seed pins every
+    parameter byte.  The basis is a placeholder, a zero mean and the
+    first b unit node vectors as modes, until train fits it.
     """
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    for prefix, first in (("branch", m), ("trunk", 2)):
-        sizes = _layer_sizes(first, tuple(hidden), b)
-        for layer, (din, dout) in enumerate(zip(sizes[:-1], sizes[1:])):
-            limit = np.sqrt(6.0 / (din + dout))
-            params[f"{prefix}_w{layer}"] = rng.uniform(-limit, limit, (din, dout))
-            params[f"{prefix}_b{layer}"] = np.zeros(dout)
-    limit = np.sqrt(6.0 / (2 * b))
-    params["head"] = rng.uniform(-limit, limit, (2, b))
+    sizes = [m, *hidden, b]
+    for layer, (din, dout) in enumerate(zip(sizes[:-1], sizes[1:])):
+        limit = np.sqrt(6.0 / (din + dout))
+        params[f"branch_w{layer}"] = rng.uniform(-limit, limit, (din, dout))
+        params[f"branch_b{layer}"] = np.zeros(dout)
+    n_tri = m * (m + 1) // 2
+    params["mean"] = np.zeros(n_tri)
+    params["modes"] = np.eye(b, n_tri)
     return DeepONetModel(
         m=m, b=b, hidden=tuple(hidden), c_scale=c_scale, params=params
     )
@@ -264,19 +282,18 @@ def init_model(
 
 def _forward_stack(
     params: dict[str, np.ndarray],
-    prefix: str,
     x: np.ndarray,
     n_hidden: int,
     ws: _Workspace | None = None,
 ) -> list[np.ndarray]:
-    """Activations of one stack, input first; layer outputs go to ws
+    """Activations of the branch, input first; layer outputs go to ws
     when given (x then must be a 2-D batch), else to fresh arrays."""
     acts = [x]
     for layer in range(n_hidden + 1):
-        w = params[f"{prefix}_w{layer}"]
-        out = None if ws is None else ws(f"{prefix}{layer}", x.shape[0], w.shape[1])
+        w = params[f"branch_w{layer}"]
+        out = None if ws is None else ws(f"branch{layer}", x.shape[0], w.shape[1])
         z = np.matmul(acts[-1], w, out=out)
-        z += params[f"{prefix}_b{layer}"]
+        z += params[f"branch_b{layer}"]
         if layer < n_hidden:
             np.tanh(z, out=z)
         acts.append(z)
@@ -285,7 +302,6 @@ def _forward_stack(
 
 def _backward_stack(
     params: dict[str, np.ndarray],
-    prefix: str,
     acts: list[np.ndarray],
     d_out: np.ndarray,
     grads: dict[str, np.ndarray],
@@ -294,117 +310,93 @@ def _backward_stack(
     n_hidden = len(acts) - 2
     d = d_out
     for layer in range(n_hidden, -1, -1):
-        grads[f"{prefix}_w{layer}"] = acts[layer].T @ d
-        grads[f"{prefix}_b{layer}"] = d.sum(axis=0)
+        grads[f"branch_w{layer}"] = acts[layer].T @ d
+        grads[f"branch_b{layer}"] = d.sum(axis=0)
         if layer > 0:
             # d <- (d W^T) * (1 - a^2), a the tanh output feeding the layer.
             a = acts[layer]
-            w = params[f"{prefix}_w{layer}"]
-            d = np.matmul(d, w.T, out=ws(f"{prefix}_d{layer}", *a.shape))
-            slope = np.multiply(a, a, out=ws(f"{prefix}_s{layer}", *a.shape))
+            w = params[f"branch_w{layer}"]
+            d = np.matmul(d, w.T, out=ws(f"branch_d{layer}", *a.shape))
+            slope = np.multiply(a, a, out=ws(f"branch_s{layer}", *a.shape))
             np.subtract(1.0, slope, out=slope)
             d *= slope
+
+
+def _residuals(
+    model: DeepONetModel,
+    c: np.ndarray,
+    yu: np.ndarray,
+    ratio: np.ndarray,
+    ws: _Workspace,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, float]:
+    """Branch activations, a - t, Ku's edge residual e, and the squared
+    node residuals of both heads summed over the batch.
+
+    With orthonormal modes Phi, branch output a and y = Ku,
+    ||mean + a Phi - y||^2 = ||a - t||^2 + ||y - mean||^2 - ||t||^2 for
+    t = (y - mean) Phi^T, and Kv's is (lam r / mu)^2 sum_d (n - d) e_d^2,
+    so no (records, nodes) prediction is formed.
+    """
+    p = model.params
+    mean, modes = p["mean"], p["modes"]
+    x = np.divide(c, model.c_scale, out=ws("x", *c.shape))
+    acts = _forward_stack(p, x, len(model.hidden), ws)
+    t = np.matmul(yu, modes.T, out=ws("t", c.shape[0], model.b))
+    t -= modes @ mean
+    edge, count = _edge(model.m)
+    e = np.matmul(acts[-1], modes[:, edge], out=ws("e", c.shape[0], model.m))
+    e -= yu[:, edge] - mean[edge]
+    power = (
+        np.vdot(yu, yu) - 2.0 * np.sum(yu @ mean) + yu.shape[0] * (mean @ mean)
+        - np.vdot(t, t) + (ratio * ratio) @ (e * e) @ count
+    )
+    da = np.subtract(acts[-1], t, out=t)
+    return acts, da, e, float(power + np.vdot(da, da))
 
 
 def loss_and_grads(
     model: DeepONetModel,
     c_batch: np.ndarray,
     yu: np.ndarray,
-    yv: np.ndarray,
-    queries: np.ndarray,
+    ratio: np.ndarray,
     ws: _Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean squared error over both heads and its parameter gradients.
+    """Mean squared node error over both heads and its branch gradients.
 
-    The trunk is evaluated once for the shared query set; predictions
-    for the whole batch are formed by the latent inner products.  The
-    loss is sum over heads of mean((pred - target)^2).  Activations,
-    residuals and back-propagated deltas go to ws when given (train
-    passes one, so a step allocates no large array); the gradients are
-    fresh arrays either way.
+    yu holds the batch's Ku targets in row-major tril order and ratio
+    their lam r / mu; Kv, predicted and target, is the edge trace of Ku.
+    The loss is sum over heads of mean((pred - target)^2).  Activations
+    and deltas go to ws when given (train passes one, so a step
+    allocates no large array); the gradients are fresh arrays.
     """
     ws = _Workspace() if ws is None else ws
-    params = model.params
-    n_hidden = len(model.hidden)
-    x = np.divide(c_batch, model.c_scale, out=ws("x", *c_batch.shape))
-    b_acts = _forward_stack(params, "branch", x, n_hidden, ws)
-    t_acts = _forward_stack(params, "trunk", queries, n_hidden, ws)
-    lat_g = b_acts[-1]
-    lat_f = t_acts[-1]
-    head = params["head"]
+    acts, da, e, power = _residuals(model, c_batch, yu, ratio, ws)
     denom = yu.size
-    resid = ws("resid", *yu.shape)
-    square = ws("square", *yu.shape)
-    sums, tgs, d_branch = [], [], []
-    # One head at a time through one residual buffer: its gradient terms
-    # are taken before the next head's residual overwrites it.
-    for k, y in enumerate((yu, yv)):
-        f = np.multiply(lat_f, head[k], out=ws(f"f{k}", *lat_f.shape))
-        np.matmul(lat_g, f.T, out=resid)
-        resid -= y
-        sums.append(np.sum(np.multiply(resid, resid, out=square)))
-        resid *= 2.0 / denom
-        tgs.append(np.matmul(resid.T, lat_g, out=ws(f"tg{k}", *lat_f.shape)))
-        d_branch.append(np.matmul(resid, f, out=ws(f"db{k}", *lat_g.shape)))
-    loss = (sums[0] + sums[1]) / denom
-    scratch = ws("tq", *lat_f.shape)
-    grads: dict[str, np.ndarray] = {
-        "head": np.stack(
-            [np.multiply(tg, lat_f, out=scratch).sum(axis=0) for tg in tgs]
-        )
-    }
-    d_branch[0] += d_branch[1]
-    _backward_stack(params, "branch", b_acts, d_branch[0], grads, ws)
-    d_trunk = np.multiply(tgs[0], head[0], out=ws("dt", *lat_f.shape))
-    d_trunk += np.multiply(tgs[1], head[1], out=scratch)
-    _backward_stack(params, "trunk", t_acts, d_trunk, grads, ws)
-    return float(loss), grads
-
-
-def _predict_chunked(
-    model: DeepONetModel,
-    data: KernelDataset,
-    rows: np.ndarray,
-    queries: np.ndarray,
-    ws: _Workspace,
-    chunk: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream (targets, predictions) over the given records of data.
-
-    The trunk is evaluated once; then, per chunk of rows, the branch
-    pass and each head's latent product yield one (targets,
-    predictions) pair, Ku's before Kv's, both (rows in chunk, nodes)
-    views of ws buffers that the next pair overwrites.  Kv targets are
-    rebuilt from the edge of Ku, so no whole-set array is formed.
-    """
-    n_hidden = len(model.hidden)
-    lat_f = _forward_stack(model.params, "trunk", queries, n_hidden, ws)[-1]
-    head = model.params["head"]
-    fs = [np.multiply(lat_f, head[k], out=ws(f"f{k}", *lat_f.shape)) for k in (0, 1)]
-    for start in range(0, rows.size, chunk):
-        c, yu, yv = _gather(data, rows[start : start + chunk], ws)
-        x = np.divide(c, model.c_scale, out=ws("x", *c.shape))
-        lat_g = _forward_stack(model.params, "branch", x, n_hidden, ws)[-1]
-        for f, y in zip(fs, (yu, yv)):
-            yield y, np.matmul(lat_g, f.T, out=ws("resid", *y.shape))
+    edge, count = _edge(model.m)
+    e *= (ratio * ratio)[:, None] * count
+    d_out = np.matmul(e, model.params["modes"][:, edge].T, out=ws("dout", *da.shape))
+    d_out += da
+    d_out *= 2.0 / denom
+    grads: dict[str, np.ndarray] = {}
+    _backward_stack(model.params, acts, d_out, grads, ws)
+    return power / denom, grads
 
 
 def _val_metrics(
     model: DeepONetModel,
     data: KernelDataset,
     rows: np.ndarray,
-    queries: np.ndarray,
     ws: _Workspace,
     chunk: int,
 ) -> tuple[float, float]:
     """(mse, relative error) of the given records, summed chunk by chunk."""
+    edge, count = _edge(data.mesh_n)
     res = ref = 0.0
-    for y, p in _predict_chunked(model, data, rows, queries, ws, chunk):
-        square = ws("square", *y.shape)
-        p -= y
-        res += np.sum(np.multiply(p, p, out=square))
-        ref += np.sum(np.multiply(y, y, out=square))
-    mse = float(res / (rows.size * queries.shape[0]))
+    for start in range(0, rows.size, chunk):
+        c, yu, ratio = _gather(data, rows[start : start + chunk], ws)
+        res += _residuals(model, c, yu, ratio, ws)[3]
+        ref += np.vdot(yu, yu) + (ratio * ratio) @ (yu[:, edge] ** 2) @ count
+    mse = float(res / (rows.size * data.ku.shape[1]))
     rel = float(np.sqrt(res / ref)) if ref > 0 else np.inf
     return mse, rel
 
@@ -415,14 +407,15 @@ def train(
     model: DeepONetModel | None = None,
     val_data: KernelDataset | Iterable[tuple[np.ndarray, KernelPair]] | None = None,
 ) -> tuple[DeepONetModel, list[dict[str, float]]]:
-    """Fit the surrogate by mini-batch gradient descent with Adam moments.
+    """Fit the basis, then the branch by mini-batch descent with Adam moments.
 
     Args:
         data: training pairs or stacked arrays.
         cfg: optimizer settings.
         model: model to continue training; a fresh default architecture
             is created when omitted, with c_scale set to the largest
-            input magnitude in the data.
+            input magnitude in the data.  Its basis is replaced by the
+            one fitted to the training records.
         val_data: held-out pairs scored once per epoch.  When omitted, a
             val_split fraction of data is carved off (at least one
             record, unless the dataset has a single record, which is
@@ -441,11 +434,8 @@ def train(
         if c_scale <= 0:
             c_scale = 0.02
         model = init_model(m=data.c.shape[1], seed=cfg.seed, c_scale=c_scale)
-    if data.c.shape[1] != model.m:
+    if data.c.shape[1] != model.m or data.mesh_n != model.m:
         raise ValueError("dataset sample count does not match model.m")
-
-    mesh = TriMesh(data.mesh_n)
-    queries = mesh_queries(mesh)
 
     # Records are addressed through index arrays, so neither part of a
     # carved-off split is copied.
@@ -463,15 +453,19 @@ def train(
             perm = rng.permutation(len(data))
             va, tr = perm[:n_val], perm[n_val:]
 
+    model.params["mean"], model.params["modes"] = _fit_basis(
+        data, tr, model.b, cfg.batch_size
+    )
+    trained = [k for k in model.params if k.startswith("branch_")]
     moments = {
-        "m": {k: np.zeros_like(p) for k, p in model.params.items()},
-        "v": {k: np.zeros_like(p) for k, p in model.params.items()},
+        "m": {k: np.zeros_like(model.params[k]) for k in trained},
+        "v": {k: np.zeros_like(model.params[k]) for k in trained},
     }
     step = 0
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     history: list[dict[str, float]] = []
     best_val = np.inf
-    best_params = {k: p.copy() for k, p in model.params.items()}
+    best_params = {k: model.params[k].copy() for k in trained}
     # Batches and validation chunks share one workspace, released on return.
     ws = _Workspace()
 
@@ -481,8 +475,8 @@ def train(
         running = 0.0
         for start in range(0, n_train, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            c_b, yu_b, yv_b = _gather(data, tr[idx], ws)
-            loss, grads = loss_and_grads(model, c_b, yu_b, yv_b, queries, ws)
+            c_b, yu_b, ratio_b = _gather(data, tr[idx], ws)
+            loss, grads = loss_and_grads(model, c_b, yu_b, ratio_b, ws)
             step += 1
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
@@ -498,7 +492,7 @@ def train(
         train_mse = running / n_train
         if not np.isfinite(train_mse):
             raise ArithmeticError(f"training diverged at epoch {epoch}")
-        val_mse, val_rel = _val_metrics(model, val, va, queries, ws, cfg.batch_size)
+        val_mse, val_rel = _val_metrics(model, val, va, ws, cfg.batch_size)
         history.append(
             {
                 "epoch": float(epoch),
@@ -509,8 +503,8 @@ def train(
         )
         if val_mse < best_val:
             best_val = val_mse
-            best_params = {k: p.copy() for k, p in model.params.items()}
-    model.params = best_params
+            best_params = {k: model.params[k].copy() for k in trained}
+    model.params.update(best_params)
     return model, history
 
 
@@ -521,22 +515,29 @@ def eval_accuracy(
     """Absolute-error report per head over a test set.
 
     Returns max and mean absolute node errors for Ku and Kv, streamed
-    over chunks of the default batch size.
+    over chunks of the default batch size; Kv's are the edge trace of
+    Ku's, scaled by |lam r / mu|.
     """
     data = as_kernel_dataset(data)
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    queries = mesh_queries(TriMesh(data.mesh_n))
     rows = np.arange(len(data))
+    ws = _Workspace()
     worst, total = [0.0, 0.0], [0.0, 0.0]
-    chunks = _predict_chunked(
-        model, data, rows, queries, _Workspace(), TrainConfig().batch_size
-    )
-    for k, (y, p) in enumerate(chunks):
-        err = np.abs(np.subtract(p, y, out=p), out=p)
-        worst[k % 2] = max(worst[k % 2], float(err.max()))
-        total[k % 2] += float(err.sum())
-    size = rows.size * queries.shape[0]
+    chunk = TrainConfig().batch_size
+    for start in range(0, rows.size, chunk):
+        c, yu, ratio = _gather(data, rows[start : start + chunk], ws)
+        x = np.divide(c, model.c_scale, out=ws("x", *c.shape))
+        a = _forward_stack(model.params, x, len(model.hidden), ws)[-1]
+        err = np.matmul(a, model.params["modes"], out=ws("err", *yu.shape))
+        err += model.params["mean"]
+        err -= yu
+        np.abs(err, out=err)
+        err_v = _kv_from_edge(err, np.abs(ratio)[:, None], data.mesh_n)
+        for k, e in enumerate((err, err_v)):
+            worst[k] = max(worst[k], float(e.max()))
+            total[k] += float(e.sum())
+    size = rows.size * data.ku.shape[1]
     return {
         "ku_max": worst[0],
         "ku_mean": total[0] / size,
@@ -588,6 +589,10 @@ def load_model(path: str | Path) -> DeepONetModel:
     if reader.take(4) != _MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
     version, m, b, n_hidden = reader.unpack("<IIII")
+    if version == 1:
+        raise ModelFormatError(
+            "model format version 1 (branch-trunk) is retired; retrain the model"
+        )
     if version != _VERSION:
         raise ModelFormatError(f"unsupported model format version {version}")
     if n_hidden == 0 or n_hidden > 64:
@@ -621,9 +626,9 @@ def load_model(path: str | Path) -> DeepONetModel:
 class NeuralKernelSource:
     """Kernel acquisition through the trained surrogate.
 
-    The trunk basis over the mesh nodes is fixed after training, so it
-    is evaluated once here; each acquisition is then a single branch
-    pass plus two latent matrix-vector products.
+    Each acquisition is one branch pass and one product with the modes
+    for Ku; Kv is built from Ku's edge by the solver's own rule, so a
+    surrogate pair is stored and read like a solved one.
     """
 
     def __init__(self, model: DeepONetModel, mesh: TriMesh, lp: LinearizedParams):
@@ -634,29 +639,18 @@ class NeuralKernelSource:
         self.model = model
         self.mesh = mesh
         self.lp = lp
-        n_hidden = len(model.hidden)
-        lat_f = _forward_stack(
-            model.params, "trunk", mesh_queries(mesh), n_hidden
-        )[-1]
-        head = model.params["head"]
-        # Both heads stacked into one matrix: a single latent product per
-        # acquisition keeps dispatch overhead off the control loop's
-        # critical path.
-        self._f_all = np.ascontiguousarray(
-            np.vstack([lat_f * head[0], lat_f * head[1]])
-        )
         # The branch layers as (W, b) pairs, so an acquisition runs
         # _forward_stack's arithmetic without its parameter lookups.
         self._branch = [
             (model.params[f"branch_w{layer}"], model.params[f"branch_b{layer}"])
-            for layer in range(n_hidden + 1)
+            for layer in range(len(model.hidden) + 1)
         ]
-        # Flat positions of both heads' lower triangles in one (2, n, n)
-        # buffer, Ku's first.
+        # The ratio as _ku_and_ratio forms it, so that a pair passes it.
+        self._ratio = lp.lam_n * lp.r / lp.mu_n
         n = mesh.n
-        ii, jj = np.tril_indices(n)
-        flat = ii * n + jj
-        self._flat = np.concatenate([flat, flat + n * n])
+        ii, jj, _ = _tril_layout(n)
+        self._flat_u = ii * n + jj
+        self._flat_v = self._flat_u + n * n
 
     def acquire(self, c_mesh: np.ndarray) -> KernelPair:
         c_mesh = np.asarray(c_mesh, dtype=float)
@@ -666,9 +660,13 @@ class NeuralKernelSource:
         *hidden, (w_out, b_out) = self._branch
         for w, b in hidden:
             h = np.tanh(h @ w + b)
+        params = self.model.params
+        ku_tri = (h @ w_out + b_out) @ params["modes"]
+        ku_tri += params["mean"]
         n = self.mesh.n
         out = np.zeros(2 * n * n)
-        out[self._flat] = self._f_all @ (h @ w_out + b_out)
+        out[self._flat_u] = ku_tri
+        out[self._flat_v] = _kv_from_edge(ku_tri, self._ratio, n)
         ku, kv = out.reshape(2, n, n)
         return KernelPair._trusted(
             self.mesh, ku, kv, self.lp.lam_n, self.lp.mu_n, self.lp.r

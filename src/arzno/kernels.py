@@ -385,7 +385,7 @@ def _kv_from_edge(ku_tri: np.ndarray, ratio: float | np.ndarray, n: int) -> np.n
     operand order is solve_kernels', so the result is bit-identical to
     the Kv it builds.
     """
-    return ratio * ku_tri[..., _tril_layout(n)[2]]
+    return ratio * np.take(ku_tri, _tril_layout(n)[2], axis=-1)
 
 
 def _ku_and_ratio(kp: KernelPair) -> tuple[np.ndarray, float]:
@@ -394,7 +394,7 @@ def _ku_and_ratio(kp: KernelPair) -> tuple[np.ndarray, float]:
 
     Raises:
         ValueError: kp.kv is not exactly the trace the edge of Ku
-            implies (a surrogate pair, say), so it could not be rebuilt.
+            implies (a pair whose Kv was altered, say), so it could not be rebuilt.
     """
     n = kp.mesh.n
     ii, jj, _ = _tril_layout(n)

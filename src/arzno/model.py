@@ -57,9 +57,9 @@ class TrafficParams:
     length: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.v_f <= 0 or self.rho_m <= 0 or self.tau <= 0 or self.length <= 0:
+        if not (self.v_f > 0 and self.rho_m > 0 and self.tau > 0 and self.length > 0):
             raise ValueError("v_f, rho_m, tau and length must be positive")
-        if self.gamma0 <= 0:
+        if not self.gamma0 > 0:
             raise ValueError("pressure exponent gamma0 must be positive")
         if not 0.0 < self.rho_star < self.rho_m:
             raise ValueError("equilibrium density must satisfy 0 < rho_star < rho_m")

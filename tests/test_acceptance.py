@@ -28,11 +28,10 @@ from arzno.deeponet import (
     init_model,
     load_model,
     loss_and_grads,
-    mesh_queries,
     save_model,
     train,
 )
-from arzno.kernels import TriMesh, solve_inverse_kernels, solve_kernels
+from arzno.kernels import TriMesh, _kv_from_edge, solve_inverse_kernels, solve_kernels
 from arzno.sim import GridSpec, step_identifier, step_plant, update_c_hat
 
 
@@ -88,7 +87,8 @@ def trained(corpus, tmp_path_factory):
     model, history = train(ds_train, cfg, model=model, val_data=ds_val)
     wall = time.perf_counter() - t0
     # Relative fit: residual power of the last epoch over label power.
-    ref = float(np.sum(ds_train.ku**2) + np.sum(ds_train.kv**2))
+    kv = _kv_from_edge(ds_train.ku, ds_train.ratio[:, None], ds_train.mesh_n)
+    ref = float(np.sum(ds_train.ku**2) + np.sum(kv**2))
     rel = float(np.sqrt(history[-1]["train_mse"] * ds_train.ku.size / ref))
     path = tmp_path_factory.mktemp("acceptance_model") / "model.bin"
     save_model(model, path)
@@ -312,25 +312,26 @@ def _check_v3_monotone(exact_run):
 
 def _check_gradients():
     rng = np.random.default_rng(4)
-    model = init_model(m=6, b=3, hidden=(5,), seed=6, c_scale=0.02)
-    queries = mesh_queries(TriMesh(8))
-    c_batch = rng.uniform(-0.02, 0.0, (2, 6))
-    yu = rng.standard_normal((2, queries.shape[0]))
-    yv = rng.standard_normal((2, queries.shape[0]))
-    _, grads = loss_and_grads(model, c_batch, yu, yv, queries)
-    for key, arr in model.params.items():
-        flat = arr.reshape(-1)
+    model = init_model(m=8, b=3, hidden=(5,), seed=6, c_scale=0.02)
+    model.params["mean"] = rng.normal(0.0, 0.01, 36)
+    model.params["modes"] = np.linalg.qr(rng.standard_normal((36, 3)))[0].T
+    c_batch = rng.uniform(-0.02, 0.0, (2, 8))
+    yu = rng.standard_normal((2, 36))
+    ratio = rng.uniform(0.4, 0.7, 2)
+    _, grads = loss_and_grads(model, c_batch, yu, ratio)
+    for key, grad in grads.items():
+        flat = model.params[key].reshape(-1)
         num = np.empty(flat.size)
         for idx in range(flat.size):
             keep = flat[idx]
             h = 1e-6 * max(1.0, abs(keep))
             flat[idx] = keep + h
-            hi = loss_and_grads(model, c_batch, yu, yv, queries)[0]
+            hi = loss_and_grads(model, c_batch, yu, ratio)[0]
             flat[idx] = keep - h
-            lo = loss_and_grads(model, c_batch, yu, yv, queries)[0]
+            lo = loss_and_grads(model, c_batch, yu, ratio)[0]
             flat[idx] = keep
             num[idx] = (hi - lo) / (2.0 * h)
-        if not np.allclose(num, grads[key].reshape(-1), rtol=1e-5, atol=1e-8):
+        if not np.allclose(num, grad.reshape(-1), rtol=1e-5, atol=1e-8):
             return False, f"gradient mismatch in {key}"
     return True, ""
 

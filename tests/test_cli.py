@@ -200,6 +200,30 @@ def test_solver_settings_exit_1_before_out(fast_env, capsys, monkeypatch, name, 
     assert not (fast_env / "x").exists()
 
 
+_SIMULATE = ["simulate", "--mode", "exact", "--out", "x"]
+_NAN_SETTINGS = {
+    "CONTROLLER_TAU_GUESS": ("nan", _SIMULATE),
+    "CONTROLLER_C_BAR": ("nan", _SIMULATE),
+    "CONTROLLER_GAMMA": ("nan", _SIMULATE),
+    "CONTROLLER_KERNEL_REFRESH_DT": ("nan", _SIMULATE),
+    "TRAFFIC_LENGTH": ("nan", _SIMULATE),
+    "TRAFFIC_TAU": ("nan", _SIMULATE),
+    "DEEPONET_LR": ("nan", ["train", "--data", "nowhere", "--out", "x"]),
+    "DATASET_SPLIT": ("nan,0.5,0.5", ["gen-dataset", "--out", "x"]),
+}
+
+
+@pytest.mark.parametrize("key", list(_NAN_SETTINGS))
+def test_nan_setting_exits_1_before_out(fast_env, capsys, monkeypatch, key):
+    # NaN fails every "must be positive" check written as not x > 0; as
+    # x <= 0 it passed, and the run stalled (2) or wrote a 0/0/3 split.
+    raw, argv = _NAN_SETTINGS[key]
+    monkeypatch.setenv(f"ARZNO_{key}", raw)
+    assert main(argv) == 1
+    assert "error" in capsys.readouterr().err
+    assert not (fast_env / "x").exists()
+
+
 def test_numerical_failure_exits_2(fast_env, capsys, monkeypatch):
     # dt = 2 s divides the 2 s horizon but breaks the CFL bound.
     monkeypatch.setenv("ARZNO_GRID_DT", "2")
@@ -220,6 +244,19 @@ def test_io_errors_exit_3(fast_env, capsys):
 
     (fast_env / "model8.bin").write_bytes(b"NOTAMODEL")
     assert main(["eval", "--model", "model8.bin", "--data", "nowhere"]) == 3
+
+
+def test_version_1_model_asks_for_retraining_and_exits_3(fast_env, capsys):
+    # A format version 1 file holds a branch-trunk network, which this
+    # surrogate cannot read: every command that reads a model exits 3.
+    blob = b"AZNO" + struct.pack("<IIII", 1, 21, 8, 2) + struct.pack("<2I", 16, 16)
+    (fast_env / "v1.bin").write_bytes(blob)
+    assert main(["simulate", "--mode", "no", "--model", "v1.bin", "--out", "x"]) == 3
+    assert "retrain" in capsys.readouterr().err
+    assert not (fast_env / "x").exists()
+    assert main(["eval", "--model", "v1.bin", "--data", "nowhere"]) == 3
+    assert main(["bench", "--model", "v1.bin", "--out", "b.json"]) == 3
+    assert "retrain" in capsys.readouterr().err
 
 
 def test_model_with_non_utf8_parameter_name_exits_3(fast_env, capsys):

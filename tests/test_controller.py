@@ -665,18 +665,16 @@ def _ref_update_c_hat(c_hat, v_hat, u, v, gamma1, gamma, c_bar, g, out=None):
 
 def _ref_acquire(self, c_mesh):
     model = self.model
-    lat_g = _forward_stack(
-        model.params, "branch", c_mesh / model.c_scale, len(model.hidden)
-    )[-1]
-    pred = self._f_all @ lat_g
+    coef = _forward_stack(model.params, c_mesh / model.c_scale, len(model.hidden))[-1]
+    pred = model.params["mean"] + coef @ model.params["modes"]
     n = self.mesh.n
     ii, jj = np.tril_indices(n)
-    tri = pred.size // 2
+    d = ii - jj
+    lp = self.lp
     ku = np.zeros((n, n))
     kv = np.zeros((n, n))
-    ku[ii, jj] = pred[:tri]
-    kv[ii, jj] = pred[tri:]
-    lp = self.lp
+    ku[ii, jj] = pred
+    kv[ii, jj] = (lp.lam_n * lp.r / lp.mu_n) * pred[d * (d + 1) // 2]
     return KernelPair(
         mesh=self.mesh, ku=ku, kv=kv, lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r
     )

@@ -28,9 +28,14 @@ from arzno.dataset import (
     verify_labels,
 )
 from arzno.deeponet import NeuralKernelSource, init_model
-from arzno.kernels import KernelPair, TriMesh, solve_kernels
+from arzno.kernels import KernelPair, TriMesh, _kv_from_edge, solve_kernels
 from arzno.model import TrafficParams
 from arzno.sim import GridSpec
+
+
+def _kv(data):
+    """Kv of every record of a Ku-only set: the edge trace of its Ku."""
+    return _kv_from_edge(data.ku, data.ratio[:, None], data.mesh_n)
 
 _GRID = GridSpec(n_x=60, dt=0.1, t_end=1.0)
 _CFG = ControllerConfig(mesh_n=21)
@@ -94,14 +99,14 @@ def test_load_records_matches_iter_family(corpus):
     assert data.mesh_n == 21
     tri = 21 * 22 // 2
     assert data.c.shape == (100, 21)
-    assert data.ku.shape == (100, tri) and data.kv.shape == (100, tri)
+    assert data.ku.shape == (100, tri) and _kv(data).shape == (100, tri)
     assert np.all(np.abs(data.c) <= _CFG.c_bar + 1e-12)
 
     _, c0, kp0 = next(iter_family(root / man["families"][0]["path"], 21))
     ii, jj = np.tril_indices(21)
     np.testing.assert_array_equal(data.c[0], c0)
     np.testing.assert_array_equal(data.ku[0], kp0.ku[ii, jj])
-    np.testing.assert_array_equal(data.kv[0], kp0.kv[ii, jj])
+    np.testing.assert_array_equal(_kv(data)[0], kp0.kv[ii, jj])
 
 
 def _ref_load_records(manifest):
@@ -135,7 +140,7 @@ def test_load_records_matches_two_head_decode(corpus):
         c, ku, kv = _ref_load_records(part)
         assert np.array_equal(data.c, c)
         assert np.array_equal(data.ku, ku)
-        assert np.array_equal(data.kv, kv)
+        assert np.array_equal(_kv(data), kv)
 
 
 def test_load_records_peak_is_the_set_plus_one_family(corpus):
@@ -306,7 +311,7 @@ def test_loaded_records_are_the_acquired_pairs(tmp_path):
     for k, ((c, kp), (c_it, kp_it)) in enumerate(zip(pairs, stored)):
         assert np.array_equal(data.c[k], c) and np.array_equal(c_it, c)
         assert np.array_equal(data.ku[k], kp.ku[ii, jj])
-        assert np.array_equal(data.kv[k], kp.kv[ii, jj])
+        assert np.array_equal(_kv(data)[k], kp.kv[ii, jj])
         assert np.array_equal(kp_it.ku, kp.ku) and np.array_equal(kp_it.kv, kp.kv)
 
 
@@ -452,7 +457,7 @@ def test_stacked_entries_decode_like_single_entries(lp, tmp_path):
         assert np.array_equal(data.c[k], c) and np.array_equal(stored[k][1], c)
         assert np.array_equal(data.ku[k], kp.ku[ii, jj])
         assert data.ratio[k] == kp.lam_n * kp.r / kp.mu_n
-        assert np.array_equal(data.kv[k], kp.kv[ii, jj])
+        assert np.array_equal(_kv(data)[k], kp.kv[ii, jj])
         assert np.array_equal(stored[k][2].ku, kp.ku)
         assert np.array_equal(stored[k][2].kv, kp.kv)
     (tmp_path / "empty.bin").write_bytes(b"")
@@ -485,12 +490,24 @@ def test_underived_kv_is_not_stored(lp):
     kv = kp.kv.copy()
     kv[7, 3] = np.nextafter(kv[7, 3], np.inf)
     nudged = KernelPair(mesh=mesh, ku=kp.ku, kv=kv, lam_n=kp.lam_n, mu_n=kp.mu_n, r=kp.r)
+    with pytest.raises(ValueError, match="edge trace"):
+        kernel_record_bytes(nudged)
+    with pytest.raises(ValueError, match="edge trace"):
+        _entry(0.0, lp.c_samples(21), nudged)
+
+
+def test_surrogate_pair_round_trips_through_a_record(lp, tmp_path):
+    # A surrogate builds Kv by the solver's rule, so its pair is stored
+    # like a solved one and read back exactly, Kv rebuilt from Ku's edge.
+    mesh = TriMesh(21)
     surrogate = NeuralKernelSource(init_model(m=21, b=8, hidden=(16,)), mesh, lp)
-    for pair in (nudged, surrogate.acquire(lp.c_samples(21))):
-        with pytest.raises(ValueError, match="edge trace"):
-            kernel_record_bytes(pair)
-        with pytest.raises(ValueError, match="edge trace"):
-            _entry(0.0, lp.c_samples(21), pair)
+    c = lp.c_samples(21)
+    pair = surrogate.acquire(c)
+    (tmp_path / "family.bin").write_bytes(_entry(0.0, c, pair))
+    [(t, c_back, back)] = iter_family(tmp_path / "family.bin", 21)
+    assert t == 0.0 and np.array_equal(c_back, c)
+    assert np.array_equal(back.ku, pair.ku) and np.array_equal(back.kv, pair.kv)
+    assert (back.lam_n, back.mu_n, back.r) == (pair.lam_n, pair.mu_n, pair.r)
 
 
 def test_golden_v2_corpus_round_trips_byte_for_byte():
@@ -512,4 +529,4 @@ def test_golden_v2_corpus_round_trips_byte_for_byte():
         assert np.array_equal(data.ku[k], kp.ku[ii, jj])
         assert data.ratio[k] == kp.lam_n * kp.r / kp.mu_n
     assert np.array_equal(data.c, ref_c) and np.array_equal(data.ku, ref_ku)
-    assert np.array_equal(data.kv, ref_kv)
+    assert np.array_equal(_kv(data), ref_kv)

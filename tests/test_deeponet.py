@@ -1,4 +1,4 @@
-"""Tests for the branch-trunk kernel surrogate and its training loop."""
+"""Tests for the POD kernel surrogate, its basis fit and its training loop."""
 
 import hashlib
 import struct
@@ -12,17 +12,17 @@ from arzno.deeponet import (
     ModelFormatError,
     NeuralKernelSource,
     TrainConfig,
+    _fit_basis,
     _forward_stack,
     as_kernel_dataset,
     eval_accuracy,
     init_model,
     load_model,
     loss_and_grads,
-    mesh_queries,
     save_model,
     train,
 )
-from arzno.kernels import TriMesh, solve_kernels
+from arzno.kernels import TriMesh, _kv_from_edge, solve_kernels
 
 
 def _coupling_profile(tau: float, x: np.ndarray) -> np.ndarray:
@@ -39,47 +39,60 @@ def _solved_pairs(lp, mesh: TriMesh, taus) -> list[tuple[np.ndarray, object]]:
     return out
 
 
-def _naive_stack(params, prefix, x, n_hidden):
+def _naive_stack(params, x, n_hidden):
     a = np.asarray(x, dtype=float)
     for layer in range(n_hidden):
-        a = np.tanh(a @ params[f"{prefix}_w{layer}"] + params[f"{prefix}_b{layer}"])
-    return a @ params[f"{prefix}_w{n_hidden}"] + params[f"{prefix}_b{n_hidden}"]
+        a = np.tanh(a @ params[f"branch_w{layer}"] + params[f"branch_b{layer}"])
+    return a @ params[f"branch_w{n_hidden}"] + params[f"branch_b{n_hidden}"]
+
+
+def _random_basis(model, seed):
+    # An orthonormal basis and a nonzero mean, as train would fit them.
+    rng = np.random.default_rng(seed)
+    n_tri = model.params["mean"].size
+    model.params["mean"] = rng.normal(0.0, 0.01, n_tri)
+    model.params["modes"] = np.linalg.qr(rng.standard_normal((n_tri, model.b)))[0].T
+    return model
 
 
 def test_forward_matches_naive_inner_product(lp):
     # The surrogate's forward pass, as the loop acquires it, is at every
-    # mesh node the head-weighted inner product of the branch and trunk
-    # stacks, written out term by term.
+    # mesh node the mean plus the branch-weighted sum of the modes,
+    # written out term by term; Kv at (x, xi) is lam r / mu times Ku at
+    # the edge node (x - xi, 0).
     mesh = TriMesh(8)
-    model = init_model(m=8, b=3, hidden=(5,), seed=11, c_scale=0.5)
+    model = _random_basis(init_model(m=8, b=3, hidden=(5,), seed=11, c_scale=0.5), 0)
     rng = np.random.default_rng(0)
     c = rng.uniform(-0.4, 0.4, 8)
     kp = NeuralKernelSource(model, mesh, lp).acquire(c)
-    g = _naive_stack(model.params, "branch", c / model.c_scale, 1)
-    head = model.params["head"]
-    for (x, xi), i, j in zip(mesh_queries(mesh), *np.tril_indices(8)):
-        f = _naive_stack(model.params, "trunk", np.array([x, xi]), 1)
-        want_u = sum(head[0, k] * g[k] * f[k] for k in range(3))
-        want_v = sum(head[1, k] * g[k] * f[k] for k in range(3))
+    a = _naive_stack(model.params, c / model.c_scale, 1)
+    mean, modes = model.params["mean"], model.params["modes"]
+    ratio = lp.lam_n * lp.r / lp.mu_n
+    for node, (i, j) in enumerate(zip(*np.tril_indices(8))):
+        want_u = mean[node] + sum(a[k] * modes[k, node] for k in range(3))
+        d = i - j
+        edge = d * (d + 1) // 2
+        want_v = ratio * (mean[edge] + sum(a[k] * modes[k, edge] for k in range(3)))
         assert kp.ku[i, j] == pytest.approx(want_u, rel=1e-12)
         assert kp.kv[i, j] == pytest.approx(want_v, rel=1e-12)
 
 
 def test_gradients_match_central_differences():
     rng = np.random.default_rng(5)
-    model = init_model(m=8, b=4, hidden=(6,), seed=7, c_scale=0.02)
-    mesh = TriMesh(8)
-    queries = mesh_queries(mesh)
+    model = _random_basis(init_model(m=8, b=4, hidden=(6,), seed=7, c_scale=0.02), 1)
+    n_tri = 8 * 9 // 2
     c_batch = rng.uniform(-0.02, 0.0, (3, 8))
-    yu = rng.standard_normal((3, queries.shape[0]))
-    yv = rng.standard_normal((3, queries.shape[0]))
+    yu = rng.standard_normal((3, n_tri))
+    ratio = rng.uniform(0.4, 0.7, 3)
 
-    _, grads = loss_and_grads(model, c_batch, yu, yv, queries)
+    _, grads = loss_and_grads(model, c_batch, yu, ratio)
+    assert set(grads) == {k for k in model.params if k.startswith("branch_")}
 
     def loss_at() -> float:
-        return loss_and_grads(model, c_batch, yu, yv, queries)[0]
+        return loss_and_grads(model, c_batch, yu, ratio)[0]
 
-    for key, arr in model.params.items():
+    for key, grad in grads.items():
+        arr = model.params[key]
         num = np.empty_like(arr)
         flat = arr.reshape(-1)
         num_flat = num.reshape(-1)
@@ -93,8 +106,42 @@ def test_gradients_match_central_differences():
             flat[idx] = keep
             num_flat[idx] = (hi - lo) / (2.0 * h)
         np.testing.assert_allclose(
-            num, grads[key], rtol=1e-5, atol=1e-8, err_msg=key
+            num, grad, rtol=1e-5, atol=1e-8, err_msg=key
         )
+
+
+@pytest.mark.parametrize("records", [20, 60], ids=["record-gram", "node-gram"])
+def test_fit_basis_is_the_svd_basis(records):
+    # Fewer records than the 36 nodes of a mesh-8 Ku take the records'
+    # Gram matrix, more take the nodes', summed in chunks of 7: both give
+    # the leading right singular vectors of the centred set, orthonormal
+    # and with each mode's largest |entry| positive.
+    rng = np.random.default_rng(records)
+    n_tri, b = 36, 5
+    scales = 2.0 ** -np.arange(12)
+    ku = rng.standard_normal((records, 12)) * scales @ rng.standard_normal((12, n_tri))
+    data = KernelDataset(mesh_n=8, c=np.zeros((records, 8)), ku=ku + 0.3,
+                         ratio=np.ones(records))
+    rows = rng.permutation(records)
+    mean, modes = _fit_basis(data, rows, b, 7)
+    np.testing.assert_allclose(mean, data.ku.mean(axis=0), rtol=1e-12)
+    want = np.linalg.svd(data.ku - mean, full_matrices=False)[2][:b]
+    want *= np.sign(want[np.arange(b), np.argmax(np.abs(want), axis=1)])[:, None]
+    np.testing.assert_allclose(modes, want, atol=1e-9)
+    np.testing.assert_allclose(modes @ modes.T, np.eye(b), atol=1e-14)
+    assert np.all(modes[np.arange(b), np.argmax(np.abs(modes), axis=1)] > 0)
+
+
+def test_fit_basis_completes_modes_past_the_rank():
+    # Two records leave one direction of variance; the other modes still
+    # come back orthonormal, and the fit is deterministic.
+    rng = np.random.default_rng(2)
+    data = KernelDataset(mesh_n=8, c=np.zeros((2, 8)),
+                         ku=rng.standard_normal((2, 36)), ratio=np.ones(2))
+    mean, modes = _fit_basis(data, np.arange(2), 30, 256)
+    np.testing.assert_allclose(modes @ modes.T, np.eye(30), atol=1e-14)
+    again = _fit_basis(data, np.arange(2), 30, 256)
+    assert np.array_equal(mean, again[0]) and np.array_equal(modes, again[1])
 
 
 def test_memorizes_solver_kernels(lp):
@@ -177,36 +224,40 @@ def test_load_rejects_malformed_files(tmp_path):
     with pytest.raises(ModelFormatError, match="trailing"):
         load_model(bad)
 
-    bad.write_bytes(b"AZNO" + struct.pack("<IIII", 2, 4, 2, 1))
-    with pytest.raises(ModelFormatError, match="version"):
+    bad.write_bytes(b"AZNO" + struct.pack("<IIII", 3, 4, 2, 1))
+    with pytest.raises(ModelFormatError, match="version 3"):
         load_model(bad)
 
-    bad.write_bytes(b"AZNO" + struct.pack("<IIII", 1, 4, 2, 0))
+    # A branch-trunk model of format version 1 must be retrained.
+    bad.write_bytes(b"AZNO" + struct.pack("<IIII", 1, 4, 2, 1))
+    with pytest.raises(ModelFormatError, match="retrain"):
+        load_model(bad)
+
+    bad.write_bytes(b"AZNO" + struct.pack("<IIII", 2, 4, 2, 0))
     with pytest.raises(ModelFormatError, match="hidden"):
         load_model(bad)
 
-    bad.write_bytes(b"AZNO" + struct.pack("<IIII", 1, 4, 2, 65))
+    bad.write_bytes(b"AZNO" + struct.pack("<IIII", 2, 4, 2, 65))
     with pytest.raises(ModelFormatError, match="hidden"):
         load_model(bad)
 
 
 def test_neural_source_matches_forward(lp):
-    # Both heads at all mesh nodes at once, against the naive stacks.
+    # Both heads at all mesh nodes at once, against the naive branch and
+    # the solver's Kv rule.
     mesh = TriMesh(12)
-    model = init_model(m=12, b=6, hidden=(8, 8), seed=2, c_scale=0.02)
+    model = _random_basis(init_model(m=12, b=6, hidden=(8, 8), seed=2, c_scale=0.02), 3)
     source = NeuralKernelSource(model, mesh, lp)
     rng = np.random.default_rng(1)
     c = rng.uniform(-0.02, 0.0, 12)
     kp = source.acquire(c)
-    g = _naive_stack(model.params, "branch", c / model.c_scale, 2)
-    f = _naive_stack(model.params, "trunk", mesh_queries(mesh), 2)
-    head = model.params["head"]
+    a = _naive_stack(model.params, c / model.c_scale, 2)
+    want_u = model.params["mean"] + a @ model.params["modes"]
+    want_v = _kv_from_edge(want_u, lp.lam_n * lp.r / lp.mu_n, 12)
     ii, jj = np.tril_indices(12)
-    for k, arr in enumerate((kp.ku, kp.kv)):
-        want = (f * head[k]) @ g
+    for arr, want in ((kp.ku, want_u), (kp.kv, want_v)):
         np.testing.assert_allclose(arr[ii, jj], want, rtol=1e-12, atol=1e-15)
-    assert np.all(kp.ku[np.triu_indices(12, k=1)] == 0.0)
-    assert np.all(kp.kv[np.triu_indices(12, k=1)] == 0.0)
+        assert np.all(arr[np.triu_indices(12, k=1)] == 0.0)
     assert kp.mesh is mesh
 
 
@@ -214,31 +265,32 @@ def test_neural_source_matches_forward(lp):
 def test_neural_source_pairs_are_the_stacked_prediction(lp, hidden):
     # The acquisition runs the branch from cached layers and scatters both
     # heads through one buffer; its pairs must equal, bit for bit, the
-    # branch and trunk stacks evaluated from the parameter dict.
+    # branch evaluated from the parameter dict times the modes plus the
+    # mean, with Kv the edge trace _kv_from_edge builds, so that the
+    # pair passes the corpus's Kv check.
     n = 13
     mesh = TriMesh(n)
-    model = init_model(m=n, b=5, hidden=hidden, seed=4, c_scale=0.02)
+    model = _random_basis(init_model(m=n, b=5, hidden=hidden, seed=4, c_scale=0.02), 4)
     source = NeuralKernelSource(model, mesh, lp)
     n_hidden = len(hidden)
-    lat_f = _forward_stack(model.params, "trunk", mesh_queries(mesh), n_hidden)[-1]
-    head = model.params["head"]
-    f_all = np.vstack([lat_f * head[0], lat_f * head[1]])
     ii, jj = np.tril_indices(n)
     upper = np.triu_indices(n, k=1)
     rng = np.random.default_rng(8)
     for _ in range(5):
         c = rng.uniform(-0.02, 0.02, n)
-        lat_g = _forward_stack(model.params, "branch", c / model.c_scale, n_hidden)[-1]
-        pred = f_all @ lat_g
+        a = _forward_stack(model.params, c / model.c_scale, n_hidden)[-1]
+        pred_u = a @ model.params["modes"] + model.params["mean"]
+        pred_v = _kv_from_edge(pred_u, lp.lam_n * lp.r / lp.mu_n, n)
         kp = source.acquire(c)
-        for k, arr in enumerate((kp.ku, kp.kv)):
+        for arr, pred in ((kp.ku, pred_u), (kp.kv, pred_v)):
             assert arr.shape == (n, n) and arr.dtype == np.float64
-            assert np.array_equal(arr[ii, jj], pred[k * ii.size : (k + 1) * ii.size])
+            assert np.array_equal(arr[ii, jj], pred)
             assert np.all(arr[upper] == 0.0)
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
         assert (kp.lam_n, kp.mu_n, kp.r) == (lp.lam_n, lp.mu_n, lp.r)
+        assert np.array_equal(as_kernel_dataset([(c, kp)]).ku[0], pred_u)
         assert not np.shares_memory(kp.ku, source.acquire(c).ku)
 
 
@@ -259,6 +311,7 @@ def test_neural_source_validates_sizes(lp):
         {"epochs": 0},
         {"val_split": 0.0},
         {"val_split": 1.0},
+        {"lr": float("nan")},
     ],
 )
 def test_train_config_validation(kwargs):
@@ -272,17 +325,21 @@ def test_model_validation():
         DeepONetModel(m=4, b=2, hidden=(3,), c_scale=0.0,
                       params=dict(good.params))
     missing = dict(good.params)
-    missing.pop("head")
+    missing.pop("modes")
     with pytest.raises(ValueError, match="keys"):
         DeepONetModel(m=4, b=2, hidden=(3,), c_scale=0.02, params=missing)
     warped = dict(good.params)
-    warped["head"] = np.zeros((3, 2))
+    warped["modes"] = np.zeros((3, 10))
     with pytest.raises(ValueError, match="shape"):
         DeepONetModel(m=4, b=2, hidden=(3,), c_scale=0.02, params=warped)
     poisoned = dict(good.params)
-    poisoned["head"] = np.full((2, 2), np.nan)
+    poisoned["mean"] = np.full(10, np.nan)
     with pytest.raises(ValueError, match="finite"):
         DeepONetModel(m=4, b=2, hidden=(3,), c_scale=0.02, params=poisoned)
+    # A 4-node mesh has 10 triangle nodes: no more than 10 modes.
+    with pytest.raises(ValueError, match="kernel nodes"):
+        init_model(m=4, b=11, hidden=(3,))
+    assert init_model(m=4, b=10, hidden=(3,)).params["modes"].shape == (10, 10)
 
 
 def test_dataset_stacking_and_validation(lp):

@@ -1,13 +1,13 @@
-"""The lean training path against the allocating one it replaced.
+"""The coefficient-space training path against node-space references.
 
-The reference functions below are the bodies of loss_and_grads,
-_val_metrics, eval_accuracy and train from before the training set went
-Ku-only: they hold Kv for every record, allocate every temporary, score
-validation through whole-set prediction and residual matrices, and copy
-a carved-off split.  Seeded training must give the same model bytes
-either way, and the scores must agree to rounding.  The memory guards
-check that validation and evaluation stream: their traced peak must not
-grow with the number of records scored.
+Training and scoring never form a batch's (records, nodes) prediction:
+the loss comes from the branch coefficients through the POD identity,
+and Kv's share from Ku's edge residual.  The references below form both
+heads' node-space predictions the plain way, with Kv the edge trace of
+Ku; the loss, the validation scores and the accuracy report must agree
+with them to rounding.  The memory guards check that validation and
+evaluation stream: their traced peak must not grow with the number of
+records scored.
 """
 
 import tracemalloc
@@ -22,172 +22,38 @@ from arzno.deeponet import (
     TrainConfig,
     _Workspace,
     _gather,
+    _val_metrics,
     as_kernel_dataset,
     eval_accuracy,
     init_model,
     loss_and_grads,
-    mesh_queries,
-    save_model,
     train,
 )
-from arzno.kernels import KernelPair, TriMesh, solve_kernels
+from arzno.kernels import KernelPair, TriMesh, _kv_from_edge, solve_kernels
 
-# -- reference bodies --------------------------------------------------------
-
-
-def _ref_forward_stack(params, prefix, x, n_hidden):
-    acts = [x]
-    for layer in range(n_hidden):
-        z = acts[-1] @ params[f"{prefix}_w{layer}"] + params[f"{prefix}_b{layer}"]
-        acts.append(np.tanh(z))
-    acts.append(
-        acts[-1] @ params[f"{prefix}_w{n_hidden}"] + params[f"{prefix}_b{n_hidden}"]
-    )
-    return acts
+# -- node-space references ---------------------------------------------------
 
 
-def _ref_backward_stack(params, prefix, acts, d_out, grads):
-    n_hidden = len(acts) - 2
-    d = d_out
-    for layer in range(n_hidden, -1, -1):
-        grads[f"{prefix}_w{layer}"] = acts[layer].T @ d
-        grads[f"{prefix}_b{layer}"] = d.sum(axis=0)
-        if layer > 0:
-            d = (d @ params[f"{prefix}_w{layer}"].T) * (1.0 - acts[layer] ** 2)
-
-
-def _ref_loss_and_grads(model, c_batch, yu, yv, queries):
-    params = model.params
+def _ref_residuals(model, data, rows):
+    """Both heads' node residuals of the given records, (records, nodes) each."""
+    a = np.asarray(data.c[rows] / model.c_scale)
     n_hidden = len(model.hidden)
-    b_acts = _ref_forward_stack(params, "branch", c_batch / model.c_scale, n_hidden)
-    t_acts = _ref_forward_stack(params, "trunk", queries, n_hidden)
-    lat_g = b_acts[-1]
-    lat_f = t_acts[-1]
-    head = params["head"]
-    fu = lat_f * head[0]
-    fv = lat_f * head[1]
-    pu = lat_g @ fu.T
-    pv = lat_g @ fv.T
-    ru = pu - yu
-    rv = pv - yv
-    denom = ru.size
-    loss = (np.sum(ru * ru) + np.sum(rv * rv)) / denom
-    dpu = (2.0 / denom) * ru
-    dpv = (2.0 / denom) * rv
-    tgu = dpu.T @ lat_g
-    tgv = dpv.T @ lat_g
-    grads = {
-        "head": np.stack([(tgu * lat_f).sum(axis=0), (tgv * lat_f).sum(axis=0)])
-    }
-    _ref_backward_stack(params, "branch", b_acts, dpu @ fu + dpv @ fv, grads)
-    _ref_backward_stack(params, "trunk", t_acts, tgu * head[0] + tgv * head[1], grads)
-    return float(loss), grads
+    for layer in range(n_hidden + 1):
+        a = a @ model.params[f"branch_w{layer}"] + model.params[f"branch_b{layer}"]
+        if layer < n_hidden:
+            a = np.tanh(a)
+    pu = model.params["mean"] + a @ model.params["modes"]
+    ratio = data.ratio[rows][:, None]
+    pv = _kv_from_edge(pu, ratio, data.mesh_n)
+    return pu - data.ku[rows], pv - _kv_from_edge(data.ku[rows], ratio, data.mesh_n)
 
 
-def _ref_predict_chunked(model, c, queries, chunk=1024):
-    n_hidden = len(model.hidden)
-    lat_f = _ref_forward_stack(model.params, "trunk", queries, n_hidden)[-1]
-    head = model.params["head"]
-    fu = lat_f * head[0]
-    fv = lat_f * head[1]
-    pu = np.empty((c.shape[0], queries.shape[0]))
-    pv = np.empty_like(pu)
-    for start in range(0, c.shape[0], chunk):
-        sl = slice(start, start + chunk)
-        lat_g = _ref_forward_stack(
-            model.params, "branch", c[sl] / model.c_scale, n_hidden
-        )[-1]
-        pu[sl] = lat_g @ fu.T
-        pv[sl] = lat_g @ fv.T
-    return pu, pv
-
-
-def _ref_val_metrics(model, c, yu, yv, queries):
-    pu, pv = _ref_predict_chunked(model, c, queries)
-    ru = pu - yu
-    rv = pv - yv
-    mse = float((np.sum(ru * ru) + np.sum(rv * rv)) / ru.size)
-    ref = float(np.sum(yu * yu) + np.sum(yv * yv))
-    rel = float(np.sqrt((np.sum(ru * ru) + np.sum(rv * rv)) / ref)) if ref > 0 else np.inf
-    return mse, rel
-
-
-def _ref_eval_accuracy(model, c, ku, kv, mesh_n):
-    queries = mesh_queries(TriMesh(mesh_n))
-    pu, pv = _ref_predict_chunked(model, c, queries)
-    err_u = np.abs(pu - ku)
-    err_v = np.abs(pv - kv)
-    return {
-        "ku_max": float(err_u.max()),
-        "ku_mean": float(err_u.mean()),
-        "kv_max": float(err_v.max()),
-        "kv_mean": float(err_v.mean()),
-    }
-
-
-def _ref_train(arrays, cfg, model, val_arrays=None):
-    """train() before the change, on (c, ku, kv, mesh_n) stacks."""
-    c, ku, kv, mesh_n = arrays
-    rng = np.random.default_rng(cfg.seed)
-    queries = mesh_queries(TriMesh(mesh_n))
-    if val_arrays is not None:
-        c_tr, yu_tr, yv_tr = c, ku, kv
-        c_va, yu_va, yv_va = val_arrays[:3]
-    else:
-        n_val = int(round(len(c) * cfg.val_split))
-        if n_val == 0 or n_val == len(c):
-            c_tr, yu_tr, yv_tr = c, ku, kv
-            c_va, yu_va, yv_va = c, ku, kv
-        else:
-            perm = rng.permutation(len(c))
-            va, tr = perm[:n_val], perm[n_val:]
-            c_tr, yu_tr, yv_tr = c[tr], ku[tr], kv[tr]
-            c_va, yu_va, yv_va = c[va], ku[va], kv[va]
-
-    moments = {
-        "m": {k: np.zeros_like(p) for k, p in model.params.items()},
-        "v": {k: np.zeros_like(p) for k, p in model.params.items()},
-    }
-    step = 0
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    history = []
-    best_val = np.inf
-    best_params = {k: p.copy() for k, p in model.params.items()}
-    n_train = c_tr.shape[0]
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n_train)
-        running = 0.0
-        for start in range(0, n_train, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            loss, grads = _ref_loss_and_grads(
-                model, c_tr[idx], yu_tr[idx], yv_tr[idx], queries
-            )
-            step += 1
-            bc1 = 1.0 - beta1**step
-            bc2 = 1.0 - beta2**step
-            for key, grad in grads.items():
-                m_k = moments["m"][key]
-                v_k = moments["v"][key]
-                m_k += (1.0 - beta1) * (grad - m_k)
-                v_k += (1.0 - beta2) * (grad * grad - v_k)
-                model.params[key] -= cfg.lr * (m_k / bc1) / (
-                    np.sqrt(v_k / bc2) + eps
-                )
-            running += loss * idx.size
-        val_mse, val_rel = _ref_val_metrics(model, c_va, yu_va, yv_va, queries)
-        history.append(
-            {
-                "epoch": float(epoch),
-                "train_mse": float(running / n_train),
-                "val_mse": val_mse,
-                "val_rel": val_rel,
-            }
-        )
-        if val_mse < best_val:
-            best_val = val_mse
-            best_params = {k: p.copy() for k, p in model.params.items()}
-    model.params = best_params
-    return model, history
+def _ref_scores(model, data, rows):
+    ru, rv = _ref_residuals(model, data, rows)
+    res = np.sum(ru * ru) + np.sum(rv * rv)
+    kv = _kv_from_edge(data.ku[rows], data.ratio[rows][:, None], data.mesh_n)
+    ref = np.sum(data.ku[rows] ** 2) + np.sum(kv**2)
+    return float(res / ru.size), float(np.sqrt(res / ref))
 
 
 # -- data --------------------------------------------------------------------
@@ -210,7 +76,7 @@ def _pairs(lp, mesh, count, seed):
 
 
 def _old_arrays(pairs):
-    """(c, ku, kv, n) as the two-head set held them: Kv straight from the pair."""
+    """(c, ku, kv, n) straight from the pairs, Kv as the solver built it."""
     n = pairs[0][1].mesh.n
     ii, jj = np.tril_indices(n)
     return (
@@ -227,100 +93,74 @@ def sets(lp):
     return {"train": _pairs(lp, mesh, 23, 0), "val": _pairs(lp, mesh, 7, 1)}
 
 
-def _model_bytes(model, tmp_path, name):
-    path = tmp_path / name
-    save_model(model, path)
-    return path.read_bytes()
-
-
-def _assert_history_close(new, old):
-    assert len(new) == len(old)
-    for h_new, h_old in zip(new, old):
-        assert h_new["epoch"] == h_old["epoch"]
-        # Training steps are bit-identical; only validation sums regroup.
-        assert h_new["train_mse"] == h_old["train_mse"]
-        for key in ("val_mse", "val_rel"):
-            assert h_new[key] == pytest.approx(h_old[key], rel=1e-12, abs=0.0)
-
-
 # -- equivalence -------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "split, batch_size",
-    [("val_data", 5), ("val_data", 23), ("carve-off", 5), ("carve-off", 6)],
-    ids=["val-data-short-last-batch", "val-data-one-batch",
-         "carve-off-short-last-batch", "carve-off-even-batches"],
-)
-def test_training_matches_two_head_reference(sets, tmp_path, split, batch_size):
-    # 23 training records, or 18 once val_split 0.2 carves off 5; 7
-    # validation records in chunks of the batch size.
-    cfg = TrainConfig(lr=3e-3, batch_size=batch_size, epochs=12, val_split=0.2, seed=5)
+@pytest.fixture(scope="module")
+def fitted(sets):
+    """A model trained briefly on sets["train"], so its basis is fitted,
+    and its history."""
     data = as_kernel_dataset(sets["train"])
-    old = _old_arrays(sets["train"])
-    val_pairs = sets["val"] if split == "val_data" else None
-    val_old = _old_arrays(sets["val"]) if split == "val_data" else None
-
-    def fresh():
-        return init_model(m=11, b=8, hidden=(16, 12), seed=2,
-                          c_scale=float(np.max(np.abs(data.c))))
-
-    model, history = train(data, cfg, model=fresh(), val_data=val_pairs)
-    ref_model, ref_history = _ref_train(old, cfg, fresh(), val_old)
-    assert _model_bytes(model, tmp_path, "new.bin") == _model_bytes(
-        ref_model, tmp_path, "ref.bin"
-    )
-    _assert_history_close(history, ref_history)
-    # The best epoch is the reference's, not a near-tie flipped by rounding.
-    val = [h["val_mse"] for h in history]
-    ref_val = [h["val_mse"] for h in ref_history]
-    assert int(np.argmin(val)) == int(np.argmin(ref_val))
-
-    report = eval_accuracy(model, sets["val"])
-    ref_report = _ref_eval_accuracy(ref_model, *_old_arrays(sets["val"]))
-    for key, value in ref_report.items():
-        assert report[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+    model = init_model(m=11, b=8, hidden=(16, 12), seed=2,
+                       c_scale=float(np.max(np.abs(data.c))))
+    cfg = TrainConfig(lr=3e-3, batch_size=5, epochs=12, seed=5)
+    return train(data, cfg, model=model, val_data=sets["val"])
 
 
-def test_loss_and_grads_matches_reference_with_and_without_workspace(sets):
+def test_loss_and_grads_matches_reference_with_and_without_workspace(sets, fitted):
+    model, _ = fitted
     data = as_kernel_dataset(sets["train"])
-    c, ku, kv, n = _old_arrays(sets["train"])
-    queries = mesh_queries(TriMesh(n))
-    model = init_model(m=n, b=8, hidden=(16, 12), seed=4, c_scale=0.02)
     ws = _Workspace()
     # A full batch, then a shorter one through views of the same buffers.
-    for rows in (slice(0, 9), slice(9, 13)):
-        ref_loss, ref_grads = _ref_loss_and_grads(
-            model, c[rows], ku[rows], kv[rows], queries
-        )
-        for workspace in (None, ws):
-            loss, grads = loss_and_grads(
-                model, c[rows], ku[rows], data.kv[rows], queries, workspace
-            )
-            assert loss == ref_loss
-            assert set(grads) == set(ref_grads)
-            for key, grad in grads.items():
-                assert np.array_equal(grad, ref_grads[key]), key
+    for rows in (np.arange(9), np.arange(9, 13)):
+        ru, rv = _ref_residuals(model, data, rows)
+        ref_loss = (np.sum(ru * ru) + np.sum(rv * rv)) / ru.size
+        args = (model, data.c[rows], data.ku[rows], data.ratio[rows])
+        loss, grads = loss_and_grads(*args)
+        assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0.0)
+        loss_ws, grads_ws = loss_and_grads(*args, ws)
+        assert loss_ws == loss
+        assert set(grads_ws) == set(grads)
+        for key, grad in grads.items():
+            assert np.array_equal(grads_ws[key], grad), key
+
+
+@pytest.mark.parametrize("chunk", [5, 7], ids=["short-last-chunk", "one-chunk"])
+def test_scores_match_node_space_reference(sets, fitted, chunk):
+    model, history = fitted
+    val = as_kernel_dataset(sets["val"])
+    rows = np.arange(len(val))
+    mse, rel = _val_metrics(model, val, rows, _Workspace(), chunk)
+    ref_mse, ref_rel = _ref_scores(model, val, rows)
+    assert mse == pytest.approx(ref_mse, rel=1e-10, abs=0.0)
+    assert rel == pytest.approx(ref_rel, rel=1e-10, abs=0.0)
+    # train returns its best-validation epoch's model.
+    assert min(h["val_mse"] for h in history) == pytest.approx(ref_mse, rel=1e-10)
+
+    ru, rv = _ref_residuals(model, val, rows)
+    report = eval_accuracy(model, sets["val"])
+    for key, err in (("ku", np.abs(ru)), ("kv", np.abs(rv))):
+        assert report[f"{key}_max"] == pytest.approx(err.max(), rel=1e-12, abs=0.0)
+        assert report[f"{key}_mean"] == pytest.approx(err.mean(), rel=1e-12, abs=0.0)
 
 
 def test_derived_kv_is_the_solver_kv(sets):
     data = as_kernel_dataset(sets["train"])
-    _, ku, kv, _ = _old_arrays(sets["train"])
+    _, ku, kv, n = _old_arrays(sets["train"])
     assert np.unique(data.ratio).size == len(data)
     assert np.array_equal(data.ku, ku)
-    assert np.array_equal(data.kv, kv)
-    assert not data.kv.flags.writeable
+    assert np.array_equal(_kv_from_edge(data.ku, data.ratio[:, None], n), kv)
     # Batches gathered into one workspace: a full batch, then a short one.
     ws = _Workspace()
     rows = np.random.default_rng(0).permutation(len(data))
     for sel in (rows[:9], rows[9:13]):
-        c_b, yu_b, yv_b = _gather(data, sel, ws)
+        c_b, yu_b, ratio_b = _gather(data, sel, ws)
         assert np.array_equal(c_b, data.c[sel])
         assert np.array_equal(yu_b, ku[sel])
-        assert np.array_equal(yv_b, kv[sel])
+        assert np.array_equal(_kv_from_edge(yu_b, ratio_b[:, None], n), kv[sel])
 
 
-# -- the Ku-only set refuses pairs whose Kv it would lose ----------------------
+# -- the Ku-only set holds every pair whose Kv is the edge trace of its Ku -----
 
 
 def test_as_kernel_dataset_rejects_underived_kv(lp, sets):
@@ -331,12 +171,18 @@ def test_as_kernel_dataset_rejects_underived_kv(lp, sets):
                         lam_n=kp.lam_n, mu_n=kp.mu_n, r=kp.r)
     with pytest.raises(ValueError, match="edge trace"):
         as_kernel_dataset([sets["train"][1], (sets["train"][0][0], nudged)])
+    with pytest.raises(ValueError, match="edge trace"):
+        train([(sets["train"][0][0], nudged)], TrainConfig(epochs=1))
+    # A surrogate's Kv is the edge trace of its Ku, as a solver's is: the
+    # set holds its pairs and trains on them.
     source = NeuralKernelSource(init_model(m=11, b=8, hidden=(16,)), kp.mesh, lp)
     c = sets["train"][0][0]
-    with pytest.raises(ValueError, match="edge trace"):
-        as_kernel_dataset([(c, source.acquire(c))])
-    with pytest.raises(ValueError, match="edge trace"):
-        train([(c, source.acquire(c))], TrainConfig(epochs=1))
+    pair = source.acquire(c)
+    data = as_kernel_dataset([sets["train"][1], (c, pair)])
+    assert np.array_equal(data.ku[1], pair.ku[np.tril_indices(11)])
+    assert np.array_equal(_kv_from_edge(data.ku[1], data.ratio[1], 11),
+                          pair.kv[np.tril_indices(11)])
+    train([(c, pair)], TrainConfig(epochs=1))
 
 
 # -- memory guards -------------------------------------------------------------
@@ -373,9 +219,8 @@ def test_validation_peak_does_not_grow_with_validation_records():
     """Doubling the validation records leaves train's peak where it was.
 
     The sets are built before tracing starts, so the added Ku bytes
-    themselves are outside the peak, and the two-head path's whole-set
-    prediction and residual matrices (four times the added Ku bytes)
-    would show in full.
+    themselves are outside the peak, and a whole-set prediction or
+    residual matrix (the added Ku bytes each) would show in full.
     """
     mesh_n = 21
     data = _synthetic(96, mesh_n, 0)
@@ -426,8 +271,9 @@ def test_training_workspace_is_released_on_return():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # The workspace holds several (64, nodes) buffers while training runs;
-    # afterwards only the best parameters and the history remain.
+    # While training runs it holds the basis fit's centred records and
+    # Gram matrix, then the workspace's (64, nodes) batch buffers;
+    # afterwards only the best parameters, the basis and the history remain.
     assert peak > 4 * 64 * data.ku.shape[1] * 8
     assert kept <= params_bytes + _SLACK, kept
     assert len(history) == 2
