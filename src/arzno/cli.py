@@ -381,8 +381,8 @@ def cmd_bench(args, cfg) -> int:
     t_neural = _time_path(neural)
     errs = [
         (
-            np.max(np.abs(kp_s.ku - kp_n.ku)),
-            np.max(np.abs(kp_s.kv - kp_n.kv)),
+            np.max(np.abs(kp_s.ku_tri - kp_n.ku_tri)),
+            np.max(np.abs(kp_s.kv_tri - kp_n.kv_tri)),
         )
         for kp_s, kp_n in (
             (solver(c), neural(c)) for c in samples

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -44,6 +43,7 @@ from arzno.kernels import (
     InverseKernelPair,
     KernelPair,
     TriMesh,
+    _tril_layout,
     _volterra_weights,
     kernel_time_derivative,
     solve_kernels,
@@ -166,23 +166,6 @@ def initial_plant_state(
 _LOOP_TOL_SCALE = 1e-3
 
 
-@lru_cache(maxsize=8)
-def _lower_mask(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    mask = idx[:, None] >= idx[None, :]
-    mask.setflags(write=False)
-    return mask
-
-
-def _mirror(tri: np.ndarray) -> np.ndarray:
-    """Reflect a lower-triangular table across the diagonal.
-
-    Bilinear cells straddling the diagonal need values on both sides;
-    symmetric continuation keeps the interpolant continuous there.
-    """
-    return np.where(_lower_mask(tri.shape[0]), tri, tri.T)
-
-
 # The interpolation operator and the grid's quadrature weights depend only
 # on (mesh.n, n_x); cache them across refreshes like the solver's geometry.
 _GRID_OPS_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -209,11 +192,19 @@ def _grid_ops(mesh: TriMesh, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 def _rows_on_grid(tri: np.ndarray, interp: np.ndarray) -> np.ndarray:
     """Kernel values K(x_i, xi_j) at all state-grid node pairs.
 
-    The separable bilinear interpolant P K P^T of the mirrored table, with
-    P from _grid_ops; only entries with xi_j <= x_i are kernel values,
-    the rest are its mirror image and are zeroed by the quadrature weights.
+    tri holds K's lower triangle in row-major tril order.  The result is
+    the separable bilinear interpolant P S P^T, with P from _grid_ops, of
+    the table S that mirrors tri across the diagonal: bilinear cells
+    straddling the diagonal need values on both sides, and symmetric
+    continuation keeps the interpolant continuous there.  Only entries
+    with xi_j <= x_i are kernel values; the rest are the mirror image's
+    and are zeroed by the quadrature weights.
     """
-    return interp @ _mirror(tri) @ interp.T
+    n = interp.shape[1]
+    ii, jj, _ = _tril_layout(n)
+    sym = np.empty((n, n))
+    sym[ii, jj] = sym[jj, ii] = tri
+    return interp @ sym @ interp.T
 
 
 def _edge_rows(kp: KernelPair, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +213,9 @@ def _edge_rows(kp: KernelPair, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     Shared by the control quadrature and the transform's last row so
     that z(1, t) = v_hat(1, t) - U(t) is an arithmetic identity.
     """
-    ku_row = np.interp(g.x, kp.mesh.x, kp.ku[-1])
-    kv_row = np.interp(g.x, kp.mesh.x, kp.kv[-1])
+    n = kp.mesh.n  # the last row's n nodes end the tril order
+    ku_row = np.interp(g.x, kp.mesh.x, kp.ku_tri[-n:])
+    kv_row = np.interp(g.x, kp.mesh.x, kp.kv_tri[-n:])
     return ku_row, kv_row
 
 
@@ -239,8 +231,8 @@ class _ActiveKernels:
 
 def _grid_caches(kp: KernelPair, g: GridSpec) -> _ActiveKernels:
     interp, w = _grid_ops(kp.mesh, g)
-    m_u = w * _rows_on_grid(kp.ku, interp)
-    m_v = w * _rows_on_grid(kp.kv, interp)
+    m_u = w * _rows_on_grid(kp.ku_tri, interp)
+    m_v = w * _rows_on_grid(kp.kv_tri, interp)
     ku_row, kv_row = _edge_rows(kp, g)
     m_u[-1] = w[-1] * ku_row
     m_v[-1] = w[-1] * kv_row

@@ -37,14 +37,7 @@ import numpy as np
 
 from arzno.controller import _LOOP_TOL_SCALE, ControllerConfig, run_closed_loop
 from arzno.deeponet import KernelDataset
-from arzno.kernels import (
-    KernelPair,
-    TriMesh,
-    _ku_and_ratio,
-    _kv_from_edge,
-    _tril_layout,
-    solve_kernels,
-)
+from arzno.kernels import KernelPair, TriMesh, _kv_from_edge, solve_kernels
 from arzno.model import TrafficParams, derive_linearized
 from arzno.sim import GridSpec, InstabilityError
 
@@ -81,17 +74,11 @@ def _entry_dtype(n: int) -> np.dtype:
 
 
 def kernel_record_bytes(kp: KernelPair) -> bytes:
-    """The kernel part of a record entry: n, lam_n, mu_n, r and Ku.
-
-    Raises:
-        ValueError: kp.kv is not exactly the trace the edge of Ku
-            implies (a pair whose Kv was altered, say), so it would not survive.
-    """
-    ku, _ = _ku_and_ratio(kp)
+    """The kernel part of a record entry: n, lam_n, mu_n, r and Ku."""
     dt = _entry_dtype(kp.mesh.n)
     e = np.zeros((), dt)
     e["n"], e["lam_n"], e["mu_n"], e["r"], e["ku"] = (
-        kp.mesh.n, kp.lam_n, kp.mu_n, kp.r, ku
+        kp.mesh.n, kp.lam_n, kp.mu_n, kp.r, kp.ku_tri
     )
     return e.tobytes()[dt.fields["n"][1] :]  # fields n to ku
 
@@ -225,7 +212,7 @@ def generate(
         raise ValueError("tau_range must satisfy 0 < lo <= hi")
     if n_families < 1:
         raise ValueError("n_families must be positive")
-    if subsample_dt < g.dt:
+    if not subsample_dt >= g.dt:
         raise ValueError("subsample_dt must be at least the simulation dt")
     cadence = cfg.kernel_refresh_dt
     stride_f = subsample_dt / cadence
@@ -324,13 +311,8 @@ def iter_family(
     """Yield (time, estimate, KernelPair) entries from one family file."""
     rec = _decode(Path(path).read_bytes(), mesh_n, str(path))
     mesh = TriMesh(mesh_n)
-    ii, jj, _ = _tril_layout(mesh_n)
-    for e, ratio in zip(rec, _ratio(rec)):
-        ku = np.zeros((mesh_n, mesh_n))
-        kv = np.zeros((mesh_n, mesh_n))
-        ku[ii, jj] = e["ku"]
-        kv[ii, jj] = _kv_from_edge(e["ku"], ratio, mesh_n)
-        kp = KernelPair(mesh=mesh, ku=ku, kv=kv, lam_n=float(e["lam_n"]),
+    for e in rec:
+        kp = KernelPair(mesh=mesh, ku_tri=e["ku"], lam_n=float(e["lam_n"]),
                         mu_n=float(e["mu_n"]), r=float(e["r"]))
         yield float(e["t"]), e["c"].copy(), kp
 
@@ -468,7 +450,6 @@ def verify_labels(
 
     worst = 0.0
     entry = _entry_dtype(mesh_n).itemsize
-    ii, jj, _ = _tril_layout(mesh_n)
     by_file: dict[str, list[int]] = {}
     for k in picks:
         fam, j = index[int(k)]
@@ -488,16 +469,14 @@ def verify_labels(
         rec = _decode(blob, mesh_n, fname, rows)
         kvs = _kv_from_edge(rec["ku"], _ratio(rec)[:, None], mesh_n)
         lp = derive_linearized(replace(p, tau=fam["tau"]))
-        # Solver kernels are zero above the diagonal, like decoded ones, so
-        # the lower triangles carry the whole sup-norm discrepancy.
         for c, ku, kv in zip(rec["c"], rec["ku"], kvs):
             ref = solve_kernels(
                 c, lp, mesh, tol=_LOOP_TOL_SCALE * ctl["tol"],
                 max_iter=ctl["max_iter"], c_bound=ctl["c_bar"],
             )
             err = max(
-                float(np.max(np.abs(ref.ku[ii, jj] - ku))),
-                float(np.max(np.abs(ref.kv[ii, jj] - kv))),
+                float(np.max(np.abs(ref.ku_tri - ku))),
+                float(np.max(np.abs(ref.kv_tri - kv))),
             )
             worst = max(worst, err)
     return {"checked": len(picks), "max_err": worst}

@@ -3,8 +3,9 @@
 A branch MLP maps m samples of the coupling estimate c_hat to the
 coefficients of the gain kernel Ku on a fixed trunk, the training Ku's
 mean and leading b POD modes (Lu et al., arXiv 2111.05512), fitted once
-in train and stored with the model.  Kv is, as for solved pairs and
-corpus records, the edge trace (lam r / mu) Ku(x - xi, 0).
+in train and stored with the model.  Only Ku is predicted: Kv is, as in
+every KernelPair and corpus record, the edge trace (lam r / mu)
+Ku(x - xi, 0), derived from it.
 NeuralKernelSource serves the loop.  Everything is float64 numpy with
 analytic backprop and an adaptive-moment optimizer, so training is
 reproducible bit-for-bit from (seed, config).
@@ -19,13 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from arzno.kernels import (
-    KernelPair,
-    TriMesh,
-    _ku_and_ratio,
-    _kv_from_edge,
-    _tril_layout,
-)
+from arzno.kernels import KernelPair, TriMesh, _kv_from_edge
 from arzno.model import LinearizedParams
 
 __all__ = [
@@ -151,8 +146,7 @@ def as_kernel_dataset(
 
     Raises:
         ValueError: pairs on different meshes, c_samples off the edge
-            grid, no pairs, or a pair whose Kv is not the edge trace of
-            its Ku, which the set cannot hold.
+            grid, or no pairs.
     """
     if isinstance(data, KernelDataset):
         return data
@@ -168,10 +162,9 @@ def as_kernel_dataset(
         c_samples = np.asarray(c_samples, dtype=float)
         if c_samples.shape != (mesh_n,):
             raise ValueError("c_samples must live on the mesh edge grid")
-        ku, ratio = _ku_and_ratio(kp)
         cs.append(c_samples)
-        kus.append(ku)
-        ratios.append(ratio)
+        kus.append(kp.ku_tri)
+        ratios.append(kp.ratio)
     if mesh_n is None:
         raise ValueError("dataset is empty")
     return KernelDataset(
@@ -626,9 +619,9 @@ def load_model(path: str | Path) -> DeepONetModel:
 class NeuralKernelSource:
     """Kernel acquisition through the trained surrogate.
 
-    Each acquisition is one branch pass and one product with the modes
-    for Ku; Kv is built from Ku's edge by the solver's own rule, so a
-    surrogate pair is stored and read like a solved one.
+    Each acquisition is one branch pass and one product with the modes,
+    which give Ku's triangle; the pair derives Kv from its edge as a
+    solved pair does, so a surrogate pair is stored and read like one.
     """
 
     def __init__(self, model: DeepONetModel, mesh: TriMesh, lp: LinearizedParams):
@@ -645,12 +638,6 @@ class NeuralKernelSource:
             (model.params[f"branch_w{layer}"], model.params[f"branch_b{layer}"])
             for layer in range(len(model.hidden) + 1)
         ]
-        # The ratio as _ku_and_ratio forms it, so that a pair passes it.
-        self._ratio = lp.lam_n * lp.r / lp.mu_n
-        n = mesh.n
-        ii, jj, _ = _tril_layout(n)
-        self._flat_u = ii * n + jj
-        self._flat_v = self._flat_u + n * n
 
     def acquire(self, c_mesh: np.ndarray) -> KernelPair:
         c_mesh = np.asarray(c_mesh, dtype=float)
@@ -663,11 +650,4 @@ class NeuralKernelSource:
         params = self.model.params
         ku_tri = (h @ w_out + b_out) @ params["modes"]
         ku_tri += params["mean"]
-        n = self.mesh.n
-        out = np.zeros(2 * n * n)
-        out[self._flat_u] = ku_tri
-        out[self._flat_v] = _kv_from_edge(ku_tri, self._ratio, n)
-        ku, kv = out.reshape(2, n, n)
-        return KernelPair._trusted(
-            self.mesh, ku, kv, self.lp.lam_n, self.lp.mu_n, self.lp.r
-        )
+        return KernelPair(self.mesh, ku_tri, self.lp.lam_n, self.lp.mu_n, self.lp.r)

@@ -13,12 +13,16 @@ Kv constant along lines of constant x - xi, so Kv(x, xi) =
 (slope dxi/dx = -lam/mu) from the diagonal; the coupling to Kv is
 resolved by successive approximation starting from Kv == 0, or, inside
 the adaptive loop, from the pair solved at the previous refresh.
+
+A KernelPair therefore stores Ku's lower triangle alone, in the
+row-major order corpus records use; Kv and the (n, n) tables are
+derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import warnings
 
 import numpy as np
@@ -76,57 +80,50 @@ class TriMesh:
 
 @dataclass(frozen=True)
 class KernelPair:
-    """Kernel values on a TriMesh plus the coefficients they were solved for.
+    """A gain-kernel pair on a TriMesh and the coefficients it was solved for.
 
-    ku and kv are (n, n) arrays holding the lower triangle (xi <= x,
-    column index <= row index); entries above the diagonal are zero.
+    The pair holds Ku alone: ku_tri is a read-only copy of its lower
+    triangle (xi <= x) in row-major tril order, the order records store.
+    Kv is derived from Ku's edge, Kv(x, xi) = ratio Ku(x - xi, 0) with
+    ratio = lam_n r / mu_n: kv_tri is that trace in the same order, built
+    once, and ku and kv are read-only (n, n) squares, zero above the
+    diagonal, built on each read.
     """
 
     mesh: TriMesh
-    ku: np.ndarray
-    kv: np.ndarray
+    ku_tri: np.ndarray
     lam_n: float
     mu_n: float
     r: float
 
     def __post_init__(self) -> None:
-        n = self.mesh.n
-        for name in ("ku", "kv"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (n, n):
-                raise ValueError(f"{name} must be ({n}, {n})")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        ku_tri = np.array(self.ku_tri, dtype=float)
+        if ku_tri.shape != (self.mesh.n_nodes,):
+            raise ValueError(f"ku_tri must hold the {self.mesh.n_nodes} triangle nodes")
+        ku_tri.setflags(write=False)
+        object.__setattr__(self, "ku_tri", ku_tri)
+
+    @property
+    def ratio(self) -> float:
+        """lam_n r / mu_n, the factor from Ku's edge to Kv."""
+        return self.lam_n * self.r / self.mu_n
+
+    @cached_property
+    def kv_tri(self) -> np.ndarray:
+        kv = _kv_from_edge(self.ku_tri, self.ratio, self.mesh.n)
+        kv.setflags(write=False)
+        return kv
+
+    @property
+    def ku(self) -> np.ndarray:
+        return _square(self.ku_tri, self.mesh.n)
+
+    @property
+    def kv(self) -> np.ndarray:
+        return _square(self.kv_tri, self.mesh.n)
 
     def sup_norm(self) -> float:
-        return float(max(np.max(np.abs(self.ku)), np.max(np.abs(self.kv))))
-
-    @classmethod
-    def _trusted(
-        cls,
-        mesh: TriMesh,
-        ku: np.ndarray,
-        kv: np.ndarray,
-        lam_n: float,
-        mu_n: float,
-        r: float,
-    ) -> "KernelPair":
-        """Construct without copying or validating.
-
-        For hot acquisition paths that allocate fresh, correctly shaped
-        float64 arrays; the caller cedes ownership.  Array freezing is
-        kept since downstream caches rely on immutability.
-        """
-        pair = object.__new__(cls)
-        ku.setflags(write=False)
-        kv.setflags(write=False)
-        object.__setattr__(pair, "mesh", mesh)
-        object.__setattr__(pair, "ku", ku)
-        object.__setattr__(pair, "kv", kv)
-        object.__setattr__(pair, "lam_n", lam_n)
-        object.__setattr__(pair, "mu_n", mu_n)
-        object.__setattr__(pair, "r", r)
-        return pair
+        return float(max(np.max(np.abs(self.ku_tri)), np.max(np.abs(self.kv_tri))))
 
 
 @dataclass(frozen=True)
@@ -183,8 +180,6 @@ def _geometry(mesh: TriMesh, a: float, b: float) -> dict[str, np.ndarray]:
     xi_q = foot_rep - a * h_sigma * q_idx
 
     geo = {
-        "rows_i": rows_i,
-        "cols_j": cols_j,
         "foot_x": foot_x,
         "q_rows": q_rows,
         "q_idx": q_idx,
@@ -232,8 +227,9 @@ def solve_kernels(
             cold solve at the same tol ends (see controller._LOOP_TOL_SCALE).
 
     Returns:
-        KernelPair with the diagonal and edge conditions satisfied
-        exactly at the nodes.
+        KernelPair wrapping the Ku triangle the sweeps end on, with the
+        diagonal and edge conditions satisfied exactly at the nodes; its
+        Kv is the edge trace of that Ku.
     """
     c_hat = np.asarray(c_hat, dtype=float)
     if c_bound is None:
@@ -261,7 +257,7 @@ def solve_kernels(
         ku_flat = diag_at_foot.copy()
         g = np.zeros(mesh.n)  # edge values Ku(:, 0); g == 0 encodes Kv == 0
     else:
-        ku_flat = start.ku[geo["rows_i"], geo["cols_j"]]
+        ku_flat = start.ku_tri
         g = ku_flat[geo["edge_ids"]]
     residual = np.inf
     for _ in range(max_iter):
@@ -282,12 +278,7 @@ def solve_kernels(
     else:
         raise ConvergenceError(max_iter, residual, tol)
 
-    n = mesh.n
-    ku = np.zeros((n, n))
-    ku[geo["rows_i"], geo["cols_j"]] = ku_flat
-    kv = np.zeros((n, n))
-    kv[geo["rows_i"], geo["cols_j"]] = _kv_from_edge(ku_flat, ratio, n)
-    kp = KernelPair(mesh=mesh, ku=ku, kv=kv, lam_n=a, mu_n=b, r=lp.r)
+    kp = KernelPair(mesh=mesh, ku_tri=ku_flat, lam_n=a, mu_n=b, r=lp.r)
     if kp.sup_norm() > kernel_sup_cap(c_bound, a, b):
         warnings.warn(
             "kernel sup-norm exceeds the a-priori cap; "
@@ -339,8 +330,9 @@ def solve_inverse_kernels(
         raise ValueError("c_hat violates the known bound |c_hat| <= c_bar")
 
     w = _volterra_weights(mesh.n, mesh.dx)
-    av = w * kp.kv
-    au = w * kp.ku
+    ku, kv = kp.ku, kp.kv
+    av = w * kv
+    au = w * ku
     resolvent = np.linalg.solve(np.eye(mesh.n) - av, av)
 
     lu_op = au + resolvent @ au
@@ -349,20 +341,21 @@ def solve_inverse_kernels(
     lu = np.where(w > 0, lu_op / safe_w, 0.0)
     # The (0,0) node has zero quadrature weight; its nodal value is the
     # zero-length-integral limit, which matches the forward diagonal.
-    lv[0, 0] = kp.kv[0, 0]
-    lu[0, 0] = kp.ku[0, 0]
+    lv[0, 0] = kv[0, 0]
+    lu[0, 0] = ku[0, 0]
     return InverseKernelPair(mesh=mesh, lu=np.tril(lu), lv=np.tril(lv))
 
 
 def kernel_time_derivative(
     curr: KernelPair, prev: KernelPair, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference time derivative of successive kernel pairs."""
+    """Finite-difference time derivative of successive kernel pairs, as
+    (dKu/dt, dKv/dt) over the lower triangle in row-major tril order."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if curr.mesh.n != prev.mesh.n:
         raise ValueError("kernel pairs live on different meshes")
-    return (curr.ku - prev.ku) / dt, (curr.kv - prev.kv) / dt
+    return (curr.ku_tri - prev.ku_tri) / dt, (curr.kv_tri - prev.kv_tri) / dt
 
 
 @lru_cache(maxsize=None)
@@ -388,18 +381,10 @@ def _kv_from_edge(ku_tri: np.ndarray, ratio: float | np.ndarray, n: int) -> np.n
     return ratio * np.take(ku_tri, _tril_layout(n)[2], axis=-1)
 
 
-def _ku_and_ratio(kp: KernelPair) -> tuple[np.ndarray, float]:
-    """Ku's lower triangle in row-major tril order and lam r / mu: all a
-    pair holds once Kv is dropped.
-
-    Raises:
-        ValueError: kp.kv is not exactly the trace the edge of Ku
-            implies (a pair whose Kv was altered, say), so it could not be rebuilt.
-    """
-    n = kp.mesh.n
+def _square(tri: np.ndarray, n: int) -> np.ndarray:
+    """A read-only (n, n) table holding tri below and on the diagonal."""
     ii, jj, _ = _tril_layout(n)
-    ku = kp.ku[ii, jj]
-    ratio = kp.lam_n * kp.r / kp.mu_n
-    if not np.array_equal(kp.kv[ii, jj], _kv_from_edge(ku, ratio, n)):
-        raise ValueError("Kv is not the edge trace of Ku; it cannot be rebuilt from Ku")
-    return ku, ratio
+    sq = np.zeros((n, n))
+    sq[ii, jj] = tri
+    sq.setflags(write=False)
+    return sq

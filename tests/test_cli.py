@@ -202,14 +202,15 @@ def test_solver_settings_exit_1_before_out(fast_env, capsys, monkeypatch, name, 
 
 _SIMULATE = ["simulate", "--mode", "exact", "--out", "x"]
 _NAN_SETTINGS = {
-    "CONTROLLER_TAU_GUESS": ("nan", _SIMULATE),
-    "CONTROLLER_C_BAR": ("nan", _SIMULATE),
-    "CONTROLLER_GAMMA": ("nan", _SIMULATE),
-    "CONTROLLER_KERNEL_REFRESH_DT": ("nan", _SIMULATE),
-    "TRAFFIC_LENGTH": ("nan", _SIMULATE),
-    "TRAFFIC_TAU": ("nan", _SIMULATE),
-    "DEEPONET_LR": ("nan", ["train", "--data", "nowhere", "--out", "x"]),
-    "DATASET_SPLIT": ("nan,0.5,0.5", ["gen-dataset", "--out", "x"]),
+    "CONTROLLER_TAU_GUESS": ("nan", _SIMULATE, "tau_guess"),
+    "CONTROLLER_C_BAR": ("nan", _SIMULATE, "c_bar"),
+    "CONTROLLER_GAMMA": ("nan", _SIMULATE, "gamma"),
+    "CONTROLLER_KERNEL_REFRESH_DT": ("nan", _SIMULATE, "kernel_refresh_dt"),
+    "TRAFFIC_LENGTH": ("nan", _SIMULATE, "length"),
+    "TRAFFIC_TAU": ("nan", _SIMULATE, "tau"),
+    "DEEPONET_LR": ("nan", ["train", "--data", "nowhere", "--out", "x"], "lr"),
+    "DATASET_SPLIT": ("nan,0.5,0.5", ["gen-dataset", "--out", "x"], "shares"),
+    "DATASET_SUBSAMPLE_DT": ("nan", ["gen-dataset", "--out", "x"], "subsample_dt"),
 }
 
 
@@ -217,10 +218,11 @@ _NAN_SETTINGS = {
 def test_nan_setting_exits_1_before_out(fast_env, capsys, monkeypatch, key):
     # NaN fails every "must be positive" check written as not x > 0; as
     # x <= 0 it passed, and the run stalled (2) or wrote a 0/0/3 split.
-    raw, argv = _NAN_SETTINGS[key]
+    # The message names the setting.
+    raw, argv, name = _NAN_SETTINGS[key]
     monkeypatch.setenv(f"ARZNO_{key}", raw)
     assert main(argv) == 1
-    assert "error" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
     assert not (fast_env / "x").exists()
 
 

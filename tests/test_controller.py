@@ -72,8 +72,7 @@ def test_control_value_zero_kernels_and_transform_identity(lp):
     g = GridSpec(n_x=40, dt=0.1, t_end=1.0)
     mesh = TriMesh(11)
     kp = KernelPair(
-        mesh=mesh, ku=np.zeros((11, 11)), kv=np.zeros((11, 11)),
-        lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r,
+        mesh=mesh, ku_tri=np.zeros(mesh.n_nodes), lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r
     )
     rng = np.random.default_rng(2)
     u_hat = rng.standard_normal(g.n_x + 1)
@@ -88,9 +87,9 @@ def test_control_value_constant_kernel_quadrature(lp):
     # the trapezoid weights are exact for constants.
     g = GridSpec(n_x=50, dt=0.1, t_end=1.0)
     mesh = TriMesh(11)
+    # r = 0 makes Kv, the edge trace of Ku, vanish.
     kp = KernelPair(
-        mesh=mesh, ku=np.tril(np.ones((11, 11))), kv=np.zeros((11, 11)),
-        lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r,
+        mesh=mesh, ku_tri=np.ones(mesh.n_nodes), lam_n=lp.lam_n, mu_n=lp.mu_n, r=0.0
     )
     u_next, z = _control_and_z(
         kp, np.full(g.n_x + 1, 2.0), np.zeros(g.n_x + 1), g
@@ -382,6 +381,26 @@ def test_unchanged_estimate_reuses_the_kernels(params, monkeypatch, with_model):
     assert tr.kernel_acquisitions == 1
 
 
+@pytest.mark.parametrize("with_model", [False, True], ids=["solver", "model"])
+def test_drift_rates_are_the_square_differences_of_hooked_pairs(params, with_model):
+    # The loop differences triangles; the zeros above the diagonal add
+    # nothing, so the rates are those of the (n, n) squares, bit for bit.
+    hooked = []
+    g = GridSpec(n_x=60, dt=0.1, t_end=2.0)
+    cfg = ControllerConfig(mesh_n=21)
+    model = init_model(m=21, seed=7) if with_model else None
+    tr = run_closed_loop(
+        params, cfg, g, model=model, on_refresh=lambda t, c, kp, ns: hooked.append(kp)
+    )
+    assert len(hooked) == len(tr.dku_dt) == 20
+    assert tr.dku_dt[0] == tr.dkv_dt[0] == 0.0
+    for j in range(1, len(hooked)):
+        prev, kp = hooked[j - 1], hooked[j]
+        for got, new, old in ((tr.dku_dt, kp.ku, prev.ku), (tr.dkv_dt, kp.kv, prev.kv)):
+            assert got[j] == np.abs(new - old).max() / cfg.kernel_refresh_dt
+    assert np.all(tr.dku_dt[1:] > 0.0) and np.all(tr.dkv_dt[1:] > 0.0)
+
+
 # Steps whose adaptation is undone, so that runs of refreshes see the same
 # estimate while others see a new one.
 _FROZEN = frozenset(range(3, 9)) | frozenset(range(12, 15)) | {20}
@@ -429,8 +448,11 @@ def test_reused_refreshes_serve_the_pair_a_solve_would(params, lp, monkeypatch):
 
 def _four_corner_rows(tri: np.ndarray, mesh: TriMesh, g: GridSpec) -> np.ndarray:
     """Reference: bilinear gather of the four mesh corners around each
-    grid node pair, on the mirrored table, lower triangle kept."""
-    work = controller._mirror(tri)
+    grid node pair, on the mirrored table, lower triangle kept.  tri holds
+    the kernel's lower triangle in row-major tril order."""
+    square = np.zeros((mesh.n, mesh.n))
+    square[np.tril_indices(mesh.n)] = tri
+    work = np.where(np.tri(mesh.n, dtype=bool), square, square.T)
     h = mesh.dx
     xq = g.x[:, None] / h
     yq = g.x[None, :] / h
@@ -456,7 +478,7 @@ def test_grid_tables_match_four_corner_interpolation(lp, mesh_n, n_x):
     g = GridSpec(n_x=n_x, dt=0.1, t_end=1.0)
     mesh = TriMesh(mesh_n)
     kp = solve_kernels(lp.c_samples(mesh_n), lp, mesh)
-    for tri in (kp.ku, kp.kv):
+    for tri in (kp.ku_tri, kp.kv_tri):
         interp = controller._grid_ops(mesh, g)[0]
         got = np.tril(controller._rows_on_grid(tri, interp))
         want = _four_corner_rows(tri, mesh, g)
@@ -667,17 +689,8 @@ def _ref_acquire(self, c_mesh):
     model = self.model
     coef = _forward_stack(model.params, c_mesh / model.c_scale, len(model.hidden))[-1]
     pred = model.params["mean"] + coef @ model.params["modes"]
-    n = self.mesh.n
-    ii, jj = np.tril_indices(n)
-    d = ii - jj
     lp = self.lp
-    ku = np.zeros((n, n))
-    kv = np.zeros((n, n))
-    ku[ii, jj] = pred
-    kv[ii, jj] = (lp.lam_n * lp.r / lp.mu_n) * pred[d * (d + 1) // 2]
-    return KernelPair(
-        mesh=self.mesh, ku=ku, kv=kv, lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r
-    )
+    return KernelPair(mesh=self.mesh, ku_tri=pred, lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r)
 
 
 _TIMING = ("kernel_ns", "refresh_ns")

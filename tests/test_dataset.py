@@ -28,7 +28,7 @@ from arzno.dataset import (
     verify_labels,
 )
 from arzno.deeponet import NeuralKernelSource, init_model
-from arzno.kernels import KernelPair, TriMesh, _kv_from_edge, solve_kernels
+from arzno.kernels import TriMesh, _kv_from_edge, solve_kernels
 from arzno.model import TrafficParams
 from arzno.sim import GridSpec
 
@@ -484,21 +484,29 @@ def test_entry_format_errors(lp, tmp_path):
             read(man)
 
 
-def test_underived_kv_is_not_stored(lp):
+def test_every_pair_derives_kv_from_the_edge_of_its_ku(lp, tmp_path):
+    # Solved, surrogate and decoded pairs store Ku's triangle alone; their
+    # Kv square holds the edge trace below the diagonal and zeros above.
     mesh = TriMesh(21)
-    kp = solve_kernels(lp.c_samples(21), lp, mesh)
-    kv = kp.kv.copy()
-    kv[7, 3] = np.nextafter(kv[7, 3], np.inf)
-    nudged = KernelPair(mesh=mesh, ku=kp.ku, kv=kv, lam_n=kp.lam_n, mu_n=kp.mu_n, r=kp.r)
-    with pytest.raises(ValueError, match="edge trace"):
-        kernel_record_bytes(nudged)
-    with pytest.raises(ValueError, match="edge trace"):
-        _entry(0.0, lp.c_samples(21), nudged)
+    c = lp.c_samples(21)
+    solved = solve_kernels(c, lp, mesh)
+    surrogate = NeuralKernelSource(init_model(m=21, b=8, hidden=(16,)), mesh, lp)
+    (tmp_path / "family.bin").write_bytes(_entry(0.0, c, solved))
+    [(_, _, decoded)] = iter_family(tmp_path / "family.bin", 21)
+    ii, jj = np.tril_indices(21)
+    for kp in (solved, surrogate.acquire(c), decoded):
+        assert kp.ratio == lp.lam_n * lp.r / lp.mu_n
+        kv = kp.kv
+        assert np.array_equal(kv[ii, jj], _kv_from_edge(kp.ku_tri, kp.ratio, 21))
+        assert np.array_equal(kv[ii, jj], kp.kv_tri)
+        assert np.array_equal(kp.ku[ii, jj], kp.ku_tri)
+        for square in (kp.ku, kv):
+            assert not np.any(np.triu(square, 1))
 
 
 def test_surrogate_pair_round_trips_through_a_record(lp, tmp_path):
-    # A surrogate builds Kv by the solver's rule, so its pair is stored
-    # like a solved one and read back exactly, Kv rebuilt from Ku's edge.
+    # A surrogate pair is Ku's triangle, as a solved one is, so it is
+    # stored like one and read back exactly, Kv derived from Ku's edge.
     mesh = TriMesh(21)
     surrogate = NeuralKernelSource(init_model(m=21, b=8, hidden=(16,)), mesh, lp)
     c = lp.c_samples(21)
