@@ -156,7 +156,6 @@ def cmd_gen_dataset(args, cfg) -> int:
         opts["subsample_dt"],
         out,
         seed=opts["seed"],
-        jobs=args.jobs,
         g=g,
         cfg=ctl,
         config_hash=chash,
@@ -314,6 +313,10 @@ def _percentiles(ns: np.ndarray) -> dict:
     }
 
 
+# Samples timed ahead of the n reported ones, to warm caches, and dropped.
+_BENCH_WARMUP = 5
+
+
 def cmd_bench(args, cfg) -> int:
     chash = cfgmod.config_hash(cfg)
     opts = cfgmod.bench_options(cfg)
@@ -335,10 +338,7 @@ def cmd_bench(args, cfg) -> int:
     mesh = TriMesh(ctl.mesh_n)
 
     def solver(c_mesh: np.ndarray):
-        return solve_kernels(
-            c_mesh, lp, mesh, tol=ctl.tol, max_iter=ctl.max_iter,
-            c_bound=ctl.c_bar,
-        )
+        return solve_kernels(c_mesh, lp, mesh, tol=ctl.tol, c_bound=ctl.c_bar)
 
     neural = NeuralKernelSource(model, mesh, lp).acquire
 
@@ -351,7 +351,8 @@ def cmd_bench(args, cfg) -> int:
         p, ctl, g_short,
         on_refresh=lambda t, c_mesh, kp, ns: inputs.append(c_mesh.copy()),
     )
-    samples = [inputs[i % len(inputs)] for i in range(opts["warmup"] + n)]
+    w = _BENCH_WARMUP
+    samples = [inputs[i % len(inputs)] for i in range(w + n)]
 
     # Each path is timed in its own contiguous loop so one path's cache
     # footprint does not tax the other's measurements; inputs, order,
@@ -390,7 +391,6 @@ def cmd_bench(args, cfg) -> int:
     ]
     err_u = np.array([e[0] for e in errs])
     err_v = np.array([e[1] for e in errs])
-    w = opts["warmup"]
     t_solver, t_neural = t_solver[w:], t_neural[w:]
     err_u, err_v = err_u[w:], err_v[w:]
 
@@ -455,7 +455,6 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen-dataset", help="generate the training corpus")
     gen.add_argument("--out", help="dataset directory")
-    gen.add_argument("--jobs", type=int, default=1, help="worker processes")
     gen.set_defaults(func=cmd_gen_dataset)
 
     trn = sub.add_parser("train", help="fit the kernel surrogate")

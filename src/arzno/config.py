@@ -63,7 +63,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "kernel_refresh_dt": "0.1",
         "mesh_n": "41",
         "tol": "1e-8",
-        "max_iter": "200",
         "rho_gain": "0.05",
         "gamma": "1.0",
         "gamma1": "0.01",
@@ -93,7 +92,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
     "bench": {
         "n": "100",
-        "warmup": "5",
     },
 }
 
@@ -246,11 +244,7 @@ def deeponet_options(cfg: dict) -> dict:
 
 
 def bench_options(cfg: dict) -> dict:
-    opts = {
-        "n": _get(cfg, "bench", "n", int, "an integer"),
-        "warmup": _get(cfg, "bench", "warmup", int, "an integer"),
-    }
-    for key in ("n", "warmup"):
-        if opts[key] < 0:
-            raise ConfigError(f"[bench] {key} = {opts[key]}: must be non-negative")
-    return opts
+    n = _get(cfg, "bench", "n", int, "an integer")
+    if n < 0:
+        raise ConfigError(f"[bench] n = {n}: must be non-negative")
+    return {"n": n}

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -54,6 +55,7 @@ from arzno.model import (
     derive_linearized,
     from_riemann,
     to_riemann,
+    unit_nodes,
 )
 from arzno.sim import (
     GridSpec,
@@ -87,10 +89,10 @@ class ControllerConfig:
         kernel_refresh_dt: seconds between kernel recomputations; must
             be a multiple of the grid dt.
         mesh_n: kernel mesh nodes per side.
-        tol, max_iter: solver stopping parameters, tol > 0 and
-            max_iter >= 1.  The loop warm-starts its solves and sweeps
-            them to _LOOP_TOL_SCALE * tol, where they end at least as
-            close to the fixed point as a cold solve at tol.
+        tol: solver stopping tolerance, > 0.  The loop warm-starts its
+            solves and sweeps them to _LOOP_TOL_SCALE * tol, where they
+            end at least as close to the fixed point as a cold solve at
+            tol; the sweep budget is solve_kernels' default.
         rho_gain: identifier correction gain rho.
         gamma: exponential weight rate of the adaptation law.
         gamma1: adaptation gain.
@@ -103,7 +105,6 @@ class ControllerConfig:
     kernel_refresh_dt: float = 0.1
     mesh_n: int = 41
     tol: float = 1e-8
-    max_iter: int = 200
     rho_gain: float = 0.05
     gamma: float = 1.0
     gamma1: float = 0.01
@@ -123,8 +124,8 @@ class ControllerConfig:
             raise ValueError("initial estimate -1/(2 tau_guess) exceeds c_bar")
         if not self.kernel_refresh_dt > 0:
             raise ValueError("kernel_refresh_dt must be positive")
-        if not self.tol > 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter at least 1")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
 
     def refresh_every(self, g: GridSpec) -> int:
         """Steps between kernel refreshes; validates cadence vs grid dt."""
@@ -168,25 +169,20 @@ _LOOP_TOL_SCALE = 1e-3
 
 # The interpolation operator and the grid's quadrature weights depend only
 # on (mesh.n, n_x); cache them across refreshes like the solver's geometry.
-_GRID_OPS_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _grid_ops(mesh: TriMesh, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _grid_ops(mesh: TriMesh, n_x: int) -> tuple[np.ndarray, np.ndarray]:
     """Mesh-to-grid interpolation operator P and grid Volterra weights w.
 
     Column m of P is the linear interpolant of the m-th unit vector, so
-    P @ f equals np.interp(g.x, mesh.x, f) up to rounding.
+    P @ f equals np.interp(x, mesh.x, f), x the n_x + 1 grid nodes, up
+    to rounding.
     """
-    key = (mesh.n, g.n_x)
-    ops = _GRID_OPS_CACHE.get(key)
-    if ops is not None:
-        return ops
-    interp = np.column_stack([np.interp(g.x, mesh.x, e) for e in np.eye(mesh.n)])
-    w = _volterra_weights(g.n_x + 1, g.dx)
+    x = unit_nodes(n_x + 1)
+    interp = np.column_stack([np.interp(x, mesh.x, e) for e in np.eye(mesh.n)])
+    w = _volterra_weights(n_x + 1, 1.0 / n_x)
     interp.setflags(write=False)
     w.setflags(write=False)
-    ops = _GRID_OPS_CACHE[key] = (interp, w)
-    return ops
+    return interp, w
 
 
 def _rows_on_grid(tri: np.ndarray, interp: np.ndarray) -> np.ndarray:
@@ -230,7 +226,7 @@ class _ActiveKernels:
 
 
 def _grid_caches(kp: KernelPair, g: GridSpec) -> _ActiveKernels:
-    interp, w = _grid_ops(kp.mesh, g)
+    interp, w = _grid_ops(kp.mesh, g.n_x)
     m_u = w * _rows_on_grid(kp.ku_tri, interp)
     m_v = w * _rows_on_grid(kp.kv_tri, interp)
     ku_row, kv_row = _edge_rows(kp, g)
@@ -299,7 +295,6 @@ class SimTrace:
     v_norm: np.ndarray
     e_norm: np.ndarray
     eps_norm: np.ndarray
-    c_err_norm: np.ndarray
     control: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
@@ -400,8 +395,8 @@ def run_closed_loop(
         cfg: controller configuration.
         g: space-time grid; the CFL bound is enforced up front.
         model: trained kernel surrogate; when given, it supplies the
-            kernels, otherwise the solver does (with cfg.tol,
-            cfg.max_iter and cfg.c_bar).
+            kernels, otherwise the solver does (with cfg.tol and
+            cfg.c_bar).
         open_loop: if True, U = 0 throughout and no kernels are
             computed (the identifier still runs); model is unused.
         on_refresh: optional hook called after every refresh with
@@ -433,8 +428,7 @@ def run_closed_loop(
         def acquire(c_mesh: np.ndarray) -> KernelPair:
             return solve_kernels(
                 c_mesh, lp, mesh, tol=_LOOP_TOL_SCALE * cfg.tol,
-                max_iter=cfg.max_iter, c_bound=cfg.c_bar,
-                start=None if ac is None else ac.kp,
+                c_bound=cfg.c_bar, start=None if ac is None else ac.kp,
             )
 
     n = g.n_x + 1
@@ -547,7 +541,6 @@ def run_closed_loop(
         v_norm=l2_norm(v, g),
         e_norm=l2_norm(e, g),
         eps_norm=l2_norm(eps, g),
-        c_err_norm=l2_norm(c_tilde, g),
         control=v[:, -1].copy(),
         v1=v1,
         v2=v2,

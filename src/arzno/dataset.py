@@ -3,9 +3,9 @@
 Each family is one closed-loop adaptive run with its own relaxation time
 tau; the kernel pairs the controller acquires along the way are snap-
 shotted at a fixed cadence together with the estimate that produced
-them.  Families are written to separate binary files so generation can
-fan out across processes without write contention; a JSON manifest ties
-the files together with counts, draws, and a provenance hash.
+them.  Each family is written to a binary file of its own; a JSON
+manifest ties the files together with counts, draws, and a provenance
+hash.
 
 Record entry layout (packed little endian, format version 2), one
 numpy structured dtype written and read here alone:
@@ -27,9 +27,8 @@ import hashlib
 import itertools
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -139,7 +138,7 @@ def _file_sha256(path: Path) -> str:
 
 def _run_family(idx: int, tau: float, p: TrafficParams, cfg: ControllerConfig,
                 g: GridSpec, stride: int, out_dir: Path) -> dict:
-    """Generate one family file; executed in a worker process."""
+    """Generate one family file."""
     path = out_dir / f"family_{idx:03d}.bin"
     entries: list[bytes] = []
     refreshes = itertools.count()
@@ -171,7 +170,6 @@ def generate(
     subsample_dt: float,
     out_dir: str | Path,
     seed: int = 0,
-    jobs: int = 1,
     g: GridSpec | None = None,
     cfg: ControllerConfig | None = None,
     config_hash: str | None = None,
@@ -192,7 +190,6 @@ def generate(
         out_dir: directory for the family files and manifest.json.
         seed: seeds the i.i.d. uniform tau draws (the loop itself is
             deterministic).
-        jobs: worker processes; families are independent.
         g: space-time grid (default grid when omitted).
         cfg: controller settings (defaults when omitted).
         config_hash: provenance tag for the manifest; derived from the
@@ -212,8 +209,8 @@ def generate(
         raise ValueError("tau_range must satisfy 0 < lo <= hi")
     if n_families < 1:
         raise ValueError("n_families must be positive")
-    if not subsample_dt >= g.dt:
-        raise ValueError("subsample_dt must be at least the simulation dt")
+    if not g.dt <= subsample_dt < np.inf:
+        raise ValueError("subsample_dt must be finite and at least the simulation dt")
     cadence = cfg.kernel_refresh_dt
     stride_f = subsample_dt / cadence
     stride = int(round(stride_f))
@@ -244,13 +241,9 @@ def generate(
     if config_hash is None:
         config_hash = _params_hash(gen_params)
 
-    run = partial(_run_family, p=p, cfg=cfg, g=g, stride=stride, out_dir=out)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(n_families), taus))
-    else:
-        results = list(map(run, range(n_families), taus))
-
+    results = [
+        _run_family(i, tau, p, cfg, g, stride, out) for i, tau in enumerate(taus)
+    ]
     families = [r for r in results if "error" not in r]
     skipped = [r for r in results if "error" in r]
     for r in skipped:
@@ -471,8 +464,7 @@ def verify_labels(
         lp = derive_linearized(replace(p, tau=fam["tau"]))
         for c, ku, kv in zip(rec["c"], rec["ku"], kvs):
             ref = solve_kernels(
-                c, lp, mesh, tol=_LOOP_TOL_SCALE * ctl["tol"],
-                max_iter=ctl["max_iter"], c_bound=ctl["c_bar"],
+                c, lp, mesh, tol=_LOOP_TOL_SCALE * ctl["tol"], c_bound=ctl["c_bar"]
             )
             err = max(
                 float(np.max(np.abs(ref.ku_tri - ku))),

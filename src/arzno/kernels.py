@@ -123,7 +123,12 @@ class KernelPair:
         return _square(self.kv_tri, self.mesh.n)
 
     def sup_norm(self) -> float:
-        return float(max(np.max(np.abs(self.ku_tri)), np.max(np.abs(self.kv_tri))))
+        """max |Ku| and |Kv| over the triangle.  Every Kv value is ratio
+        times an edge value of Ku, so Kv's sup is read off Ku's n edge
+        nodes and kv_tri is not built."""
+        n = self.mesh.n
+        edge = np.abs(self.ku_tri[_tril_layout(n)[2][-n:]])  # |Ku(d dx, 0)|
+        return float(max(np.max(np.abs(self.ku_tri)), abs(self.ratio) * np.max(edge)))
 
 
 @dataclass(frozen=True)
@@ -144,17 +149,11 @@ class InverseKernelPair:
             object.__setattr__(self, name, arr)
 
 
-# Characteristic geometry depends only on (n, lam_n, mu_n); cache it
-# across solves so repeated calls inside a control loop stay cheap.
-_GEOMETRY_CACHE: dict[tuple[int, float, float], dict[str, np.ndarray]] = {}
-
-
+# Characteristic geometry depends only on (n, lam_n, mu_n), the mesh
+# being hashed by n; cache it across solves so repeated calls inside a
+# control loop stay cheap.
+@lru_cache(maxsize=None)
 def _geometry(mesh: TriMesh, a: float, b: float) -> dict[str, np.ndarray]:
-    key = (mesh.n, a, b)
-    geo = _GEOMETRY_CACHE.get(key)
-    if geo is not None:
-        return geo
-
     n = mesh.n
     dx = mesh.dx
     rows_i, cols_j = np.tril_indices(n)
@@ -179,7 +178,7 @@ def _geometry(mesh: TriMesh, a: float, b: float) -> dict[str, np.ndarray]:
     foot_rep = np.repeat(foot_x[has_quad], reps[has_quad])
     xi_q = foot_rep - a * h_sigma * q_idx
 
-    geo = {
+    return {
         "foot_x": foot_x,
         "q_rows": q_rows,
         "q_idx": q_idx,
@@ -187,8 +186,6 @@ def _geometry(mesh: TriMesh, a: float, b: float) -> dict[str, np.ndarray]:
         "xi_q": xi_q,
         "edge_ids": node_id[cols_j == 0],
     }
-    _GEOMETRY_CACHE[key] = geo
-    return geo
 
 
 def kernel_sup_cap(c_bound: float, lam_n: float, mu_n: float) -> float:

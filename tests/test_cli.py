@@ -22,7 +22,6 @@ _FAST_ENV = {
     "ARZNO_DEEPONET_B": "8",
     "ARZNO_DEEPONET_HIDDEN": "16,16",
     "ARZNO_BENCH_N": "3",
-    "ARZNO_BENCH_WARMUP": "1",
 }
 
 
@@ -88,7 +87,7 @@ def test_full_workflow(fast_env, capsys, caplog):
 
     assert main(["bench", "--model", "model.bin", "--out", "bench.json"]) == 0
     report = json.loads((root / "bench.json").read_text())
-    assert report["n"] == 3 and report["warmup"] == 1
+    assert report["n"] == 3 and report["warmup"] == 5
     assert report["median_speedup"] > 0
     assert report["solver"]["median_ns"] > report["neural"]["median_ns"]
     assert "paired_kernel_error" in report
@@ -185,15 +184,16 @@ def test_negative_bench_counts_exit_1(fast_env, capsys, monkeypatch):
     # A negative count would slice the samples from the end or leave none.
     assert main(["bench", "--n", "-2", "--out", "b.json"]) == 1
     assert "usage error" in capsys.readouterr().err
-    monkeypatch.setenv("ARZNO_BENCH_WARMUP", "-3")
-    assert main(["bench", "--n", "0", "--out", "b.json"]) == 1
-    assert "[bench] warmup = -3" in capsys.readouterr().err
+    monkeypatch.setenv("ARZNO_BENCH_N", "-3")
+    assert main(["bench", "--out", "b.json"]) == 1
+    assert "[bench] n = -3" in capsys.readouterr().err
     assert not (fast_env / "b.json").exists()
 
 
 @pytest.mark.parametrize("name, raw", [("TOL", "-1"), ("MAX_ITER", "0")])
 def test_solver_settings_exit_1_before_out(fast_env, capsys, monkeypatch, name, raw):
-    # Refused at load as a configuration error, not a stalled solve (2).
+    # Refused at load as a configuration error, not a stalled solve (2);
+    # max_iter is refused as a key that no longer exists.
     monkeypatch.setenv(f"ARZNO_CONTROLLER_{name}", raw)
     assert main(["simulate", "--mode", "exact", "--out", "x"]) == 1
     assert "configuration error" in capsys.readouterr().err
@@ -211,6 +211,8 @@ _NAN_SETTINGS = {
     "DEEPONET_LR": ("nan", ["train", "--data", "nowhere", "--out", "x"], "lr"),
     "DATASET_SPLIT": ("nan,0.5,0.5", ["gen-dataset", "--out", "x"], "shares"),
     "DATASET_SUBSAMPLE_DT": ("nan", ["gen-dataset", "--out", "x"], "subsample_dt"),
+    # An infinite cadence passes "at least dt" but has no snapshot stride.
+    "DATASET_SUBSAMPLE_DT-inf": ("inf", ["gen-dataset", "--out", "x"], "subsample_dt"),
 }
 
 
@@ -218,11 +220,42 @@ _NAN_SETTINGS = {
 def test_nan_setting_exits_1_before_out(fast_env, capsys, monkeypatch, key):
     # NaN fails every "must be positive" check written as not x > 0; as
     # x <= 0 it passed, and the run stalled (2) or wrote a 0/0/3 split.
-    # The message names the setting.
+    # The message names the setting.  A key's suffix after "-" names a
+    # second value for the same setting.
     raw, argv, name = _NAN_SETTINGS[key]
-    monkeypatch.setenv(f"ARZNO_{key}", raw)
+    monkeypatch.setenv(f"ARZNO_{key.split('-')[0]}", raw)
     assert main(argv) == 1
     assert name in capsys.readouterr().err
+    assert not (fast_env / "x").exists()
+
+
+_BENCH = ["bench", "--n", "0", "--out", "x"]
+
+
+@pytest.mark.parametrize(
+    "ini, env, argv, name",
+    [
+        ("[controller]\nmax_iter = 200\n", None, _SIMULATE, "max_iter"),
+        (None, ("ARZNO_CONTROLLER_MAX_ITER", "200"), _SIMULATE, "max_iter"),
+        ("[bench]\nwarmup = 5\n", None, _BENCH, "warmup"),
+        (None, ("ARZNO_BENCH_WARMUP", "5"), _BENCH, "warmup"),
+        (None, None, ["gen-dataset", "--jobs", "2", "--out", "x"], "--jobs"),
+    ],
+    ids=["max_iter-file", "max_iter-env", "warmup-file", "warmup-env", "jobs"],
+)
+def test_retired_settings_exit_1_before_out(
+    fast_env, capsys, monkeypatch, ini, env, argv, name
+):
+    # The sweep budget is solve_kernels' default, bench's warm-up count is
+    # a constant and families run in one process: setting any of them,
+    # even to its old default, is a usage error raised before --out exists.
+    if ini is not None:
+        (fast_env / "retired.ini").write_text(ini)
+        argv = ["--config", "retired.ini", *argv]
+    if env is not None:
+        monkeypatch.setenv(*env)
+    assert main(argv) == 1
+    assert name in capsys.readouterr().err.lower()
     assert not (fast_env / "x").exists()
 
 

@@ -136,7 +136,7 @@ def test_build_train_and_option_views():
     nn = deeponet_options(cfg)
     assert nn["b"] == 32 and nn["hidden"] == (64, 64)
     bench = bench_options(cfg)
-    assert bench == {"n": 100, "warmup": 5}
+    assert bench == {"n": 100}
 
 
 def test_every_default_key_is_parsed(read_log):
@@ -154,7 +154,7 @@ def test_every_default_key_is_parsed(read_log):
     assert seen == {s: set(kv) for s, kv in DEFAULTS.items()}
 
 
-@pytest.mark.parametrize("key", ["n", "warmup"])
+@pytest.mark.parametrize("key", ["n"])
 def test_bench_counts_must_be_non_negative(monkeypatch, key):
     monkeypatch.setenv(f"ARZNO_BENCH_{key.upper()}", "-3")
     with pytest.raises(ConfigError, match=rf"\[bench\] {key} = -3"):
@@ -175,7 +175,7 @@ def test_bad_values_name_section_and_key(monkeypatch):
         (build_grid, "grid", "n_x", "sixty"),
         (build_traffic, "traffic", "rho_m_veh_km", "jam"),
         (build_traffic, "traffic", "tau", "slow"),
-        (build_controller, "controller", "max_iter", "2.5"),
+        (build_controller, "controller", "mesh_n", "2.5"),
         (build_train, "deeponet", "batch_size", "big"),
     ):
         name = f"ARZNO_{section.upper()}_{key.upper()}"
@@ -204,11 +204,11 @@ def test_semantic_errors_wrap_as_config_errors(monkeypatch):
 
 @pytest.mark.parametrize(
     "key, raw",
-    [("tol", "-1"), ("tol", "0"), ("tol", "nan"), ("max_iter", "0")],
+    [("tol", "-1"), ("tol", "0"), ("tol", "nan")],
 )
 def test_solver_settings_are_checked_at_load(monkeypatch, key, raw):
     # A tol that is not > 0 would send every solve through the whole
-    # sweep budget to a ConvergenceError; max_iter < 1 allows no sweep.
+    # sweep budget to a ConvergenceError.
     monkeypatch.setenv(f"ARZNO_CONTROLLER_{key.upper()}", raw)
     with pytest.raises(ConfigError, match=r"\[controller\].*tol must be positive"):
         build_controller(load_config())

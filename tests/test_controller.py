@@ -347,13 +347,13 @@ def test_solver_source_threads_its_options(params, lp, monkeypatch):
 
     monkeypatch.setattr(controller, "solve_kernels", spy)
     g = GridSpec(n_x=60, dt=0.1, t_end=0.3)
-    cfg = ControllerConfig(mesh_n=9, tol=1e-10, max_iter=300, c_bar=0.03)
+    cfg = ControllerConfig(mesh_n=9, tol=1e-10, c_bar=0.03)
     hooked = []
     run_closed_loop(
         params, cfg, g, on_refresh=lambda t, c, kp, ns: hooked.append((c, kp))
     )
     pairs = [kp for _, kp in hooked]
-    opts = {"tol": controller._LOOP_TOL_SCALE * 1e-10, "max_iter": 300, "c_bound": 0.03}
+    opts = {"tol": controller._LOOP_TOL_SCALE * 1e-10, "c_bound": 0.03}
     assert seen == [{**opts, "start": start} for start in [None, *pairs[:2]]]
     c, kp = hooked[-1]
     ref = solve_kernels(c, lp, TriMesh(9), **opts, start=pairs[-2])
@@ -434,7 +434,7 @@ def test_reused_refreshes_serve_the_pair_a_solve_would(params, lp, monkeypatch):
         if k == 0 or keys[k] != keys[k - 1]:
             ref = solve_kernels(
                 c, lp, mesh, tol=controller._LOOP_TOL_SCALE * cfg.tol,
-                max_iter=cfg.max_iter, c_bound=cfg.c_bar, start=ref,
+                c_bound=cfg.c_bar, start=ref,
             )
         np.testing.assert_array_equal(kp.ku, ref.ku)
         np.testing.assert_array_equal(kp.kv, ref.kv)
@@ -479,7 +479,7 @@ def test_grid_tables_match_four_corner_interpolation(lp, mesh_n, n_x):
     mesh = TriMesh(mesh_n)
     kp = solve_kernels(lp.c_samples(mesh_n), lp, mesh)
     for tri in (kp.ku_tri, kp.kv_tri):
-        interp = controller._grid_ops(mesh, g)[0]
+        interp = controller._grid_ops(mesh, g.n_x)[0]
         got = np.tril(controller._rows_on_grid(tri, interp))
         want = _four_corner_rows(tri, mesh, g)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -525,7 +525,7 @@ def _per_step_reference(tr, lp, cfg: ControllerConfig, g: GridSpec, kernels):
     every = cfg.refresh_every(g)
     rows = len(tr.t)
     names = (
-        "u_norm", "v_norm", "e_norm", "eps_norm", "c_err_norm", "control",
+        "u_norm", "v_norm", "e_norm", "eps_norm", "control",
         "v1", "v2", "v_lyap", "v3", "v4", "s_norm",
     )
     cols = {name: np.empty(rows) for name in names}
@@ -539,7 +539,6 @@ def _per_step_reference(tr, lp, cfg: ControllerConfig, g: GridSpec, kernels):
         cols["v_norm"][k] = l2_norm(v, g)
         cols["e_norm"][k] = l2_norm(e, g)
         cols["eps_norm"][k] = l2_norm(eps, g)
-        cols["c_err_norm"][k] = l2_norm(c_tilde, g)
         cols["control"][k] = v[-1]
         cols["v3"][k] = lyapunov_v3(e, eps, c_tilde, cfg.gamma, cfg.gamma1, g)
         if not kernels:
@@ -573,7 +572,7 @@ def test_history_pass_matches_per_step_record(params, refresh_dt, open_loop):
     )
     ref = _per_step_reference(tr, derive_linearized(params), cfg, g, kernels)
     for name in (
-        "u_norm", "v_norm", "e_norm", "eps_norm", "c_err_norm", "control",
+        "u_norm", "v_norm", "e_norm", "eps_norm", "control",
         "v3", "s_norm", "rho", "speed",
     ):
         assert np.array_equal(getattr(tr, name), ref[name]), name

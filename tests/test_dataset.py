@@ -28,7 +28,7 @@ from arzno.dataset import (
     verify_labels,
 )
 from arzno.deeponet import NeuralKernelSource, init_model
-from arzno.kernels import TriMesh, _kv_from_edge, solve_kernels
+from arzno.kernels import KernelPair, TriMesh, _kv_from_edge, solve_kernels
 from arzno.model import TrafficParams
 from arzno.sim import GridSpec
 
@@ -168,8 +168,8 @@ def test_stored_labels_re_solve_exactly(corpus):
 
 def test_labels_verify_under_a_legacy_controller_section(corpus, tmp_path):
     # Manifests written while the controller section still carried the
-    # kernel_source switch verify as before: only tol, max_iter and c_bar
-    # are read from it.
+    # kernel_source switch verify as before: only tol and c_bar are read
+    # from it.
     root, man = corpus
     legacy = json.loads((root / "manifest.json").read_text())
     legacy["controller"] = {"kernel_source": "solver", **legacy["controller"]}
@@ -226,17 +226,6 @@ def test_generation_is_byte_deterministic(tmp_path):
     c = generate(TrafficParams(), 2, _TAUS, 0.1, tmp_path / "c", seed=6, **kwargs)
     assert [f["sha256"] for f in a["families"]] == [f["sha256"] for f in b["families"]]
     assert [f["sha256"] for f in a["families"]] != [f["sha256"] for f in c["families"]]
-
-
-def test_parallel_generation_matches_serial(tmp_path):
-    kwargs = dict(g=_GRID, cfg=_CFG)
-    one = generate(TrafficParams(), 2, _TAUS, 0.1, tmp_path / "j1", seed=2,
-                   jobs=1, **kwargs)
-    two = generate(TrafficParams(), 2, _TAUS, 0.1, tmp_path / "j2", seed=2,
-                   jobs=2, **kwargs)
-    assert [f["sha256"] for f in one["families"]] == [
-        f["sha256"] for f in two["families"]
-    ]
 
 
 def test_unstable_families_are_skipped(tmp_path, caplog):
@@ -502,6 +491,25 @@ def test_every_pair_derives_kv_from_the_edge_of_its_ku(lp, tmp_path):
         assert np.array_equal(kp.ku[ii, jj], kp.ku_tri)
         for square in (kp.ku, kv):
             assert not np.any(np.triu(square, 1))
+
+
+def test_sup_norm_is_the_max_over_both_squares(lp, tmp_path):
+    # sup_norm reads Kv's sup off Ku's edge, so neither timed acquisition
+    # path builds Kv; it still equals max |.| over both squares for every
+    # source of pairs, and for a negative ratio whose Kv outgrows Ku.
+    mesh = TriMesh(21)
+    c = lp.c_samples(21)
+    solved = solve_kernels(c, lp, mesh)
+    surrogate = NeuralKernelSource(init_model(m=21, b=8, hidden=(16,)), mesh, lp)
+    predicted = surrogate.acquire(c)
+    assert "kv_tri" not in vars(solved) and "kv_tri" not in vars(predicted)
+    (tmp_path / "family.bin").write_bytes(_entry(0.0, c, solved))
+    [(_, _, decoded)] = iter_family(tmp_path / "family.bin", 21)
+    ku = np.random.default_rng(3).standard_normal(mesh.n_nodes)
+    negative = KernelPair(mesh, ku, lam_n=lp.lam_n, mu_n=lp.mu_n, r=-5.0)
+    assert negative.ratio < -1 and np.abs(negative.kv).max() > np.abs(ku).max()
+    for kp in (solved, predicted, decoded, negative):
+        assert kp.sup_norm() == max(np.abs(kp.ku).max(), np.abs(kp.kv).max())
 
 
 def test_surrogate_pair_round_trips_through_a_record(lp, tmp_path):

@@ -75,8 +75,7 @@ def test_node_coordinates_are_cached_and_read_only():
     assert g2.x.size == 33 and g.x.size == 61
 
     # The coordinates are not instance state: equality, hashing and
-    # pickling (gen-dataset --jobs ships grids to worker processes) see
-    # only the three fields.
+    # pickling see only the three fields.
     assert vars(g) == {"n_x": 60, "dt": 0.1, "t_end": 1.0}
     assert g == GridSpec(n_x=60, dt=0.1, t_end=1.0) and g != g2
     assert hash(g) == hash(GridSpec(n_x=60, dt=0.1, t_end=1.0))
