@@ -38,7 +38,7 @@ from arzno.deeponet import (
 )
 from arzno.kernels import ConvergenceError, TriMesh, solve_kernels
 from arzno.model import derive_linearized
-from arzno.sim import CFLError, InstabilityError
+from arzno.sim import CFLError, InstabilityError, check_cfl
 
 __all__ = ["main"]
 
@@ -106,6 +106,7 @@ def cmd_simulate(args, cfg) -> int:
     model = None
     if mode == "no":
         model = _read_model(args.model or cfgmod.deeponet_options(cfg)["model_path"])
+    check_cfl(g, derive_linearized(p))  # before --out exists, like the model read
     out = Path(args.out or f"run_{mode.replace('-', '_')}")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -342,11 +343,11 @@ def cmd_bench(args, cfg) -> int:
 
     neural = NeuralKernelSource(model, mesh, lp).acquire
 
-    # Realistic inputs: estimates harvested from a short adaptive run,
-    # cycled to fill n samples.
+    # Realistic inputs: estimates harvested from the refreshes of a short
+    # adaptive run, one per step, cycled to fill n samples.
     inputs: list[np.ndarray] = []
     harvest = min(max(n, 1), 200)
-    g_short = type(g)(n_x=g.n_x, dt=g.dt, t_end=harvest * ctl.kernel_refresh_dt)
+    g_short = type(g)(n_x=g.n_x, dt=g.dt, t_end=harvest * g.dt)
     run_closed_loop(
         p, ctl, g_short,
         on_refresh=lambda t, c_mesh, kp, ns: inputs.append(c_mesh.copy()),

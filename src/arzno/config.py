@@ -60,7 +60,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "t_end": "300.0",
     },
     "controller": {
-        "kernel_refresh_dt": "0.1",
         "mesh_n": "41",
         "tol": "1e-8",
         "rho_gain": "0.05",

@@ -4,7 +4,7 @@ The control value is the backstepping feedback
     U(t) = int_0^1 Ku(1, xi) u_hat(xi) + Kv(1, xi) v_hat(xi) dxi
 evaluated on the state grid with kernels interpolated from the solver
 mesh.  run_closed_loop orchestrates one simulation: kernels are
-refreshed from the current coupling estimate on a fixed cadence, the
+refreshed from the current coupling estimate at every time step, the
 plant and identifier advance by upwind steps, and the estimate adapts
 under projection.  A refresh whose estimate on the kernel mesh is
 bitwise unchanged since the last acquisition keeps the active kernels
@@ -34,7 +34,6 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from arzno.diagnostics import (
-    LyapunovConstants,
     derive_constants,
     global_norm_S,
     lyapunov_v1_v2,
@@ -83,12 +82,11 @@ class ControllerConfig:
     """Closed-loop configuration.
 
     Where the kernels come from is not configured here: run_closed_loop
-    solves them unless it is handed a trained surrogate.
+    solves them unless it is handed a trained surrogate.  Nor is when:
+    the loop refreshes them at every grid step.
 
     Attributes:
-        kernel_refresh_dt: seconds between kernel recomputations; must
-            be a multiple of the grid dt.
-        mesh_n: kernel mesh nodes per side.
+        mesh_n: kernel mesh nodes per side, at least 8 (TriMesh's bound).
         tol: solver stopping tolerance, > 0.  The loop warm-starts its
             solves and sweeps them to _LOOP_TOL_SCALE * tol, where they
             end at least as close to the fixed point as a cold solve at
@@ -102,7 +100,6 @@ class ControllerConfig:
         ic: initial condition family, "sine" or "zero".
     """
 
-    kernel_refresh_dt: float = 0.1
     mesh_n: int = 41
     tol: float = 1e-8
     rho_gain: float = 0.05
@@ -113,6 +110,7 @@ class ControllerConfig:
     ic: str = "sine"
 
     def __post_init__(self) -> None:
+        TriMesh(self.mesh_n)  # refuses a mesh too small to solve on
         if self.ic not in ("sine", "zero"):
             raise ValueError("ic must be 'sine' or 'zero'")
         for name in ("rho_gain", "gamma", "gamma1"):
@@ -122,19 +120,8 @@ class ControllerConfig:
             raise ValueError("tau_guess and c_bar must be positive")
         if 0.5 / self.tau_guess > self.c_bar * (1 + 1e-12):
             raise ValueError("initial estimate -1/(2 tau_guess) exceeds c_bar")
-        if not self.kernel_refresh_dt > 0:
-            raise ValueError("kernel_refresh_dt must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-
-    def refresh_every(self, g: GridSpec) -> int:
-        """Steps between kernel refreshes; validates cadence vs grid dt."""
-        if self.kernel_refresh_dt < g.dt * (1 - 1e-9):
-            raise ValueError("kernel_refresh_dt must be at least the grid dt")
-        every = int(round(self.kernel_refresh_dt / g.dt))
-        if abs(every * g.dt - self.kernel_refresh_dt) > 1e-9 * self.kernel_refresh_dt:
-            raise ValueError("kernel_refresh_dt must be a multiple of dt")
-        return every
 
 
 def initial_plant_state(
@@ -282,9 +269,11 @@ class SimTrace:
     """Full record of one closed-loop (or open-loop) run.
 
     Per-step arrays are aligned with t; per-refresh arrays are aligned
-    with refresh_t.  Field histories have shape (len(t), n_x + 1).
-    V1, V2, V4 are NaN on runs without kernels: open-loop ones, and
-    those with no step (t_end = 0), which never refresh.
+    with refresh_t, which is t without its last row (a closed loop
+    refreshes at the start of every step) or empty.  Field histories
+    have shape (len(t), n_x + 1).  V1, V2, V4 are NaN on runs without
+    kernels: open-loop ones, and those with no step (t_end = 0), which
+    never refresh.
     kernel_acquisitions counts the refreshes that solved or queried the
     surrogate; the others kept the active pair (zero drift rates).
     """
@@ -399,18 +388,17 @@ def run_closed_loop(
             cfg.c_bar).
         open_loop: if True, U = 0 throughout and no kernels are
             computed (the identifier still runs); model is unused.
-        on_refresh: optional hook called after every refresh with
-            (t, c_mesh, kernel_pair, elapsed_ns); used by dataset
-            generation.  It fires for reused refreshes too, with the kept
-            pair; elapsed_ns is then the time of the unchanged-estimate
-            check rather than of an acquisition.
+        on_refresh: optional hook called after the refresh that opens
+            each step, with (t, c_mesh, kernel_pair, elapsed_ns); used
+            by dataset generation.  It fires for reused refreshes too,
+            with the kept pair; elapsed_ns is then the time of the
+            unchanged-estimate check rather than of an acquisition.
 
     Raises:
         InstabilityError: a field stopped being finite; carries the time.
     """
     lp = derive_linearized(p)
     check_cfl(g, lp)
-    refresh_every = cfg.refresh_every(g)
     mesh = TriMesh(cfg.mesh_n)
 
     # The kernel path follows from the inputs: none open-loop, the
@@ -433,7 +421,7 @@ def run_closed_loop(
 
     n = g.n_x + 1
     rows = g.n_steps + 1
-    refresh_rows = np.arange(0, 0 if acquire is None else g.n_steps, refresh_every)
+    refresh_rows = np.arange(0 if acquire is None else g.n_steps)
 
     t = np.zeros(rows)
     kernel_ns = np.zeros(rows, dtype=np.int64)
@@ -476,10 +464,9 @@ def run_closed_loop(
         if fresh:
             if ac is not None:
                 # A kept pair's drift is exactly zero, as is the first's.
-                j = k // refresh_every
-                d_u, d_v = kernel_time_derivative(kp, ac.kp, cfg.kernel_refresh_dt)
-                dku_dt[j] = np.abs(d_u).max()
-                dkv_dt[j] = np.abs(d_v).max()
+                d_u, d_v = kernel_time_derivative(kp, ac.kp, g.dt)
+                dku_dt[k] = np.abs(d_u).max()
+                dkv_dt[k] = np.abs(d_v).max()
                 # Rows seg..k took their boundary value from the outgoing
                 # pair (row 0 has none and takes the first pair), so their
                 # z uses it; the new pair's rows start at k + 1.
@@ -495,7 +482,7 @@ def run_closed_loop(
     # NumPy overflow warnings from the steps leading up to it.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(g.n_steps):
-            if acquire is not None and k % refresh_every == 0:
+            if acquire is not None:
                 refresh(k)
             uh, vh = step_identifier(
                 u_hat[k], v_hat[k], c_hat[k], u[k], v[k], 0.0, cfg.rho_gain,

@@ -2,10 +2,10 @@
 
 Each family is one closed-loop adaptive run with its own relaxation time
 tau; the kernel pairs the controller acquires along the way are snap-
-shotted at a fixed cadence together with the estimate that produced
-them.  Each family is written to a binary file of its own; a JSON
-manifest ties the files together with counts, draws, and a provenance
-hash.
+shotted every subsample_dt seconds together with the estimate that
+produced them.  Each family is written to a binary file of its own; a
+JSON manifest ties the files together with counts, draws, and a
+provenance hash.
 
 Record entry layout (packed little endian, format version 2), one
 numpy structured dtype written and read here alone:
@@ -38,7 +38,7 @@ from arzno.controller import _LOOP_TOL_SCALE, ControllerConfig, run_closed_loop
 from arzno.deeponet import KernelDataset
 from arzno.kernels import KernelPair, TriMesh, _kv_from_edge, solve_kernels
 from arzno.model import TrafficParams, derive_linearized
-from arzno.sim import GridSpec, InstabilityError
+from arzno.sim import GridSpec, InstabilityError, check_cfl
 
 __all__ = [
     "DatasetFormatError",
@@ -178,15 +178,15 @@ def generate(
 
     Each record pairs the identifier's estimate at a refresh with the
     kernels the controller acquired for it, the input the surrogate
-    must serve at runtime.
+    must serve at runtime.  The loop refreshes at every grid step, so
+    records are taken every subsample_dt / g.dt steps.
 
     Args:
         p: base physical parameters; tau is overridden per family.
         n_families: number of relaxation-time draws.
         tau_range: (lo, hi) bounds of the tau distribution (s).
         subsample_dt: snapshot cadence (s); must be a whole multiple of
-            the kernel refresh cadence, since pairs exist only at
-            refresh instants.
+            the grid dt, since pairs exist only at the steps.
         out_dir: directory for the family files and manifest.json.
         seed: seeds the i.i.d. uniform tau draws (the loop itself is
             deterministic).
@@ -201,6 +201,8 @@ def generate(
 
     Raises:
         ValueError: bad ranges or a cadence mismatch.
+        CFLError: the grid violates the CFL bound.
+        Either is raised before out_dir is created.
     """
     g = g or GridSpec()
     cfg = cfg or ControllerConfig()
@@ -211,19 +213,17 @@ def generate(
         raise ValueError("n_families must be positive")
     if not g.dt <= subsample_dt < np.inf:
         raise ValueError("subsample_dt must be finite and at least the simulation dt")
-    cadence = cfg.kernel_refresh_dt
-    stride_f = subsample_dt / cadence
+    stride_f = subsample_dt / g.dt
     stride = int(round(stride_f))
-    if stride < 1 or abs(stride_f - stride) > 1e-9:
-        raise ValueError(
-            "subsample_dt must be a whole multiple of kernel_refresh_dt"
-        )
+    if abs(stride_f - stride) > 1e-9:
+        raise ValueError("subsample_dt must be a whole multiple of the grid dt")
     # Every tau in range must stay inside the projection bound, or the
     # solver would be asked for kernels outside its certified ball.
     if 1.0 / lo > cfg.c_bar + 1e-12:
         raise ValueError(
             "tau_range admits couplings beyond c_bar; raise c_bar or lo"
         )
+    check_cfl(g, derive_linearized(p))  # tau moves c alone, not the speeds
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

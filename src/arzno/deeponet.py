@@ -16,7 +16,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "DeepONetModel",
     "TrainConfig",
     "KernelDataset",
-    "as_kernel_dataset",
     "init_model",
     "loss_and_grads",
     "train",
@@ -137,39 +135,6 @@ class KernelDataset:
 
     def __len__(self) -> int:
         return self.c.shape[0]
-
-
-def as_kernel_dataset(
-    data: KernelDataset | Iterable[tuple[np.ndarray, KernelPair]],
-) -> KernelDataset:
-    """Stack (c_samples, KernelPair) pairs; pass a KernelDataset through.
-
-    Raises:
-        ValueError: pairs on different meshes, c_samples off the edge
-            grid, or no pairs.
-    """
-    if isinstance(data, KernelDataset):
-        return data
-    cs: list[np.ndarray] = []
-    kus: list[np.ndarray] = []
-    ratios: list[float] = []
-    mesh_n: int | None = None
-    for c_samples, kp in data:
-        if mesh_n is None:
-            mesh_n = kp.mesh.n
-        elif kp.mesh.n != mesh_n:
-            raise ValueError("all pairs must share one mesh")
-        c_samples = np.asarray(c_samples, dtype=float)
-        if c_samples.shape != (mesh_n,):
-            raise ValueError("c_samples must live on the mesh edge grid")
-        cs.append(c_samples)
-        kus.append(kp.ku_tri)
-        ratios.append(kp.ratio)
-    if mesh_n is None:
-        raise ValueError("dataset is empty")
-    return KernelDataset(
-        mesh_n=mesh_n, c=np.stack(cs), ku=np.stack(kus), ratio=np.array(ratios)
-    )
 
 
 class _Workspace:
@@ -395,21 +360,20 @@ def _val_metrics(
 
 
 def train(
-    data: KernelDataset | Iterable[tuple[np.ndarray, KernelPair]],
+    data: KernelDataset,
     cfg: TrainConfig,
-    model: DeepONetModel | None = None,
-    val_data: KernelDataset | Iterable[tuple[np.ndarray, KernelPair]] | None = None,
+    model: DeepONetModel,
+    val_data: KernelDataset | None = None,
 ) -> tuple[DeepONetModel, list[dict[str, float]]]:
     """Fit the basis, then the branch by mini-batch descent with Adam moments.
 
     Args:
-        data: training pairs or stacked arrays.
+        data: the training records.
         cfg: optimizer settings.
-        model: model to continue training; a fresh default architecture
-            is created when omitted, with c_scale set to the largest
-            input magnitude in the data.  Its basis is replaced by the
-            one fitted to the training records.
-        val_data: held-out pairs scored once per epoch.  When omitted, a
+        model: the model to train, trained in place, as init_model makes
+            it; its basis is replaced by the one fitted to the training
+            records.
+        val_data: held-out records scored once per epoch.  When omitted, a
             val_split fraction of data is carved off (at least one
             record, unless the dataset has a single record, which is
             then used for both roles).
@@ -418,25 +382,18 @@ def train(
         (best-validation model, per-epoch history).  History entries
         carry epoch, train_mse, val_mse, val_rel.
     """
-    data = as_kernel_dataset(data)
     if len(data) == 0:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(cfg.seed)
-    if model is None:
-        c_scale = float(np.max(np.abs(data.c)))
-        if c_scale <= 0:
-            c_scale = 0.02
-        model = init_model(m=data.c.shape[1], seed=cfg.seed, c_scale=c_scale)
     if data.c.shape[1] != model.m or data.mesh_n != model.m:
         raise ValueError("dataset sample count does not match model.m")
 
     # Records are addressed through index arrays, so neither part of a
     # carved-off split is copied.
     if val_data is not None:
-        val = as_kernel_dataset(val_data)
-        if val.mesh_n != data.mesh_n:
+        if val_data.mesh_n != data.mesh_n:
             raise ValueError("validation mesh differs from training mesh")
-        tr, va = np.arange(len(data)), np.arange(len(val))
+        val, tr, va = val_data, np.arange(len(data)), np.arange(len(val_data))
     else:
         val = data
         n_val = int(round(len(data) * cfg.val_split))
@@ -501,17 +458,13 @@ def train(
     return model, history
 
 
-def eval_accuracy(
-    model: DeepONetModel,
-    data: KernelDataset | Iterable[tuple[np.ndarray, KernelPair]],
-) -> dict[str, float]:
-    """Absolute-error report per head over a test set.
+def eval_accuracy(model: DeepONetModel, data: KernelDataset) -> dict[str, float]:
+    """Absolute-error report per head over a test set of records.
 
     Returns max and mean absolute node errors for Ku and Kv, streamed
     over chunks of the default batch size; Kv's are the edge trace of
     Ku's, scaled by |lam r / mu|.
     """
-    data = as_kernel_dataset(data)
     if len(data) == 0:
         raise ValueError("dataset is empty")
     rows = np.arange(len(data))

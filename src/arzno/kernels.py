@@ -294,38 +294,16 @@ def _volterra_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
-def solve_inverse_kernels(
-    kp: KernelPair,
-    c_hat: np.ndarray,
-    lp: LinearizedParams,
-    mesh: TriMesh,
-    c_bound: float | None = None,
-) -> InverseKernelPair:
+def solve_inverse_kernels(kp: KernelPair) -> InverseKernelPair:
     """Inverse-transform kernels via the resolvent of the Kv integral operator.
 
     The forward transform is identity minus a Volterra operator in v;
     on the mesh quadrature (Nystrom form) that operator is the matrix
     A = w * Kv, and its resolvent R = A + A R is one direct solve of
     (I - A) R = A, which makes the forward/inverse round trip exact to
-    rounding.
-
-    Args:
-        kp: converged forward kernels.
-        c_hat: the estimate kp was solved for (bound re-checked here).
-        lp: linearized plant coefficients.
-        mesh: must be the mesh kp lives on.
-        c_bound: known bound on |c_hat|; defaults to lp.c_bar.
+    rounding.  The result lives on kp's mesh.
     """
-    if mesh.n != kp.mesh.n:
-        raise ValueError("mesh does not match the kernel pair")
-    c_hat = np.asarray(c_hat, dtype=float)
-    if c_bound is None:
-        c_bound = lp.c_bar
-    if c_hat.shape != (mesh.n,):
-        raise ValueError(f"c_hat must have {mesh.n} samples on the mesh grid")
-    if np.max(np.abs(c_hat)) > c_bound * (1 + 1e-9):
-        raise ValueError("c_hat violates the known bound |c_hat| <= c_bar")
-
+    mesh = kp.mesh
     w = _volterra_weights(mesh.n, mesh.dx)
     ku, kv = kp.ku, kp.kv
     av = w * kv

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from arzno.deeponet import KernelDataset
 from arzno.model import TrafficParams, derive_linearized
 
 # One line per acceptance criterion, echoed after the pytest summary so
@@ -62,6 +63,22 @@ def read_table():
         return header, np.asarray(rows), comments
 
     return parse
+
+
+def _stack_pairs(pairs) -> KernelDataset:
+    """(c, KernelPair) pairs on one mesh as the records of a KernelDataset."""
+    return KernelDataset(
+        mesh_n=pairs[0][1].mesh.n,
+        c=np.stack([c for c, _ in pairs]),
+        ku=np.stack([kp.ku_tri for _, kp in pairs]),
+        ratio=np.array([kp.ratio for _, kp in pairs]),
+    )
+
+
+@pytest.fixture(scope="session")
+def stack_pairs():
+    """stack_pairs(pairs): (c, KernelPair) pairs as a KernelDataset."""
+    return _stack_pairs
 
 
 class _ReadLog(dict):

@@ -23,6 +23,7 @@ from arzno.controller import (
 )
 from arzno.dataset import _entry, generate, iter_family, load_records, split
 from arzno.deeponet import (
+    KernelDataset,
     TrainConfig,
     eval_accuracy,
     init_model,
@@ -292,7 +293,7 @@ def _check_round_trip(lp):
     mesh = TriMesh(128)
     c = lp.c_samples(128)
     kp = solve_kernels(c, lp, mesh, tol=1e-10)
-    ikp = solve_inverse_kernels(kp, c, lp, mesh)
+    ikp = solve_inverse_kernels(kp)
     u_hat = np.sin(2.0 * np.pi * mesh.x) + 0.3 * np.cos(5.0 * mesh.x)
     v_hat = mesh.x * np.cos(np.pi * mesh.x) - 0.2
     w, z = transform_on_mesh(kp, u_hat, v_hat)
@@ -381,13 +382,16 @@ def _check_serialization(lp, tmp_path):
 
     taus = (55.0, 60.0, 65.0)
     mesh = TriMesh(9)
-    pairs = []
-    for tau in taus:
-        c = -np.exp(-(600.0 / (tau * 10.0)) * mesh.x) / tau
-        pairs.append((c, solve_kernels(c, lp, mesh, c_bound=0.02)))
+    cs = [-np.exp(-(600.0 / (tau * 10.0)) * mesh.x) / tau for tau in taus]
+    kps = [solve_kernels(c, lp, mesh, c_bound=0.02) for c in cs]
+    data = KernelDataset(
+        mesh_n=9, c=np.stack(cs), ku=np.stack([kp.ku_tri for kp in kps]),
+        ratio=np.array([kp.ratio for kp in kps]),
+    )
     cfg = TrainConfig(lr=1e-3, batch_size=2, epochs=2, val_split=0.34, seed=8)
     for run in range(2):
-        m, _ = train(pairs, cfg)
+        model = init_model(m=9, seed=cfg.seed, c_scale=float(np.max(np.abs(data.c))))
+        m, _ = train(data, cfg, model)
         save_model(m, tmp_path / f"t{run}.bin")
     if (tmp_path / "t0.bin").read_bytes() != (tmp_path / "t1.bin").read_bytes():
         return False, "seeded training not byte-reproducible"

@@ -190,14 +190,19 @@ def test_negative_bench_counts_exit_1(fast_env, capsys, monkeypatch):
     assert not (fast_env / "b.json").exists()
 
 
-@pytest.mark.parametrize("name, raw", [("TOL", "-1"), ("MAX_ITER", "0")])
+@pytest.mark.parametrize(
+    "name, raw", [("TOL", "-1"), ("MAX_ITER", "0"), ("MESH_N", "4")]
+)
 def test_solver_settings_exit_1_before_out(fast_env, capsys, monkeypatch, name, raw):
-    # Refused at load as a configuration error, not a stalled solve (2);
-    # max_iter is refused as a key that no longer exists.
+    # Refused at load as a configuration error, not a stalled solve (2),
+    # by simulate and gen-dataset alike; max_iter is refused as a key
+    # that no longer exists, and a mesh below TriMesh's 8 nodes per side
+    # by ControllerConfig.
     monkeypatch.setenv(f"ARZNO_CONTROLLER_{name}", raw)
-    assert main(["simulate", "--mode", "exact", "--out", "x"]) == 1
-    assert "configuration error" in capsys.readouterr().err
-    assert not (fast_env / "x").exists()
+    for argv in (["simulate", "--mode", "exact"], ["gen-dataset"]):
+        assert main([*argv, "--out", "x"]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (fast_env / "x").exists()
 
 
 _SIMULATE = ["simulate", "--mode", "exact", "--out", "x"]
@@ -205,7 +210,6 @@ _NAN_SETTINGS = {
     "CONTROLLER_TAU_GUESS": ("nan", _SIMULATE, "tau_guess"),
     "CONTROLLER_C_BAR": ("nan", _SIMULATE, "c_bar"),
     "CONTROLLER_GAMMA": ("nan", _SIMULATE, "gamma"),
-    "CONTROLLER_KERNEL_REFRESH_DT": ("nan", _SIMULATE, "kernel_refresh_dt"),
     "TRAFFIC_LENGTH": ("nan", _SIMULATE, "length"),
     "TRAFFIC_TAU": ("nan", _SIMULATE, "tau"),
     "DEEPONET_LR": ("nan", ["train", "--data", "nowhere", "--out", "x"], "lr"),
@@ -240,15 +244,21 @@ _BENCH = ["bench", "--n", "0", "--out", "x"]
         ("[bench]\nwarmup = 5\n", None, _BENCH, "warmup"),
         (None, ("ARZNO_BENCH_WARMUP", "5"), _BENCH, "warmup"),
         (None, None, ["gen-dataset", "--jobs", "2", "--out", "x"], "--jobs"),
+        ("[controller]\nkernel_refresh_dt = 0.1\n", None, _SIMULATE,
+         "kernel_refresh_dt"),
+        (None, ("ARZNO_CONTROLLER_KERNEL_REFRESH_DT", "0.1"), _SIMULATE,
+         "kernel_refresh_dt"),
     ],
-    ids=["max_iter-file", "max_iter-env", "warmup-file", "warmup-env", "jobs"],
+    ids=["max_iter-file", "max_iter-env", "warmup-file", "warmup-env", "jobs",
+         "kernel_refresh_dt-file", "kernel_refresh_dt-env"],
 )
 def test_retired_settings_exit_1_before_out(
     fast_env, capsys, monkeypatch, ini, env, argv, name
 ):
     # The sweep budget is solve_kernels' default, bench's warm-up count is
-    # a constant and families run in one process: setting any of them,
-    # even to its old default, is a usage error raised before --out exists.
+    # a constant, families run in one process and the kernels are
+    # refreshed at every step: setting any of them, even to its old
+    # default, is a usage error raised before --out exists.
     if ini is not None:
         (fast_env / "retired.ini").write_text(ini)
         argv = ["--config", "retired.ini", *argv]
@@ -260,10 +270,16 @@ def test_retired_settings_exit_1_before_out(
 
 
 def test_numerical_failure_exits_2(fast_env, capsys, monkeypatch):
-    # dt = 2 s divides the 2 s horizon but breaks the CFL bound.
+    # dt = 2 s divides the 2 s horizon but breaks the CFL bound, which
+    # simulate and gen-dataset check before --out is made; a snapshot
+    # every 2 s step is a valid cadence on that grid.
     monkeypatch.setenv("ARZNO_GRID_DT", "2")
-    assert main(["simulate", "--mode", "exact", "--out", "x"]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    monkeypatch.setenv("ARZNO_DATASET_SUBSAMPLE_DT", "2")
+    for argv in (["simulate", "--mode", "exact"], ["gen-dataset"]):
+        assert main([*argv, "--out", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "CFL" in err
+        assert not (fast_env / "x").exists()
 
 
 def test_io_errors_exit_3(fast_env, capsys):

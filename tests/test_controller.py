@@ -123,7 +123,7 @@ def test_closed_loop_damps_the_state(params):
 
 def test_refresh_hook_and_cadence(params):
     g = GridSpec(n_x=60, dt=0.1, t_end=2.0)
-    cfg = ControllerConfig(mesh_n=21, kernel_refresh_dt=0.1)
+    cfg = ControllerConfig(mesh_n=21)
     calls = []
 
     def hook(t, c_mesh, kp, elapsed_ns):
@@ -141,11 +141,20 @@ def test_refresh_hook_and_cadence(params):
     assert np.all(tr.dku_dt[1:] > 0.0)
 
 
-def test_refresh_cadence_coarser_than_dt(params):
-    g = GridSpec(n_x=60, dt=0.1, t_end=2.0)
-    cfg = ControllerConfig(mesh_n=21, kernel_refresh_dt=0.5)
-    tr = run_closed_loop(params, cfg, g)
-    np.testing.assert_allclose(tr.refresh_t, [0.0, 0.5, 1.0, 1.5], atol=1e-9)
+def test_hook_fires_at_every_step_of_a_finer_grid(params):
+    # The kernels are refreshed at every step whatever the grid's dt: on
+    # a 0.05 s grid the hook fires at each of the n_steps steps, not at
+    # every other one, and the drift rates divide by that dt.
+    g = GridSpec(n_x=60, dt=0.05, t_end=1.0)
+    hooked = []
+    tr = run_closed_loop(
+        params, ControllerConfig(mesh_n=21), g,
+        on_refresh=lambda t, c, kp, ns: hooked.append((t, kp)),
+    )
+    assert len(hooked) == len(tr.refresh_t) == g.n_steps == 20
+    assert [t for t, _ in hooked] == tr.refresh_t.tolist() == tr.t[:-1].tolist()
+    (_, prev), (_, kp) = hooked[:2]
+    assert tr.dku_dt[1] == np.abs(kp.ku - prev.ku).max() / 0.05
 
 
 def test_open_loop_has_no_kernel_functionals(params):
@@ -274,7 +283,8 @@ def _check_fields_npz(path, tr, comments: tuple[str, ...]) -> None:
         ({"tau_guess": 0.0}, "positive"),
         ({"c_bar": 0.0}, "positive"),
         ({"tau_guess": 20.0}, "exceeds"),
-        ({"kernel_refresh_dt": 0.0}, "positive"),
+        ({"tol": 0.0}, "positive"),
+        ({"mesh_n": 7}, "at least 8"),
     ],
 )
 def test_controller_config_validation(kwargs, match):
@@ -285,15 +295,6 @@ def test_controller_config_validation(kwargs, match):
     error = ValueError if set(kwargs) <= fields else TypeError
     with pytest.raises(error, match=match):
         ControllerConfig(**kwargs)
-
-
-def test_refresh_cadence_validation():
-    g = GridSpec(n_x=60, dt=0.1, t_end=1.0)
-    with pytest.raises(ValueError, match="at least"):
-        ControllerConfig(kernel_refresh_dt=0.05).refresh_every(g)
-    with pytest.raises(ValueError, match="multiple"):
-        ControllerConfig(kernel_refresh_dt=0.25).refresh_every(g)
-    assert ControllerConfig(kernel_refresh_dt=0.3).refresh_every(g) == 3
 
 
 def _count_acquisitions(monkeypatch) -> dict:
@@ -397,7 +398,7 @@ def test_drift_rates_are_the_square_differences_of_hooked_pairs(params, with_mod
     for j in range(1, len(hooked)):
         prev, kp = hooked[j - 1], hooked[j]
         for got, new, old in ((tr.dku_dt, kp.ku, prev.ku), (tr.dkv_dt, kp.kv, prev.kv)):
-            assert got[j] == np.abs(new - old).max() / cfg.kernel_refresh_dt
+            assert got[j] == np.abs(new - old).max() / g.dt
     assert np.all(tr.dku_dt[1:] > 0.0) and np.all(tr.dkv_dt[1:] > 0.0)
 
 
@@ -516,13 +517,12 @@ def test_closed_loop_matches_four_corner_tables(params, monkeypatch):
 def _per_step_reference(tr, lp, cfg: ControllerConfig, g: GridSpec, kernels):
     """The per-step record() arithmetic the loop used to run on every row.
 
-    Row k > 0 carries the kernels of the last refresh before step k, row 0
-    those of the initial refresh; with no kernels (open loop) the
-    kernel functionals are NaN.
+    Row k > 0 carries the kernels refreshed at step k - 1, row 0 those of
+    the initial refresh; with no kernels (open loop) the kernel
+    functionals are NaN.
     """
     const = derive_constants(lp)
     c_true = np.asarray(lp.c(g.x))
-    every = cfg.refresh_every(g)
     rows = len(tr.t)
     names = (
         "u_norm", "v_norm", "e_norm", "eps_norm", "control",
@@ -545,7 +545,7 @@ def _per_step_reference(tr, lp, cfg: ControllerConfig, g: GridSpec, kernels):
             for name in ("v1", "v2", "v_lyap", "v4"):
                 cols[name][k] = np.nan
         else:
-            ac = controller._grid_caches(kernels[max(k - 1, 0) // every], g)
+            ac = controller._grid_caches(kernels[max(k - 1, 0)], g)
             z_f = controller._z_field(ac, u_hat, v_hat)
             v1, v2, v_l = lyapunov_v1_v2(u_hat, z_f, const, g)
             cols["v1"][k] = v1
@@ -558,13 +558,11 @@ def _per_step_reference(tr, lp, cfg: ControllerConfig, g: GridSpec, kernels):
 
 
 @pytest.mark.parametrize(
-    "refresh_dt,open_loop",
-    [(0.1, False), (0.3, False), (0.1, True)],
-    ids=["default-cadence", "refresh-between-rows", "open-loop"],
+    "open_loop", [False, True], ids=["default-cadence", "open-loop"]
 )
-def test_history_pass_matches_per_step_record(params, refresh_dt, open_loop):
+def test_history_pass_matches_per_step_record(params, open_loop):
     g = GridSpec(n_x=60, dt=0.1, t_end=20.0)
-    cfg = ControllerConfig(kernel_refresh_dt=refresh_dt)
+    cfg = ControllerConfig()
     kernels = []
     tr = run_closed_loop(
         params, cfg, g, open_loop=open_loop,
@@ -713,14 +711,13 @@ def _assert_traces_equal(got, want):
 
 
 @pytest.mark.parametrize(
-    "source,refresh_dt,open_loop",
-    [("solver", 0.1, False), ("neural", 0.1, False), ("solver", 0.1, True),
-     ("solver", 0.3, False)],
-    ids=["exact", "surrogate", "open-loop", "refresh-between-rows"],
+    "source,open_loop",
+    [("solver", False), ("neural", False), ("solver", True)],
+    ids=["exact", "surrogate", "open-loop"],
 )
-def test_loop_matches_reference_steppers(params, monkeypatch, source, refresh_dt, open_loop):
+def test_loop_matches_reference_steppers(params, monkeypatch, source, open_loop):
     g = GridSpec(n_x=60, dt=0.1, t_end=20.0)
-    cfg = ControllerConfig(kernel_refresh_dt=refresh_dt)
+    cfg = ControllerConfig()
     model = init_model(seed=7) if source == "neural" else None
     got = run_closed_loop(params, cfg, g, model=model, open_loop=open_loop)
     want = _reference_run(monkeypatch, params, cfg, g, model=model, open_loop=open_loop)
@@ -736,7 +733,7 @@ def test_cached_constants_do_not_leak_between_runs(params, monkeypatch):
         (params, ControllerConfig(mesh_n=21), GridSpec(n_x=60, dt=0.1, t_end=5.0)),
         (
             dataclasses.replace(params, tau=45.0),
-            ControllerConfig(mesh_n=21, gamma=2.5, kernel_refresh_dt=0.05),
+            ControllerConfig(mesh_n=21, gamma=2.5),
             GridSpec(n_x=60, dt=0.05, t_end=5.0),
         ),
     ]

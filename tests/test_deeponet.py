@@ -14,7 +14,6 @@ from arzno.deeponet import (
     TrainConfig,
     _fit_basis,
     _forward_stack,
-    as_kernel_dataset,
     eval_accuracy,
     init_model,
     load_model,
@@ -37,6 +36,12 @@ def _solved_pairs(lp, mesh: TriMesh, taus) -> list[tuple[np.ndarray, object]]:
         c = _coupling_profile(tau, mesh.x)
         out.append((c, solve_kernels(c, lp, mesh, c_bound=0.02)))
     return out
+
+
+def _seeded_model(data: KernelDataset, seed: int):
+    """The default architecture for data, its inputs scaled by their
+    largest magnitude."""
+    return init_model(m=data.mesh_n, seed=seed, c_scale=float(np.max(np.abs(data.c))))
 
 
 def _naive_stack(params, x, n_hidden):
@@ -144,13 +149,12 @@ def test_fit_basis_completes_modes_past_the_rank():
     assert np.array_equal(mean, again[0]) and np.array_equal(modes, again[1])
 
 
-def test_memorizes_solver_kernels(lp):
+def test_memorizes_solver_kernels(lp, stack_pairs):
     # The surrogate must be able to drive the fit error of a handful of
     # solved kernel pairs to the noise floor; this exercises the forward pass,
     # backprop, and the optimizer together against real labels.
     mesh = TriMesh(9)
-    pairs = _solved_pairs(lp, mesh, (52.0, 60.0, 70.0))
-    data = as_kernel_dataset(pairs)
+    data = stack_pairs(_solved_pairs(lp, mesh, (52.0, 60.0, 70.0)))
     model = init_model(
         m=9, b=8, hidden=(24, 24), seed=0, c_scale=float(np.max(np.abs(data.c)))
     )
@@ -162,20 +166,20 @@ def test_memorizes_solver_kernels(lp):
     assert report["kv_mean"] <= 5e-3
 
 
-def test_training_is_reproducible_bytewise(lp, tmp_path):
+def test_training_is_reproducible_bytewise(lp, tmp_path, stack_pairs):
     mesh = TriMesh(9)
-    pairs = _solved_pairs(lp, mesh, (52.0, 63.0, 68.0))
+    data = stack_pairs(_solved_pairs(lp, mesh, (52.0, 63.0, 68.0)))
     cfg = TrainConfig(lr=1e-3, batch_size=2, epochs=5, val_split=0.34, seed=3)
     digests = []
     for run in range(2):
-        model, _ = train(pairs, cfg)
+        model, _ = train(data, cfg, _seeded_model(data, cfg.seed))
         path = tmp_path / f"run{run}.bin"
         save_model(model, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
 
-    other, _ = train(pairs, TrainConfig(lr=1e-3, batch_size=2, epochs=5,
-                                        val_split=0.34, seed=4))
+    other_cfg = TrainConfig(lr=1e-3, batch_size=2, epochs=5, val_split=0.34, seed=4)
+    other, _ = train(data, other_cfg, _seeded_model(data, other_cfg.seed))
     save_model(other, tmp_path / "other.bin")
     assert (
         hashlib.sha256((tmp_path / "other.bin").read_bytes()).hexdigest()
@@ -290,7 +294,7 @@ def test_neural_source_pairs_are_the_stacked_prediction(lp, hidden):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
         assert (kp.lam_n, kp.mu_n, kp.r) == (lp.lam_n, lp.mu_n, lp.r)
-        assert np.array_equal(as_kernel_dataset([(c, kp)]).ku[0], pred_u)
+        assert np.array_equal(kp.ku_tri, pred_u)
         assert not np.shares_memory(kp.ku, source.acquire(c).ku)
 
 
@@ -342,24 +346,7 @@ def test_model_validation():
     assert init_model(m=4, b=10, hidden=(3,)).params["modes"].shape == (10, 10)
 
 
-def test_dataset_stacking_and_validation(lp):
-    mesh = TriMesh(9)
-    pairs = _solved_pairs(lp, mesh, (55.0, 65.0))
-    data = as_kernel_dataset(pairs)
-    assert len(data) == 2 and data.mesh_n == 9
-    ii, jj = np.tril_indices(9)
-    np.testing.assert_array_equal(data.ku[0], pairs[0][1].ku[ii, jj])
-    assert as_kernel_dataset(data) is data
-
-    with pytest.raises(ValueError, match="empty"):
-        as_kernel_dataset([])
-    mixed = [pairs[0], (_coupling_profile(60.0, TriMesh(10).x),
-                        solve_kernels(_coupling_profile(60.0, TriMesh(10).x),
-                                      lp, TriMesh(10), c_bound=0.02))]
-    with pytest.raises(ValueError, match="one mesh"):
-        as_kernel_dataset(mixed)
-    with pytest.raises(ValueError, match="edge grid"):
-        as_kernel_dataset([(np.zeros(8), pairs[0][1])])
+def test_dataset_stacking_and_validation():
     with pytest.raises(ValueError, match="inconsistent"):
         KernelDataset(mesh_n=9, c=np.zeros((2, 9)),
                       ku=np.zeros((2, 10)), ratio=np.zeros(2))
@@ -368,16 +355,15 @@ def test_dataset_stacking_and_validation(lp):
                       ku=np.zeros((2, 45)), ratio=np.zeros(3))
 
 
-def test_train_rejects_mismatched_model(lp):
-    mesh = TriMesh(9)
-    pairs = _solved_pairs(lp, mesh, (60.0,))
+def test_train_rejects_mismatched_model(lp, stack_pairs):
+    data = stack_pairs(_solved_pairs(lp, TriMesh(9), (60.0,)))
     model = init_model(m=8, b=2, hidden=(3,), seed=0)
     with pytest.raises(ValueError, match="model.m"):
-        train(pairs, TrainConfig(epochs=1), model=model)
+        train(data, TrainConfig(epochs=1), model=model)
 
 
-def test_train_rejects_mesh_mismatch_in_validation(lp):
-    pairs9 = _solved_pairs(lp, TriMesh(9), (60.0,))
-    pairs10 = _solved_pairs(lp, TriMesh(10), (60.0,))
+def test_train_rejects_mesh_mismatch_in_validation(lp, stack_pairs):
+    data9 = stack_pairs(_solved_pairs(lp, TriMesh(9), (60.0,)))
+    data10 = stack_pairs(_solved_pairs(lp, TriMesh(10), (60.0,)))
     with pytest.raises(ValueError, match="validation mesh"):
-        train(pairs9, TrainConfig(epochs=1), val_data=pairs10)
+        train(data9, TrainConfig(epochs=1), _seeded_model(data9, 0), val_data=data10)

@@ -53,7 +53,7 @@ def test_grid_validation():
 @pytest.mark.parametrize(
     "t_end,steps",
     # The shipped, dataset and test horizons, and the bench command's
-    # harvest horizons (refreshes x 0.1 s cadence).
+    # harvest horizons (steps x 0.1 s dt).
     [(300.0, 3000), (50.0, 500), (10.0, 100), (2.0, 20), (3 * 0.1, 3),
      (200 * 0.1, 200), (0.0, 0)],
 )

@@ -23,7 +23,6 @@ from arzno.deeponet import (
     _Workspace,
     _gather,
     _val_metrics,
-    as_kernel_dataset,
     eval_accuracy,
     init_model,
     loss_and_grads,
@@ -93,23 +92,29 @@ def sets(lp):
     return {"train": _pairs(lp, mesh, 23, 0), "val": _pairs(lp, mesh, 7, 1)}
 
 
+@pytest.fixture(scope="module")
+def records(sets, stack_pairs):
+    """sets, each stacked into a KernelDataset."""
+    return {name: stack_pairs(pairs) for name, pairs in sets.items()}
+
+
 # -- equivalence -------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def fitted(sets):
-    """A model trained briefly on sets["train"], so its basis is fitted,
-    and its history."""
-    data = as_kernel_dataset(sets["train"])
+def fitted(records):
+    """A model trained briefly on records["train"], so its basis is
+    fitted, and its history."""
+    data = records["train"]
     model = init_model(m=11, b=8, hidden=(16, 12), seed=2,
                        c_scale=float(np.max(np.abs(data.c))))
     cfg = TrainConfig(lr=3e-3, batch_size=5, epochs=12, seed=5)
-    return train(data, cfg, model=model, val_data=sets["val"])
+    return train(data, cfg, model=model, val_data=records["val"])
 
 
-def test_loss_and_grads_matches_reference_with_and_without_workspace(sets, fitted):
+def test_loss_and_grads_matches_reference_with_and_without_workspace(records, fitted):
     model, _ = fitted
-    data = as_kernel_dataset(sets["train"])
+    data = records["train"]
     ws = _Workspace()
     # A full batch, then a shorter one through views of the same buffers.
     for rows in (np.arange(9), np.arange(9, 13)):
@@ -126,9 +131,9 @@ def test_loss_and_grads_matches_reference_with_and_without_workspace(sets, fitte
 
 
 @pytest.mark.parametrize("chunk", [5, 7], ids=["short-last-chunk", "one-chunk"])
-def test_scores_match_node_space_reference(sets, fitted, chunk):
+def test_scores_match_node_space_reference(records, fitted, chunk):
     model, history = fitted
-    val = as_kernel_dataset(sets["val"])
+    val = records["val"]
     rows = np.arange(len(val))
     mse, rel = _val_metrics(model, val, rows, _Workspace(), chunk)
     ref_mse, ref_rel = _ref_scores(model, val, rows)
@@ -138,14 +143,14 @@ def test_scores_match_node_space_reference(sets, fitted, chunk):
     assert min(h["val_mse"] for h in history) == pytest.approx(ref_mse, rel=1e-10)
 
     ru, rv = _ref_residuals(model, val, rows)
-    report = eval_accuracy(model, sets["val"])
+    report = eval_accuracy(model, val)
     for key, err in (("ku", np.abs(ru)), ("kv", np.abs(rv))):
         assert report[f"{key}_max"] == pytest.approx(err.max(), rel=1e-12, abs=0.0)
         assert report[f"{key}_mean"] == pytest.approx(err.mean(), rel=1e-12, abs=0.0)
 
 
-def test_derived_kv_is_the_solver_kv(sets):
-    data = as_kernel_dataset(sets["train"])
+def test_derived_kv_is_the_solver_kv(sets, records):
+    data = records["train"]
     _, ku, kv, n = _old_arrays(sets["train"])
     assert np.unique(data.ratio).size == len(data)
     assert np.array_equal(data.ku, ku)
@@ -163,18 +168,19 @@ def test_derived_kv_is_the_solver_kv(sets):
 # -- the Ku-only set holds surrogate pairs as it holds solved ones -------------
 
 
-def test_as_kernel_dataset_holds_surrogate_pairs(lp, sets):
+def test_kernel_dataset_holds_surrogate_pairs(lp, sets, stack_pairs):
     # A surrogate pair, like a solved one, is Ku's triangle with Kv its
     # edge trace: the set holds its pairs and trains on them.
     kp = sets["train"][0][1]
-    source = NeuralKernelSource(init_model(m=11, b=8, hidden=(16,)), kp.mesh, lp)
+    model = init_model(m=11, b=8, hidden=(16,))
+    source = NeuralKernelSource(model, kp.mesh, lp)
     c = sets["train"][0][0]
     pair = source.acquire(c)
-    data = as_kernel_dataset([sets["train"][1], (c, pair)])
+    data = stack_pairs([sets["train"][1], (c, pair)])
     assert np.array_equal(data.ku[1], pair.ku[np.tril_indices(11)])
     assert np.array_equal(_kv_from_edge(data.ku[1], data.ratio[1], 11),
                           pair.kv[np.tril_indices(11)])
-    train([(c, pair)], TrainConfig(epochs=1))
+    train(stack_pairs([(c, pair)]), TrainConfig(epochs=1), model)
 
 
 # -- memory guards -------------------------------------------------------------
