@@ -338,8 +338,12 @@ def cmd_bench(args, cfg) -> int:
     lp = derive_linearized(p)
     mesh = TriMesh(ctl.mesh_n)
 
+    # Criterion 5 times the classical solver; the loop solves directly.
     def solver(c_mesh: np.ndarray):
         return solve_kernels(c_mesh, lp, mesh, tol=ctl.tol, c_bound=ctl.c_bar)
+
+    def direct(c_mesh: np.ndarray):
+        return solve_kernels(c_mesh, lp, mesh, c_bound=ctl.c_bar)
 
     neural = NeuralKernelSource(model, mesh, lp).acquire
 
@@ -381,6 +385,7 @@ def cmd_bench(args, cfg) -> int:
 
     t_solver = _time_path(solver)
     t_neural = _time_path(neural)
+    t_direct = _time_path(direct)
     errs = [
         (
             np.max(np.abs(kp_s.ku_tri - kp_n.ku_tri)),
@@ -392,7 +397,7 @@ def cmd_bench(args, cfg) -> int:
     ]
     err_u = np.array([e[0] for e in errs])
     err_v = np.array([e[1] for e in errs])
-    t_solver, t_neural = t_solver[w:], t_neural[w:]
+    t_solver, t_neural, t_direct = t_solver[w:], t_neural[w:], t_direct[w:]
     err_u, err_v = err_u[w:], err_v[w:]
 
     wall0 = time.perf_counter()
@@ -403,6 +408,7 @@ def cmd_bench(args, cfg) -> int:
     loop_neural_s = time.perf_counter() - wall0
 
     ratio = float(np.median(t_solver) / np.median(t_neural))
+    direct_ratio = float(np.median(t_direct) / np.median(t_neural))
     report = {
         "config_hash": chash,
         "n": n,
@@ -411,7 +417,9 @@ def cmd_bench(args, cfg) -> int:
         "tol": ctl.tol,
         "solver": _percentiles(t_solver),
         "neural": _percentiles(t_neural),
+        "direct": _percentiles(t_direct),
         "median_speedup": ratio,
+        "direct_speedup": direct_ratio,
         "paired_kernel_error": {
             "ku_max": float(err_u.max()),
             "kv_max": float(err_v.max()),
@@ -424,7 +432,8 @@ def cmd_bench(args, cfg) -> int:
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(
         f"bench: solver median {np.median(t_solver) / 1e3:.0f} us, neural median "
-        f"{np.median(t_neural) / 1e3:.0f} us, speedup {ratio:.1f}x; "
+        f"{np.median(t_neural) / 1e3:.0f} us, speedup {ratio:.1f}x; direct median "
+        f"{np.median(t_direct) / 1e3:.0f} us ({direct_ratio:.1f}x); "
         f"paired sup error Ku {err_u.max():.2e} Kv {err_v.max():.2e}; "
         f"closed loop {loop_solver_s:.1f}s vs {loop_neural_s:.1f}s -> {out}"
     )

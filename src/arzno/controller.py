@@ -87,10 +87,10 @@ class ControllerConfig:
 
     Attributes:
         mesh_n: kernel mesh nodes per side, at least 8 (TriMesh's bound).
-        tol: solver stopping tolerance, > 0.  The loop warm-starts its
-            solves and sweeps them to _LOOP_TOL_SCALE * tol, where they
-            end at least as close to the fixed point as a cold solve at
-            tol; the sweep budget is solve_kernels' default.
+        tol: stopping tolerance of the iterative solver, > 0, which
+            `arzno bench` times (criterion 5) with solve_kernels' default
+            sweep budget.  The loop, its corpus labels and verify_labels
+            solve the kernels directly and do not read it.
         rho_gain: identifier correction gain rho.
         gamma: exponential weight rate of the adaptation law.
         gamma1: adaptation gain.
@@ -141,17 +141,6 @@ def initial_plant_state(
     rho = lp.rho_star * (1.0 + 0.1 * bump)
     vel = lp.v_star * (1.0 - 0.01 * bump)
     return to_riemann(lp, g.x, rho, vel)
-
-
-# A sweep's change overstates the distance to the fixed point less and
-# less as sweeps accumulate (the Volterra iteration contracts like
-# C^k / k!), so a solve started near its answer stops after few sweeps
-# but, at the same tol, farther from the fixed point than a cold solve
-# (default 300 s loop: up to 3.2e-10, against 1.5e-10 cold).  The loop
-# warm-starts its solves and sweeps them to this fraction of tol: its
-# pairs then lie within 5.9e-13 (mean 4.8e-14) of the fixed point, at
-# 2.5 sweeps per solve against 7 for a cold solve at tol.
-_LOOP_TOL_SCALE = 1e-3
 
 
 # The interpolation operator and the grid's quadrature weights depend only
@@ -384,8 +373,7 @@ def run_closed_loop(
         cfg: controller configuration.
         g: space-time grid; the CFL bound is enforced up front.
         model: trained kernel surrogate; when given, it supplies the
-            kernels, otherwise the solver does (with cfg.tol and
-            cfg.c_bar).
+            kernels, otherwise the direct solver does (with cfg.c_bar).
         open_loop: if True, U = 0 throughout and no kernels are
             computed (the identifier still runs); model is unused.
         on_refresh: optional hook called after the refresh that opens
@@ -412,12 +400,9 @@ def run_closed_loop(
         acquire = NeuralKernelSource(model, mesh, lp).acquire
     else:
 
-        # Each solve after the first starts from the active pair.
+        # Direct solves, through the module's solve_kernels at call time.
         def acquire(c_mesh: np.ndarray) -> KernelPair:
-            return solve_kernels(
-                c_mesh, lp, mesh, tol=_LOOP_TOL_SCALE * cfg.tol,
-                c_bound=cfg.c_bar, start=None if ac is None else ac.kp,
-            )
+            return solve_kernels(c_mesh, lp, mesh, c_bound=cfg.c_bar)
 
     n = g.n_x + 1
     rows = g.n_steps + 1

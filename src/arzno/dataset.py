@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from arzno.controller import _LOOP_TOL_SCALE, ControllerConfig, run_closed_loop
+from arzno.controller import ControllerConfig, run_closed_loop
 from arzno.deeponet import KernelDataset
 from arzno.kernels import KernelPair, TriMesh, _kv_from_edge, solve_kernels
 from arzno.model import TrafficParams, derive_linearized
@@ -415,17 +415,17 @@ def verify_labels(
     """Re-solve a random sample of records and compare to stored kernels.
 
     Returns a report dict with the number checked and the worst sup-norm
-    discrepancy; records are solver outputs, so anything beyond the
-    solver tolerance indicates corruption.  The re-solve is cold and
-    sweeps to the loop's tolerance, so it ends as close to the fixed
-    point as the loop's warm-started labels.  Entries have a fixed size,
-    so only the sampled ones are read and decoded.
+    discrepancy.  Records hold the loop's direct solves, and the re-solve
+    makes the loop's own call, so a record written by this version
+    re-solves bit for bit; a nonzero discrepancy means corruption, or
+    labels from an older solver.  Entries have a fixed size, so only the
+    sampled ones are read and decoded.
     """
     manifest = _coerce_manifest(manifest)
     root = Path(manifest["root"])
     mesh_n = manifest["mesh_n"]
     p = TrafficParams(**manifest["traffic"])
-    # Only the solver settings are read, so manifests whose controller
+    # Only the projection bound is read, so manifests whose controller
     # section carries keys that are no longer settings still verify.
     ctl = manifest["controller"]
     mesh = TriMesh(mesh_n)
@@ -463,9 +463,7 @@ def verify_labels(
         kvs = _kv_from_edge(rec["ku"], _ratio(rec)[:, None], mesh_n)
         lp = derive_linearized(replace(p, tau=fam["tau"]))
         for c, ku, kv in zip(rec["c"], rec["ku"], kvs):
-            ref = solve_kernels(
-                c, lp, mesh, tol=_LOOP_TOL_SCALE * ctl["tol"], c_bound=ctl["c_bar"]
-            )
+            ref = solve_kernels(c, lp, mesh, c_bound=ctl["c_bar"])
             err = max(
                 float(np.max(np.abs(ref.ku_tri - ku))),
                 float(np.max(np.abs(ref.kv_tri - kv))),

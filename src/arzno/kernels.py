@@ -10,9 +10,12 @@ The pair (Ku, Kv) satisfies, for a frozen coupling estimate c_hat,
 with lam, mu the normalized transport rates.  The second equation makes
 Kv constant along lines of constant x - xi, so Kv(x, xi) =
 (lam r / mu) Ku(x - xi, 0).  Ku is integrated along its characteristics
-(slope dxi/dx = -lam/mu) from the diagonal; the coupling to Kv is
-resolved by successive approximation starting from Kv == 0, or, inside
-the adaptive loop, from the pair solved at the previous refresh.
+(slope dxi/dx = -lam/mu) from the diagonal, and the trapezoid point q
+of node (i, j) sits at the diagonal foot of node (i - q, j).  The
+discrete equations are therefore a lower-triangular Volterra system:
+solve_kernels solves it directly, one triangular solve for the edge
+trace Ku(:, 0) and one product for the triangle, or, given a tol, by
+successive approximation from Kv == 0 (the classical solver).
 
 A KernelPair therefore stores Ku's lower triangle alone, in the
 row-major order corpus records use; Kv and the (n, n) tables are
@@ -178,6 +181,12 @@ def _geometry(mesh: TriMesh, a: float, b: float) -> dict[str, np.ndarray]:
     foot_rep = np.repeat(foot_x[has_quad], reps[has_quad])
     xi_q = foot_rep - a * h_sigma * q_idx
 
+    # Direct solve: tau[i, q] weighs edge point q in row i's integral, and
+    # entry n - 1 + i - p of n - 1 zeros followed by v is v[i - p].
+    tau = np.tril(np.ones((n, n)))
+    tau[:, 0] = tau[np.diag_indices(n)] = 0.5
+    tau[0, 0] = 0.0
+
     return {
         "foot_x": foot_x,
         "q_rows": q_rows,
@@ -185,6 +194,12 @@ def _geometry(mesh: TriMesh, a: float, b: float) -> dict[str, np.ndarray]:
         "q_weight": w,
         "xi_q": xi_q,
         "edge_ids": node_id[cols_j == 0],
+        "tau": tau,
+        "d": d_all,
+        "diag_ids": node_id[d_all == 0],
+        "col_diag_ids": node_id[d_all == 0][cols_j],  # node (j, j) of (i, j)
+        "tril_flat": rows_i * n + cols_j,
+        "lag_ids": np.subtract.outer(np.arange(n - 1, 2 * n - 1), np.arange(n)),
     }
 
 
@@ -201,10 +216,9 @@ def solve_kernels(
     c_hat: np.ndarray,
     lp: LinearizedParams,
     mesh: TriMesh,
-    tol: float = 1e-8,
+    tol: float | None = None,
     max_iter: int = 200,
     c_bound: float | None = None,
-    start: KernelPair | None = None,
 ) -> KernelPair:
     """Solve the kernel equations for a frozen coupling estimate.
 
@@ -213,67 +227,67 @@ def solve_kernels(
             used between nodes).  Must satisfy |c_hat| <= c_bound.
         lp: linearized plant coefficients.
         mesh: triangle mesh.
-        tol: sup-norm change between sweeps at which iteration stops.
-        max_iter: sweep budget; exceeding it raises ConvergenceError.
+        tol: None solves the discrete system directly, exact to rounding.
+            A tol runs successive approximation from Kv == 0 instead and
+            stops when the sup-norm change between sweeps is <= tol.
+        max_iter: sweep budget of the iteration; exceeding it raises
+            ConvergenceError.
         c_bound: known bound on |c_hat|.  Defaults to lp.c_bar; adaptive
             callers pass their projection bound, which may be larger.
-        start: a pair on the same mesh to begin the sweeps from instead
-            of Kv == 0, such as the adaptive loop's active pair, solved
-            for an estimate one refresh away.  It saves sweeps, and the
-            stop rule then ends them farther from the fixed point than a
-            cold solve at the same tol ends (see controller._LOOP_TOL_SCALE).
 
     Returns:
-        KernelPair wrapping the Ku triangle the sweeps end on, with the
-        diagonal and edge conditions satisfied exactly at the nodes; its
-        Kv is the edge trace of that Ku.
+        KernelPair wrapping the Ku triangle, with the diagonal and edge
+        conditions satisfied exactly at the nodes; its Kv is the edge
+        trace of that Ku.
+
+    Raises:
+        ValueError: c_hat has the wrong shape, violates the bound or is
+            not finite, or max_iter < 1.
+        ArithmeticError: the direct edge system is singular.
+        ConvergenceError: the iteration missed tol within max_iter.
     """
     c_hat = np.asarray(c_hat, dtype=float)
     if c_bound is None:
         c_bound = lp.c_bar
     if c_hat.shape != (mesh.n,):
         raise ValueError(f"c_hat must have {mesh.n} samples on the mesh grid")
-    if np.max(np.abs(c_hat)) > c_bound * (1 + 1e-9):
+    if not np.max(np.abs(c_hat)) <= c_bound * (1 + 1e-9):  # NaN fails too
         raise ValueError("c_hat violates the known bound |c_hat| <= c_bar")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if start is not None and start.mesh.n != mesh.n:
-        raise ValueError(f"start must be a pair on a {mesh.n}-node mesh")
 
     a, b = lp.lam_n, lp.mu_n
     ratio = a * lp.r / b
     geo = _geometry(mesh, a, b)
-    x = mesh.x
+    if tol is None:
+        ku_flat = _solve_direct(c_hat, mesh, geo, a + b, ratio)
+    else:
+        x = mesh.x
+        diag_at_foot = -np.interp(geo["foot_x"], x, c_hat) / (a + b)
+        c_at_quad = np.interp(geo["xi_q"], x, c_hat)
+        quad_vals = geo["q_weight"] * c_at_quad
 
-    diag_at_foot = -np.interp(geo["foot_x"], x, c_hat) / (a + b)
-    c_at_quad = np.interp(geo["xi_q"], x, c_hat)
-    quad_vals = geo["q_weight"] * c_at_quad
-
-    n_nodes = mesh.n_nodes
-    if start is None:
+        n_nodes = mesh.n_nodes
         ku_flat = diag_at_foot.copy()
         g = np.zeros(mesh.n)  # edge values Ku(:, 0); g == 0 encodes Kv == 0
-    else:
-        ku_flat = start.ku_tri
-        g = ku_flat[geo["edge_ids"]]
-    residual = np.inf
-    for _ in range(max_iter):
-        contrib = np.bincount(
-            geo["q_rows"],
-            weights=quad_vals * (ratio * g)[geo["q_idx"]],
-            minlength=n_nodes,
-        )
-        ku_new = diag_at_foot + contrib
-        g_new = ku_new[geo["edge_ids"]]
-        residual = max(
-            float(np.max(np.abs(ku_new - ku_flat))),
-            float(abs(ratio) * np.max(np.abs(g_new - g))) if ratio != 0 else 0.0,
-        )
-        ku_flat, g = ku_new, g_new
-        if residual <= tol:
-            break
-    else:
-        raise ConvergenceError(max_iter, residual, tol)
+        residual = np.inf
+        for _ in range(max_iter):
+            contrib = np.bincount(
+                geo["q_rows"],
+                weights=quad_vals * (ratio * g)[geo["q_idx"]],
+                minlength=n_nodes,
+            )
+            ku_new = diag_at_foot + contrib
+            g_new = ku_new[geo["edge_ids"]]
+            residual = max(
+                float(np.max(np.abs(ku_new - ku_flat))),
+                float(abs(ratio) * np.max(np.abs(g_new - g))) if ratio != 0 else 0.0,
+            )
+            ku_flat, g = ku_new, g_new
+            if residual <= tol:
+                break
+        else:
+            raise ConvergenceError(max_iter, residual, tol)
 
     kp = KernelPair(mesh=mesh, ku_tri=ku_flat, lam_n=a, mu_n=b, r=lp.r)
     if kp.sup_norm() > kernel_sup_cap(c_bound, a, b):
@@ -283,6 +297,43 @@ def solve_kernels(
             stacklevel=2,
         )
     return kp
+
+
+def _solve_direct(
+    c_hat: np.ndarray, mesh: TriMesh, geo: dict, s: float, ratio: float
+) -> np.ndarray:
+    """Ku's triangle from one triangular edge solve and one product.
+
+    With C[i, j] = c_hat at the diagonal foot of node (i, j), h = dx / s
+    and tau the trapezoid weights, node (i, j), d = i - j >= 1, reads
+        Ku[i, j] = -C[i, j] / s + h ratio sum_q tau_q C[i - q, j] g[q],
+    where g = Ku(:, 0).  On the edge that is (I - h ratio T) g = -C[:, 0] / s
+    with T[i, q] = tau[i, q] C[i - q, 0]; every pivot but the first is
+    1 - h ratio C[0, 0] / 2.  Over the triangle the sums are the
+    lower-triangular product G @ C, G[i, p] = g[i - p], less half of its
+    end terms g[0] C[i, j] and g[d] C[j, j].
+    """
+    n = mesh.n
+    c_tri = np.interp(geo["foot_x"], mesh.x, c_hat)  # C in row-major tril order
+    c_edge = c_tri[geo["edge_ids"]]
+    hr = mesh.dx / s * ratio
+    if abs(1.0 - 0.5 * hr * c_edge[0]) < 1e-8:
+        raise ArithmeticError("direct kernel edge solve is singular")
+    edge = np.eye(n) - hr * geo["tau"] * _lower_toeplitz(c_edge, geo)
+    g = np.linalg.solve(edge, -c_edge / s)
+    c_sq = np.zeros((n, n))
+    c_sq.put(geo["tril_flat"], c_tri)
+    conv = (_lower_toeplitz(g, geo) @ c_sq).take(geo["tril_flat"])
+    base = -c_tri / s
+    ends = 0.5 * g[geo["d"]] * c_tri[geo["col_diag_ids"]]
+    ku = base + hr * (conv - 0.5 * g[0] * c_tri - ends)
+    ku[geo["diag_ids"]] = base[geo["diag_ids"]]  # d = 0: no integral
+    return ku
+
+
+def _lower_toeplitz(v: np.ndarray, geo: dict) -> np.ndarray:
+    """L[i, p] = v[i - p] for p <= i, else 0."""
+    return np.concatenate((np.zeros(v.size - 1), v)).take(geo["lag_ids"])
 
 
 def _volterra_weights(n: int, dx: float) -> np.ndarray:

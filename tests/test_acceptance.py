@@ -229,13 +229,15 @@ def test_kernel_acquisition_speedup(trained, tmp_path, criterion_report):
     ratio = report["median_speedup"]
     sol_us = report["solver"]["median_ns"] / 1e3
     neu_us = report["neural"]["median_ns"] / 1e3
+    dir_us = report["direct"]["median_ns"] / 1e3
     ok = ratio >= 20.0
     criterion_report(
         5, "kernel acquisition speedup",
         ok,
         f"median speedup {ratio:.1f}x (floor 20x); solver {sol_us:.0f} us, "
         f"surrogate {neu_us:.1f} us per acquisition at tol=1e-8, "
-        f"mesh n={report['mesh_n']}",
+        f"mesh n={report['mesh_n']}; the loop's direct solve {dir_us:.0f} us "
+        f"({report['direct_speedup']:.1f}x the surrogate's)",
     )
     assert ratio >= 20.0
 

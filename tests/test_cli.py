@@ -90,6 +90,9 @@ def test_full_workflow(fast_env, capsys, caplog):
     assert report["n"] == 3 and report["warmup"] == 5
     assert report["median_speedup"] > 0
     assert report["solver"]["median_ns"] > report["neural"]["median_ns"]
+    assert report["direct_speedup"] == (
+        report["direct"]["median_ns"] / report["neural"]["median_ns"]
+    )
     assert "paired_kernel_error" in report
     assert "speedup" in capsys.readouterr().out
 

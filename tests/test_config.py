@@ -207,8 +207,8 @@ def test_semantic_errors_wrap_as_config_errors(monkeypatch):
     [("tol", "-1"), ("tol", "0"), ("tol", "nan")],
 )
 def test_solver_settings_are_checked_at_load(monkeypatch, key, raw):
-    # A tol that is not > 0 would send every solve through the whole
-    # sweep budget to a ConvergenceError.
+    # A tol that is not > 0 would send every iterative solve (`arzno
+    # bench`'s) through the whole sweep budget to a ConvergenceError.
     monkeypatch.setenv(f"ARZNO_CONTROLLER_{key.upper()}", raw)
     with pytest.raises(ConfigError, match=r"\[controller\].*tol must be positive"):
         build_controller(load_config())

@@ -336,10 +336,9 @@ def test_model_selects_the_kernel_path(params, monkeypatch, with_model, open_loo
 
 
 def test_solver_source_threads_its_options(params, lp, monkeypatch):
-    # Without a model the loop solves its kernels with the config's
-    # stopping rule (its tol scaled by _LOOP_TOL_SCALE) and bound, through
-    # the solve_kernels name that arzno.controller imports; each solve
-    # after the first starts from the pair the previous one returned.
+    # Without a model the loop solves its kernels directly, with the
+    # config's bound and no tol, through the solve_kernels name that
+    # arzno.controller imports.
     seen = []
 
     def spy(c_mesh, lp_arg, mesh, **kwargs):
@@ -353,11 +352,9 @@ def test_solver_source_threads_its_options(params, lp, monkeypatch):
     run_closed_loop(
         params, cfg, g, on_refresh=lambda t, c, kp, ns: hooked.append((c, kp))
     )
-    pairs = [kp for _, kp in hooked]
-    opts = {"tol": controller._LOOP_TOL_SCALE * 1e-10, "c_bound": 0.03}
-    assert seen == [{**opts, "start": start} for start in [None, *pairs[:2]]]
+    assert seen == [{"c_bound": 0.03}] * 3
     c, kp = hooked[-1]
-    ref = solve_kernels(c, lp, TriMesh(9), **opts, start=pairs[-2])
+    ref = solve_kernels(c, lp, TriMesh(9), c_bound=0.03)
     np.testing.assert_array_equal(kp.ku, ref.ku)
     np.testing.assert_array_equal(kp.kv, ref.kv)
 
@@ -429,14 +426,9 @@ def test_reused_refreshes_serve_the_pair_a_solve_would(params, lp, monkeypatch):
     )
     mesh = TriMesh(cfg.mesh_n)
     keys = [c.tobytes() for c, _ in hooked]
-    ref = None
-    for k, (c, kp) in enumerate(hooked):
-        # The loop's own solve: started from the previous pair, to its tol.
-        if k == 0 or keys[k] != keys[k - 1]:
-            ref = solve_kernels(
-                c, lp, mesh, tol=controller._LOOP_TOL_SCALE * cfg.tol,
-                c_bound=cfg.c_bar, start=ref,
-            )
+    for c, kp in hooked:
+        # Fresh or kept, every pair is the loop's own solve of its estimate.
+        ref = solve_kernels(c, lp, mesh, c_bound=cfg.c_bar)
         np.testing.assert_array_equal(kp.ku, ref.ku)
         np.testing.assert_array_equal(kp.kv, ref.kv)
     moved = [a != b for a, b in zip(keys, keys[1:])]

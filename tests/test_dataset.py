@@ -163,7 +163,7 @@ def test_stored_labels_re_solve_exactly(corpus):
     _, man = corpus
     report = verify_labels(man, fraction=1.0)
     assert report["checked"] == 100
-    assert report["max_err"] <= 1e-10
+    assert report["max_err"] == 0.0
 
 
 def test_labels_verify_under_a_legacy_controller_section(corpus, tmp_path):

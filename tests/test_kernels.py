@@ -23,7 +23,6 @@ from arzno.kernels import (
     solve_kernels,
 )
 from arzno.controller import (
-    _LOOP_TOL_SCALE,
     ControllerConfig,
     inverse_transform_on_mesh,
     run_closed_loop,
@@ -177,57 +176,44 @@ def _sup_gap(a: KernelPair, b: KernelPair) -> float:
     return float(max(np.max(np.abs(a.ku - b.ku)), np.max(np.abs(a.kv - b.kv))))
 
 
-@pytest.mark.parametrize("n", [8, 21, 41])
-def test_warm_start_lands_as_close_as_a_cold_solve(params, lp, n):
-    # Chained as in the loop, each solve started from the previous pair
-    # and swept to the loop's tol ends at least as close to the fixed
-    # point as a cold solve at tol.
+@pytest.mark.parametrize("n", [8, 21, 41, 81])
+def test_direct_solve_matches_the_iterate(params, lp, n):
+    # The direct solve is the iteration's fixed point to rounding, on the
+    # estimates a loop refreshes for, at both ends of the bound and on a
+    # sign-changing estimate.
     mesh = TriMesh(n)
     c_bound = ControllerConfig().c_bar
-    tol = 1e-8
     estimates = _loop_estimates(params, n)
     assert len(estimates) > 100
-    prev = solve_kernels(estimates[0], lp, mesh, tol=_LOOP_TOL_SCALE * tol, c_bound=c_bound)
-    worst_warm = worst_cold = 0.0
-    for c in estimates[1:]:
+    estimates += [
+        np.full(n, c_bound), np.full(n, -c_bound), c_bound * np.sin(7.0 * mesh.x),
+    ]
+    for c in estimates:
+        direct = solve_kernels(c, lp, mesh, c_bound=c_bound)
         ref = solve_kernels(c, lp, mesh, tol=1e-14, max_iter=2000, c_bound=c_bound)
-        warm = solve_kernels(
-            c, lp, mesh, tol=_LOOP_TOL_SCALE * tol, c_bound=c_bound, start=prev
-        )
-        cold = solve_kernels(c, lp, mesh, tol=tol, c_bound=c_bound)
-        worst_warm = max(worst_warm, _sup_gap(warm, ref))
-        worst_cold = max(worst_cold, _sup_gap(cold, ref))
-        prev = warm
-    assert worst_warm <= worst_cold
+        assert _sup_gap(direct, ref) <= 1e-15
 
 
-def test_warm_start_saves_sweeps(params, lp):
-    # At the end of a 20 s loop a start from the previous pair reaches the
-    # loop's tol (residual 3.6e-12 <= 1e-11) within a budget that leaves a
-    # cold solve 80x short of a 1000x looser tol (8.1e-7 > 1e-8).
-    mesh = TriMesh(41)
-    c_bound = ControllerConfig().c_bar
-    *_, c_prev, c = _loop_estimates(params, 41)
-    prev = solve_kernels(c_prev, lp, mesh, tol=1e-11, c_bound=c_bound)
-    solve_kernels(c, lp, mesh, tol=1e-11, max_iter=5, c_bound=c_bound, start=prev)
-    with pytest.raises(ConvergenceError):
-        solve_kernels(c, lp, mesh, tol=1e-8, max_iter=5, c_bound=c_bound)
-
-
-def test_warm_start_from_its_own_solution(lp):
-    # A start at the fixed point moves by less than tol in one sweep, and
-    # a start from any pair on the mesh converges to the same kernels.
-    mesh = TriMesh(21)
+@pytest.mark.parametrize("tol", [None, 1e-8], ids=["direct", "iterative"])
+def test_nan_estimate_violates_the_bound(lp, tol):
+    # NaN compares False against the bound, so the check is written to
+    # fail on it: both paths refuse it up front instead of solving.
     c = lp.c_samples(21)
-    kp = solve_kernels(c, lp, mesh, tol=1e-13, max_iter=2000)
-    again = solve_kernels(c, lp, mesh, tol=1e-13, max_iter=1, start=kp)
-    assert _sup_gap(again, kp) <= 1e-13
-    far = solve_kernels(
-        np.zeros(21), lp, mesh, start=solve_kernels(-c, lp, mesh)
-    )
-    assert np.all(far.ku == 0.0) and np.all(far.kv == 0.0)
-    with pytest.raises(ValueError, match="21-node mesh"):
-        solve_kernels(c, lp, mesh, start=solve_kernels(lp.c_samples(8), lp, TriMesh(8)))
+    c[5] = np.nan
+    with pytest.raises(ValueError, match="bound"):
+        solve_kernels(c, lp, TriMesh(21), tol=tol)
+
+
+def test_singular_edge_system_is_a_numerical_failure(lp):
+    # Every pivot of the edge system but the first is 1 - h ratio c(0) / 2,
+    # with h = dx / (lam + mu); at c(0) = 2 / (h ratio) it vanishes.
+    mesh = TriMesh(21)
+    hr = mesh.dx / (lp.lam_n + lp.mu_n) * (lp.lam_n * lp.r / lp.mu_n)
+    c = np.zeros(21)
+    c[0] = 2.0 / hr
+    with pytest.raises(ArithmeticError, match="singular") as info:
+        solve_kernels(c, lp, mesh, c_bound=c[0])
+    assert not isinstance(info.value, ValueError)
 
 
 def test_sup_cap_formula():
