@@ -8,13 +8,19 @@ every KernelPair and corpus record, the edge trace (lam r / mu)
 Ku(x - xi, 0), derived from it.
 NeuralKernelSource serves the loop.  Everything is float64 numpy with
 analytic backprop and an adaptive-moment optimizer, so training is
-reproducible bit-for-bit from (seed, config).
+reproducible bit-for-bit from (seed, config) at a fixed BLAS thread
+count.  BLAS products can also round a row differently with the number
+of rows multiplied (with OpenBLAS, below about 37 rows at b = 32), so
+moving a record between a short and a full chunk or batch may move the
+model by rounding.
 """
 
 from __future__ import annotations
 
 import struct
+import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -165,11 +171,15 @@ def _gather(
     return c, yu, data.ratio[rows]
 
 
+@lru_cache(maxsize=None)
 def _edge(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tril positions of the edge nodes (d, 0), and the n - d nodes on
     each line x - xi = d dx, whose Kv is (lam r / mu) Ku(d dx, 0)."""
     d = np.arange(n)
-    return d * (d + 1) // 2, (n - d).astype(float)
+    edge = (d * (d + 1) // 2, (n - d).astype(float))
+    for arr in edge:
+        arr.setflags(write=False)
+    return edge
 
 
 def _fit_basis(
@@ -280,36 +290,87 @@ def _backward_stack(
             d *= slope
 
 
+def _targets(
+    model: DeepONetModel, yu: np.ndarray, ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """POD targets t = (y - mean) Phi^T of the Ku rows yu, in ws, and
+    their out-of-basis energy r = ||y - mean - t Phi||^2, one per row."""
+    mean, modes = model.params["mean"], model.params["modes"]
+    t = np.matmul(yu, modes.T, out=ws("t", yu.shape[0], model.b))
+    t -= modes @ mean
+    res = np.matmul(t, modes, out=ws("res", *yu.shape))
+    res += mean
+    res -= yu
+    return t, np.einsum("ij,ij->i", res, res)
+
+
+class _PodTargets:
+    """Some records' POD targets, computed once per fit.
+
+    A record's loss terms need only its (t, r) from _targets, b + 1
+    floats, and Ku's m edge values, gathered per batch; so once the basis
+    is fitted a batch never reads the records' Ku triangles.  The
+    targets are computed in chunks of `chunk` rows in the order of rows,
+    and ref is the records' node power of both heads, the denominator of
+    the relative error.
+    """
+
+    def __init__(
+        self, model: DeepONetModel, data: KernelDataset, rows: np.ndarray, chunk: int
+    ):
+        self.data, self.rows = data, rows
+        self.t = np.empty((rows.size, model.b))
+        self.r = np.empty(rows.size)
+        edge, count = _edge(data.mesh_n)
+        ws = _Workspace()  # its (chunk, nodes) buffers go when the cache is built
+        ref = 0.0
+        for start in range(0, rows.size, chunk):
+            _, yu, ratio = _gather(data, rows[start : start + chunk], ws)
+            part = slice(start, start + yu.shape[0])
+            self.t[part], self.r[part] = _targets(model, yu, ws)
+            ref += np.vdot(yu, yu) + (ratio * ratio) @ (yu[:, edge] ** 2) @ count
+        self.ref = float(ref)
+
+    def batch(
+        self, pos: np.ndarray, ws: _Workspace
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """c, Ku's edge values and lam r / mu of the records at positions
+        pos of rows, and their (t, r); c and t in ws buffers."""
+        rows = self.rows[pos]
+        c = np.take(self.data.c, rows, axis=0,
+                    out=ws("c", pos.size, self.data.c.shape[1]), mode="clip")
+        t = np.take(self.t, pos, axis=0, out=ws("tb", pos.size, self.t.shape[1]),
+                    mode="clip")
+        yu_edge = self.data.ku[rows[:, None], _edge(self.data.mesh_n)[0]]
+        return c, yu_edge, self.data.ratio[rows], (t, self.r[pos])
+
+
 def _residuals(
     model: DeepONetModel,
     c: np.ndarray,
-    yu: np.ndarray,
+    yu_edge: np.ndarray,
     ratio: np.ndarray,
+    targets: tuple[np.ndarray, np.ndarray],
     ws: _Workspace,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, float]:
     """Branch activations, a - t, Ku's edge residual e, and the squared
     node residuals of both heads summed over the batch.
 
-    With orthonormal modes Phi, branch output a and y = Ku,
-    ||mean + a Phi - y||^2 = ||a - t||^2 + ||y - mean||^2 - ||t||^2 for
-    t = (y - mean) Phi^T, and Kv's is (lam r / mu)^2 sum_d (n - d) e_d^2,
-    so no (records, nodes) prediction is formed.
+    With orthonormal modes Phi, branch output a, y = Ku and (t, r) its
+    targets, ||mean + a Phi - y||^2 = ||a - t||^2 + r, and Kv's is
+    (lam r / mu)^2 sum_d (n - d) e_d^2, so no (records, nodes) array is
+    read or formed.  t is overwritten with a - t.
     """
     p = model.params
-    mean, modes = p["mean"], p["modes"]
+    t, r = targets
     x = np.divide(c, model.c_scale, out=ws("x", *c.shape))
     acts = _forward_stack(p, x, len(model.hidden), ws)
-    t = np.matmul(yu, modes.T, out=ws("t", c.shape[0], model.b))
-    t -= modes @ mean
     edge, count = _edge(model.m)
-    e = np.matmul(acts[-1], modes[:, edge], out=ws("e", c.shape[0], model.m))
-    e -= yu[:, edge] - mean[edge]
-    power = (
-        np.vdot(yu, yu) - 2.0 * np.sum(yu @ mean) + yu.shape[0] * (mean @ mean)
-        - np.vdot(t, t) + (ratio * ratio) @ (e * e) @ count
-    )
+    e = np.matmul(acts[-1], p["modes"][:, edge], out=ws("e", c.shape[0], model.m))
+    e -= yu_edge - p["mean"][edge]
     da = np.subtract(acts[-1], t, out=t)
-    return acts, da, e, float(power + np.vdot(da, da))
+    power = np.sum(r) + (ratio * ratio) @ (e * e) @ count + np.vdot(da, da)
+    return acts, da, e, float(power)
 
 
 def loss_and_grads(
@@ -318,19 +379,26 @@ def loss_and_grads(
     yu: np.ndarray,
     ratio: np.ndarray,
     ws: _Workspace | None = None,
+    targets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean squared node error over both heads and its branch gradients.
 
     yu holds the batch's Ku targets in row-major tril order and ratio
     their lam r / mu; Kv, predicted and target, is the edge trace of Ku.
-    The loss is sum over heads of mean((pred - target)^2).  Activations
-    and deltas go to ws when given (train passes one, so a step
-    allocates no large array); the gradients are fresh arrays.
+    The loss is sum over heads of mean((pred - target)^2).  When targets,
+    the rows' (t, r) from _targets, is given, yu holds only Ku's edge
+    columns _edge(m)[0] (train passes its per-fit cache; t is
+    overwritten).  Activations and deltas go to ws when given (train
+    passes one, so a step allocates no large array); the gradients are
+    fresh arrays.
     """
     ws = _Workspace() if ws is None else ws
-    acts, da, e, power = _residuals(model, c_batch, yu, ratio, ws)
-    denom = yu.size
     edge, count = _edge(model.m)
+    if targets is None:
+        targets = _targets(model, yu, ws)
+        yu = yu[:, edge]
+    acts, da, e, power = _residuals(model, c_batch, yu, ratio, targets, ws)
+    denom = c_batch.shape[0] * model.params["mean"].size
     e *= (ratio * ratio)[:, None] * count
     d_out = np.matmul(e, model.params["modes"][:, edge].T, out=ws("dout", *da.shape))
     d_out += da
@@ -346,16 +414,19 @@ def _val_metrics(
     rows: np.ndarray,
     ws: _Workspace,
     chunk: int,
+    targets: _PodTargets | None = None,
 ) -> tuple[float, float]:
-    """(mse, relative error) of the given records, summed chunk by chunk."""
-    edge, count = _edge(data.mesh_n)
-    res = ref = 0.0
+    """(mse, relative error) of the given records, summed chunk by chunk
+    from their targets (computed here when not given)."""
+    if targets is None:
+        targets = _PodTargets(model, data, rows, chunk)
+    pos = np.arange(rows.size)
+    res = 0.0
     for start in range(0, rows.size, chunk):
-        c, yu, ratio = _gather(data, rows[start : start + chunk], ws)
-        res += _residuals(model, c, yu, ratio, ws)[3]
-        ref += np.vdot(yu, yu) + (ratio * ratio) @ (yu[:, edge] ** 2) @ count
+        batch = targets.batch(pos[start : start + chunk], ws)
+        res += _residuals(model, *batch, ws)[3]
     mse = float(res / (rows.size * data.ku.shape[1]))
-    rel = float(np.sqrt(res / ref)) if ref > 0 else np.inf
+    rel = float(np.sqrt(res / targets.ref)) if targets.ref > 0 else np.inf
     return mse, rel
 
 
@@ -367,12 +438,15 @@ def train(
 ) -> tuple[DeepONetModel, list[dict[str, float]]]:
     """Fit the basis, then the branch by mini-batch descent with Adam moments.
 
+    Each record's POD targets are computed once, after the basis fit;
+    the epochs then read only the records' c, targets, ratio and Ku edge.
+
     Args:
         data: the training records.
         cfg: optimizer settings.
         model: the model to train, trained in place, as init_model makes
             it; its basis is replaced by the one fitted to the training
-            records.
+            records, and its branch arrays become views of one vector.
         val_data: held-out records scored once per epoch.  When omitted, a
             val_split fraction of data is carved off (at least one
             record, unless the dataset has a single record, which is
@@ -380,7 +454,8 @@ def train(
 
     Returns:
         (best-validation model, per-epoch history).  History entries
-        carry epoch, train_mse, val_mse, val_rel.
+        carry epoch, train_mse, val_mse, val_rel and epoch_s, the wall
+        seconds of the epoch with its scoring.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
@@ -406,55 +481,58 @@ def train(
     model.params["mean"], model.params["modes"] = _fit_basis(
         data, tr, model.b, cfg.batch_size
     )
+    fit = _PodTargets(model, data, tr, cfg.batch_size)
+    scored = fit if va is tr else _PodTargets(model, val, va, cfg.batch_size)
+
+    # Adam runs on one vector that the branch arrays view, with moments m, v.
     trained = [k for k in model.params if k.startswith("branch_")]
-    moments = {
-        "m": {k: np.zeros_like(model.params[k]) for k in trained},
-        "v": {k: np.zeros_like(model.params[k]) for k in trained},
-    }
+    flat = np.concatenate([model.params[k].ravel() for k in trained])
+    ends = np.cumsum([model.params[k].size for k in trained])
+    for key, part in zip(trained, np.split(flat, ends[:-1])):
+        model.params[key] = part.reshape(model.params[key].shape)
+    grad, m, v = np.empty_like(flat), np.zeros_like(flat), np.zeros_like(flat)
     step = 0
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     history: list[dict[str, float]] = []
     best_val = np.inf
-    best_params = {k: model.params[k].copy() for k in trained}
+    best = flat.copy()
     # Batches and validation chunks share one workspace, released on return.
     ws = _Workspace()
 
     n_train = tr.size
     for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
         perm = rng.permutation(n_train)
         running = 0.0
         for start in range(0, n_train, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            c_b, yu_b, ratio_b = _gather(data, tr[idx], ws)
-            loss, grads = loss_and_grads(model, c_b, yu_b, ratio_b, ws)
+            c_b, edge_b, ratio_b, targets = fit.batch(idx, ws)
+            loss, grads = loss_and_grads(model, c_b, edge_b, ratio_b, ws, targets)
+            np.concatenate([grads[k].ravel() for k in trained], out=grad)
             step += 1
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
-            for key, grad in grads.items():
-                m_k = moments["m"][key]
-                v_k = moments["v"][key]
-                m_k += (1.0 - beta1) * (grad - m_k)
-                v_k += (1.0 - beta2) * (grad * grad - v_k)
-                model.params[key] -= cfg.lr * (m_k / bc1) / (
-                    np.sqrt(v_k / bc2) + eps
-                )
+            m += (1.0 - beta1) * (grad - m)
+            v += (1.0 - beta2) * (grad * grad - v)
+            flat -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
             running += loss * idx.size
         train_mse = running / n_train
         if not np.isfinite(train_mse):
             raise ArithmeticError(f"training diverged at epoch {epoch}")
-        val_mse, val_rel = _val_metrics(model, val, va, ws, cfg.batch_size)
+        val_mse, val_rel = _val_metrics(model, val, va, ws, cfg.batch_size, scored)
         history.append(
             {
                 "epoch": float(epoch),
                 "train_mse": float(train_mse),
                 "val_mse": val_mse,
                 "val_rel": val_rel,
+                "epoch_s": time.perf_counter() - t0,
             }
         )
         if val_mse < best_val:
             best_val = val_mse
-            best_params = {k: model.params[k].copy() for k in trained}
-    model.params.update(best_params)
+            best[:] = flat
+    flat[:] = best
     return model, history
 
 

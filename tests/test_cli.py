@@ -70,6 +70,8 @@ def test_full_workflow(fast_env, capsys, caplog):
     history = (root / "model.history.csv").read_text().splitlines()
     assert history[1] == "epoch,train_mse,val_mse,val_rel"
     assert len(history) == 2 + 3  # comment, header, one row per epoch
+    summary = capsys.readouterr().out
+    assert "basis and targets" in summary and "s per epoch" in summary
 
     assert main(["simulate", "--mode", "no", "--model", "model.bin",
                  "--out", "no"]) == 0
@@ -94,6 +96,8 @@ def test_full_workflow(fast_env, capsys, caplog):
         report["direct"]["median_ns"] / report["neural"]["median_ns"]
     )
     assert "paired_kernel_error" in report
+    # The loop solves directly: its wall is labelled as the direct solve's.
+    assert set(report["closed_loop_wall_s"]) == {"direct", "neural"}
     assert "speedup" in capsys.readouterr().out
 
     assert main(["bench", "--n", "0", "--out", "bench0.json"]) == 0

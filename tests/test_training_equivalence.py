@@ -2,10 +2,12 @@
 
 Training and scoring never form a batch's (records, nodes) prediction:
 the loss comes from the branch coefficients through the POD identity,
-and Kv's share from Ku's edge residual.  The references below form both
-heads' node-space predictions the plain way, with Kv the edge trace of
-Ku; the loss, the validation scores and the accuracy report must agree
-with them to rounding.  The memory guards check that validation and
+and Kv's share from Ku's edge residual.  Each record's POD targets are
+computed once per fit, so an epoch reads no Ku triangle.  The references
+below form both heads' node-space predictions the plain way, with Kv the
+edge trace of Ku; the loss, the cached targets, the validation scores
+and the accuracy report must agree with them to rounding, and training
+must take the steps of a loop that projects each batch's Ku itself.  The memory guards check that validation and
 evaluation stream: their traced peak must not grow with the number of
 records scored.
 """
@@ -20,7 +22,9 @@ from arzno.deeponet import (
     KernelDataset,
     NeuralKernelSource,
     TrainConfig,
+    _PodTargets,
     _Workspace,
+    _fit_basis,
     _gather,
     _val_metrics,
     eval_accuracy,
@@ -147,6 +151,96 @@ def test_scores_match_node_space_reference(records, fitted, chunk):
     for key, err in (("ku", np.abs(ru)), ("kv", np.abs(rv))):
         assert report[f"{key}_max"] == pytest.approx(err.max(), rel=1e-12, abs=0.0)
         assert report[f"{key}_mean"] == pytest.approx(err.mean(), rel=1e-12, abs=0.0)
+
+
+def test_cached_targets_reproduce_node_space_scores_and_loss(records, fitted):
+    model, _ = fitted
+    val = records["val"]
+    rows = np.arange(len(val))
+    # A full chunk of four records, then a short one of three.
+    targets = _PodTargets(model, val, rows, 4)
+    mean, modes = model.params["mean"], model.params["modes"]
+    t_ref = (val.ku - mean) @ modes.T
+    r_ref = np.sum((val.ku - mean - t_ref @ modes) ** 2, axis=1)
+    np.testing.assert_allclose(targets.t, t_ref, rtol=0.0,
+                               atol=1e-12 * np.abs(t_ref).max())
+    np.testing.assert_allclose(targets.r, r_ref, rtol=1e-10, atol=0.0)
+    kv = _kv_from_edge(val.ku, val.ratio[:, None], val.mesh_n)
+    assert targets.ref == pytest.approx(np.sum(val.ku**2) + np.sum(kv**2), rel=1e-12)
+
+    mse, rel = _val_metrics(model, val, rows, _Workspace(), 4, targets)
+    ref_mse, ref_rel = _ref_scores(model, val, rows)
+    assert mse == pytest.approx(ref_mse, rel=1e-10, abs=0.0)
+    assert rel == pytest.approx(ref_rel, rel=1e-10, abs=0.0)
+
+    # A batch of the first chunk's records: the loss from their cached
+    # targets and Ku edge is the node-space loss, and the gradients are
+    # those of the same records' whole Ku rows.
+    pos = np.arange(4)
+    c_b, edge_b, ratio_b, cached = targets.batch(pos, _Workspace())
+    # Ku's edge values: the nodes (d, 0), at tril positions d (d + 1) / 2.
+    assert np.array_equal(edge_b, val.ku[:4][:, [0, 1, 3, 6, 10, 15, 21, 28, 36, 45, 55]])
+    loss, grads = loss_and_grads(model, c_b, edge_b, ratio_b, _Workspace(), cached)
+    ru, rv = _ref_residuals(model, val, pos)
+    assert loss == pytest.approx((np.sum(ru * ru) + np.sum(rv * rv)) / ru.size,
+                                 rel=1e-10, abs=0.0)
+    _, whole = loss_and_grads(model, val.c[pos], val.ku[pos], val.ratio[pos])
+    for key, grad in whole.items():
+        assert np.array_equal(grads[key], grad), key
+
+
+def _per_batch_train(data, cfg, model, val):
+    """The parent algorithm of train: each step gathers its batch's whole
+    Ku rows and projects them onto the modes, and Adam updates each
+    branch array on its own.  The validation records are scored in node
+    space."""
+    rng = np.random.default_rng(cfg.seed)
+    tr = np.arange(len(data))
+    model.params["mean"], model.params["modes"] = _fit_basis(
+        data, tr, model.b, cfg.batch_size
+    )
+    keys = [k for k in model.params if k.startswith("branch_")]
+    m = {k: np.zeros_like(model.params[k]) for k in keys}
+    v = {k: np.zeros_like(model.params[k]) for k in keys}
+    step, best_val, best, losses = 0, np.inf, None, []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(tr.size)
+        running = 0.0
+        for start in range(0, tr.size, cfg.batch_size):
+            rows = tr[perm[start : start + cfg.batch_size]]
+            loss, grads = loss_and_grads(model, data.c[rows], data.ku[rows], data.ratio[rows])
+            step += 1
+            for k in keys:
+                m[k] += (1.0 - 0.9) * (grads[k] - m[k])
+                v[k] += (1.0 - 0.999) * (grads[k] * grads[k] - v[k])
+                model.params[k] -= cfg.lr * (m[k] / (1.0 - 0.9**step)) / (
+                    np.sqrt(v[k] / (1.0 - 0.999**step)) + 1e-8
+                )
+            running += loss * rows.size
+        losses.append(running / tr.size)
+        val_mse = _ref_scores(model, val, np.arange(len(val)))[0]
+        if val_mse < best_val:
+            best_val, best = val_mse, {k: model.params[k].copy() for k in keys}
+    model.params.update(best)
+    return model, losses
+
+
+def test_train_takes_the_steps_of_the_per_batch_node_space_loop():
+    # Every batch has 64 rows, as does every chunk of the cached targets,
+    # so each record's targets round as in its batch's own projection.
+    mesh_n = 21
+    data, val = _synthetic(192, mesh_n, 5), _synthetic(100, mesh_n, 6)
+    cfg = TrainConfig(lr=3e-3, batch_size=64, epochs=6, seed=7)
+
+    def fresh():
+        return init_model(m=mesh_n, b=8, hidden=(16, 12), seed=3, c_scale=0.02)
+
+    model, history = train(data, cfg, fresh(), val_data=val)
+    ref, losses = _per_batch_train(data, cfg, fresh(), val)
+    for key, value in ref.params.items():
+        assert np.array_equal(model.params[key], value), key
+    for h, loss in zip(history, losses):
+        assert h["train_mse"] == pytest.approx(loss, rel=1e-12, abs=0.0)
 
 
 def test_derived_kv_is_the_solver_kv(sets, records):
