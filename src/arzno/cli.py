@@ -92,6 +92,7 @@ def _sim_stats(tr) -> dict:
         "e_norm_final": float(tr.e_norm[-1]),
         "eps_norm_final": float(tr.eps_norm[-1]),
         "kernel_time_total_ns": int(np.sum(tr.kernel_ns)),
+        "table_time_total_ns": tr.table_ns,
         "n_refreshes": int(len(tr.refresh_t)),
         "kernel_acquisitions": tr.kernel_acquisitions,
     }

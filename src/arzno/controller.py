@@ -6,14 +6,15 @@ evaluated on the state grid with kernels interpolated from the solver
 mesh.  run_closed_loop orchestrates one simulation: kernels are
 refreshed from the current coupling estimate at every time step, the
 plant and identifier advance by upwind steps, and the estimate adapts
-under projection.  A refresh whose estimate on the kernel mesh is
-bitwise unchanged since the last acquisition keeps the active kernels
-and their grid tables instead of acquiring them again; the refresh hook
-still fires for it, with the kept pair.  An estimate row that is itself
-unchanged since the last refresh is not interpolated onto the mesh
-again.  The boundary value entering a step is solved implicitly (the
-quadrature includes the endpoint being set), which makes the
-transformed boundary z(1, t) vanish identically.
+under projection.  A refresh that acquires a new pair derives its grid
+tables and drift rates once, from Ku's triangle alone.  A refresh whose
+estimate on the kernel mesh is bitwise unchanged since the last
+acquisition keeps the active kernels and their grid tables instead of
+acquiring them again; the refresh hook still fires for it, with the kept
+pair.  An estimate row that is itself unchanged since the last refresh
+is not interpolated onto the mesh again.  The boundary value entering a
+step is solved implicitly (the quadrature includes the endpoint being
+set), which makes the transformed boundary z(1, t) vanish identically.
 The state lives in its history arrays: the array steppers of arzno.sim
 write row k + 1 of the plant, identifier and estimate histories in
 place from row k.  z needs the kernels active at each row, so it is
@@ -143,52 +144,26 @@ def initial_plant_state(
     return to_riemann(lp, g.x, rho, vel)
 
 
-# The interpolation operator and the grid's quadrature weights depend only
-# on (mesh.n, n_x); cache them across refreshes like the solver's geometry.
 @lru_cache(maxsize=None)
-def _grid_ops(mesh: TriMesh, n_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mesh-to-grid interpolation operator P and grid Volterra weights w.
+def _grid_ops(mesh: TriMesh, n_x: int) -> tuple[np.ndarray, ...]:
+    """Cached (P, P^T, mirror, w) of (mesh.n, n_x): the mesh-to-grid
+    interpolation operator, its contiguous transpose, a (2, n, n) index
+    into Ku's triangle and the grid Volterra weights.
 
-    Column m of P is the linear interpolant of the m-th unit vector, so
-    P @ f equals np.interp(x, mesh.x, f), x the n_x + 1 grid nodes, up
-    to rounding.
+    P @ f equals np.interp(x, mesh.x, f) up to rounding, x the n_x + 1
+    grid nodes.  mirror[:, i, j] holds the tril positions of node
+    (max(i, j), min(i, j)) and of its edge node (|i - j|, 0).
     """
     x = unit_nodes(n_x + 1)
     interp = np.column_stack([np.interp(x, mesh.x, e) for e in np.eye(mesh.n)])
-    w = _volterra_weights(n_x + 1, 1.0 / n_x)
-    interp.setflags(write=False)
-    w.setflags(write=False)
-    return interp, w
-
-
-def _rows_on_grid(tri: np.ndarray, interp: np.ndarray) -> np.ndarray:
-    """Kernel values K(x_i, xi_j) at all state-grid node pairs.
-
-    tri holds K's lower triangle in row-major tril order.  The result is
-    the separable bilinear interpolant P S P^T, with P from _grid_ops, of
-    the table S that mirrors tri across the diagonal: bilinear cells
-    straddling the diagonal need values on both sides, and symmetric
-    continuation keeps the interpolant continuous there.  Only entries
-    with xi_j <= x_i are kernel values; the rest are the mirror image's
-    and are zeroed by the quadrature weights.
-    """
-    n = interp.shape[1]
-    ii, jj, _ = _tril_layout(n)
-    sym = np.empty((n, n))
-    sym[ii, jj] = sym[jj, ii] = tri
-    return interp @ sym @ interp.T
-
-
-def _edge_rows(kp: KernelPair, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The x = 1 kernel rows interpolated to the state grid.
-
-    Shared by the control quadrature and the transform's last row so
-    that z(1, t) = v_hat(1, t) - U(t) is an arithmetic identity.
-    """
-    n = kp.mesh.n  # the last row's n nodes end the tril order
-    ku_row = np.interp(g.x, kp.mesh.x, kp.ku_tri[-n:])
-    kv_row = np.interp(g.x, kp.mesh.x, kp.kv_tri[-n:])
-    return ku_row, kv_row
+    ii, jj, lag = _tril_layout(mesh.n)
+    pos = np.empty((mesh.n, mesh.n), np.intp)
+    pos[ii, jj] = pos[jj, ii] = np.arange(mesh.n_nodes)
+    mirror = np.stack((pos, lag[pos]))
+    ops = (interp, interp.T.copy(), mirror, _volterra_weights(n_x + 1, 1.0 / n_x))
+    for arr in ops:
+        arr.setflags(write=False)
+    return ops
 
 
 @dataclass
@@ -202,12 +177,24 @@ class _ActiveKernels:
 
 
 def _grid_caches(kp: KernelPair, g: GridSpec) -> _ActiveKernels:
-    interp, w = _grid_ops(kp.mesh, g.n_x)
-    m_u = w * _rows_on_grid(kp.ku_tri, interp)
-    m_v = w * _rows_on_grid(kp.kv_tri, interp)
-    ku_row, kv_row = _edge_rows(kp, g)
-    m_u[-1] = w[-1] * ku_row
-    m_v[-1] = w[-1] * kv_row
+    """Ku and Kv at all state-grid node pairs times the quadrature weights,
+    from Ku's triangle alone: kp.kv_tri is never read.
+
+    One gather mirrors Ku and Kv = ratio Ku(x - xi, 0) across the diagonal,
+    as bilinear cells straddling it need values on both sides; one stacked
+    product P S P^T interpolates both.  Entries with xi_j > x_i are the
+    mirror's and are zeroed by the weights.  The x = 1 rows are the 1-D
+    interpolants of the mesh's last rows instead, shared by the control
+    and the transform so that z(1, t) = v_hat(1, t) - U(t) exactly.
+    """
+    interp, interp_t, mirror, w = _grid_ops(kp.mesh, g.n_x)
+    sym = kp.ku_tri.take(mirror)
+    sym[1] *= kp.ratio
+    tables = interp @ sym @ interp_t
+    tables *= w
+    m_u, m_v = tables
+    m_u[-1] = w[-1] * np.interp(g.x, kp.mesh.x, sym[0, -1])
+    m_v[-1] = w[-1] * np.interp(g.x, kp.mesh.x, sym[1, -1])
     denom = 1.0 - m_v[-1, -1]
     if abs(denom) < 1e-8:
         raise ArithmeticError("implicit boundary solve is singular")
@@ -265,6 +252,8 @@ class SimTrace:
     never refresh.
     kernel_acquisitions counts the refreshes that solved or queried the
     surrogate; the others kept the active pair (zero drift rates).
+    table_ns is the wall time spent building grid tables, summed over
+    those acquisitions; a kept pair keeps its tables and adds none.
     """
 
     x: np.ndarray
@@ -286,6 +275,7 @@ class SimTrace:
     dku_dt: np.ndarray
     dkv_dt: np.ndarray
     kernel_acquisitions: int
+    table_ns: int
     u: np.ndarray
     v: np.ndarray
     u_hat: np.ndarray
@@ -428,10 +418,11 @@ def run_closed_loop(
     c_mesh: np.ndarray | None = None
     seg = 0  # first row of z still to fill, with the active kernels
     acquisitions = 0
+    table_ns = 0
     mesh_x, g_x = mesh.x, g.x
 
     def refresh(k: int) -> None:
-        nonlocal ac, ac_key, c_row, c_mesh, seg, acquisitions
+        nonlocal ac, ac_key, c_row, c_mesh, seg, acquisitions, table_ns
         # Equal estimate rows interpolate to equal bytes, so an unchanged
         # row keeps the last c_mesh; read-only, as the hook may hold it.
         row = c_hat[k].tobytes()
@@ -449,16 +440,16 @@ def run_closed_loop(
         if fresh:
             if ac is not None:
                 # A kept pair's drift is exactly zero, as is the first's.
-                d_u, d_v = kernel_time_derivative(kp, ac.kp, g.dt)
-                dku_dt[k] = np.abs(d_u).max()
-                dkv_dt[k] = np.abs(d_v).max()
+                dku_dt[k], dkv_dt[k] = kernel_time_derivative(kp, ac.kp, g.dt)
                 # Rows seg..k took their boundary value from the outgoing
                 # pair (row 0 has none and takes the first pair), so their
                 # z uses it; the new pair's rows start at k + 1.
                 z[seg : k + 1] = _z_field(ac, u_hat[seg : k + 1], v_hat[seg : k + 1])
                 seg = k + 1
             acquisitions += 1
+            t1 = time.perf_counter_ns()
             ac, ac_key = _grid_caches(kp, g), key
+            table_ns += time.perf_counter_ns() - t1
         kernel_ns[k] = elapsed
         if on_refresh is not None:
             on_refresh(t[k], c_mesh, kp, elapsed)
@@ -526,6 +517,7 @@ def run_closed_loop(
         dku_dt=dku_dt,
         dkv_dt=dkv_dt,
         kernel_acquisitions=acquisitions,
+        table_ns=table_ns,
         u=u,
         v=v,
         u_hat=u_hat,

@@ -7,8 +7,9 @@ produced them.  Each family is written to a binary file of its own; a
 JSON manifest ties the files together with counts, draws, and a
 provenance hash.
 
-Record entry layout (packed little endian, format version 2), one
-numpy structured dtype written and read here alone:
+Record entry layout (packed little endian, format version 2), written
+field by field with struct and ndarray.tobytes and read as one numpy
+structured dtype, _entry_dtype, here alone:
 
     [f64 t][u32 m][f64 x m c][u32 n][f64 lam_n][f64 mu_n][f64 r]
     [f64 x n(n+1)/2 Ku]
@@ -27,6 +28,7 @@ import hashlib
 import itertools
 import json
 import logging
+import struct
 from dataclasses import asdict, replace
 from functools import lru_cache
 from pathlib import Path
@@ -74,20 +76,14 @@ def _entry_dtype(n: int) -> np.dtype:
 
 def kernel_record_bytes(kp: KernelPair) -> bytes:
     """The kernel part of a record entry: n, lam_n, mu_n, r and Ku."""
-    dt = _entry_dtype(kp.mesh.n)
-    e = np.zeros((), dt)
-    e["n"], e["lam_n"], e["mu_n"], e["r"], e["ku"] = (
-        kp.mesh.n, kp.lam_n, kp.mu_n, kp.r, kp.ku_tri
-    )
-    return e.tobytes()[dt.fields["n"][1] :]  # fields n to ku
+    head = struct.pack("<Iddd", kp.mesh.n, kp.lam_n, kp.mu_n, kp.r)
+    return head + kp.ku_tri.astype("<f8", copy=False).tobytes()
 
 
 def _entry(t: float, c: np.ndarray, kp: KernelPair) -> bytes:
     """One record entry: fields t to c, then kernel_record_bytes(kp)."""
-    dt = _entry_dtype(c.size)
-    e = np.zeros((), dt)
-    e["t"], e["m"], e["c"] = t, c.size, c
-    return e.tobytes()[: dt.fields["n"][1]] + kernel_record_bytes(kp)
+    head = struct.pack("<dI", t, c.size)
+    return head + c.astype("<f8", copy=False).tobytes() + kernel_record_bytes(kp)
 
 
 def _decode(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+import math
 import warnings
 
 import numpy as np
@@ -89,8 +90,8 @@ class KernelPair:
     triangle (xi <= x) in row-major tril order, the order records store.
     Kv is derived from Ku's edge, Kv(x, xi) = ratio Ku(x - xi, 0) with
     ratio = lam_n r / mu_n: kv_tri is that trace in the same order, built
-    once, and ku and kv are read-only (n, n) squares, zero above the
-    diagonal, built on each read.
+    on first read (the loop and the records never do), and ku and kv are
+    read-only (n, n) squares, zero above the diagonal, built on each read.
     """
 
     mesh: TriMesh
@@ -128,10 +129,10 @@ class KernelPair:
     def sup_norm(self) -> float:
         """max |Ku| and |Kv| over the triangle.  Every Kv value is ratio
         times an edge value of Ku, so Kv's sup is read off Ku's n edge
-        nodes and kv_tri is not built."""
-        n = self.mesh.n
-        edge = np.abs(self.ku_tri[_tril_layout(n)[2][-n:]])  # |Ku(d dx, 0)|
-        return float(max(np.max(np.abs(self.ku_tri)), abs(self.ratio) * np.max(edge)))
+        nodes of the same |Ku| pass and kv_tri is not built."""
+        n, mag = self.mesh.n, np.abs(self.ku_tri)
+        edge = mag.take(_tril_layout(n)[2][-n:])  # |Ku(d dx, 0)|
+        return float(max(mag.max(), abs(self.ratio) * edge.max()))
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,7 @@ def _geometry(mesh: TriMesh, a: float, b: float) -> dict[str, np.ndarray]:
     tau[0, 0] = 0.0
 
     return {
+        "eye": np.eye(n),
         "foot_x": foot_x,
         "q_rows": q_rows,
         "q_idx": q_idx,
@@ -209,7 +211,7 @@ def kernel_sup_cap(c_bound: float, lam_n: float, mu_n: float) -> float:
     Generous by construction; a solved pair exceeding it indicates
     mis-scaled coefficients rather than a genuine solution.
     """
-    return 10.0 * c_bound / (lam_n + mu_n) * np.exp(c_bound)
+    return 10.0 * c_bound / (lam_n + mu_n) * math.exp(c_bound)
 
 
 def solve_kernels(
@@ -251,7 +253,7 @@ def solve_kernels(
         c_bound = lp.c_bar
     if c_hat.shape != (mesh.n,):
         raise ValueError(f"c_hat must have {mesh.n} samples on the mesh grid")
-    if not np.max(np.abs(c_hat)) <= c_bound * (1 + 1e-9):  # NaN fails too
+    if not np.abs(c_hat).max() <= c_bound * (1 + 1e-9):  # NaN fails too
         raise ValueError("c_hat violates the known bound |c_hat| <= c_bar")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -315,19 +317,19 @@ def _solve_direct(
     """
     n = mesh.n
     c_tri = np.interp(geo["foot_x"], mesh.x, c_hat)  # C in row-major tril order
-    c_edge = c_tri[geo["edge_ids"]]
+    c_edge = c_tri.take(geo["edge_ids"])
     hr = mesh.dx / s * ratio
     if abs(1.0 - 0.5 * hr * c_edge[0]) < 1e-8:
         raise ArithmeticError("direct kernel edge solve is singular")
-    edge = np.eye(n) - hr * geo["tau"] * _lower_toeplitz(c_edge, geo)
+    edge = geo["eye"] - hr * geo["tau"] * _lower_toeplitz(c_edge, geo)
     g = np.linalg.solve(edge, -c_edge / s)
     c_sq = np.zeros((n, n))
     c_sq.put(geo["tril_flat"], c_tri)
     conv = (_lower_toeplitz(g, geo) @ c_sq).take(geo["tril_flat"])
     base = -c_tri / s
-    ends = 0.5 * g[geo["d"]] * c_tri[geo["col_diag_ids"]]
+    ends = 0.5 * g.take(geo["d"]) * c_tri.take(geo["col_diag_ids"])
     ku = base + hr * (conv - 0.5 * g[0] * c_tri - ends)
-    ku[geo["diag_ids"]] = base[geo["diag_ids"]]  # d = 0: no integral
+    ku.put(geo["diag_ids"], base.take(geo["diag_ids"]))  # d = 0: no integral
     return ku
 
 
@@ -374,14 +376,23 @@ def solve_inverse_kernels(kp: KernelPair) -> InverseKernelPair:
 
 def kernel_time_derivative(
     curr: KernelPair, prev: KernelPair, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference time derivative of successive kernel pairs, as
-    (dKu/dt, dKv/dt) over the lower triangle in row-major tril order."""
+) -> tuple[float, float]:
+    """Drift rates max |dKu/dt| and max |dKv/dt| of successive kernel pairs.
+
+    Each is max |K_curr - K_prev| / dt over the (n, n) squares, bit for bit
+    (rounding keeps the order, so dividing after the max is exact).  Every
+    Kv node is ratio times Ku's edge value at its lag x - xi, and every lag
+    occurs in the last row, so Kv's rate is read off n lags, not kv_tri.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if curr.mesh.n != prev.mesh.n:
+    n = curr.mesh.n
+    if n != prev.mesh.n:
         raise ValueError("kernel pairs live on different meshes")
-    return (curr.ku_tri - prev.ku_tri) / dt, (curr.kv_tri - prev.kv_tri) / dt
+    lags = _tril_layout(n)[2][-n:]
+    d_v = curr.ratio * curr.ku_tri.take(lags) - prev.ratio * prev.ku_tri.take(lags)
+    d_u = np.abs(curr.ku_tri - prev.ku_tri).max()
+    return float(d_u / dt), float(np.abs(d_v).max() / dt)
 
 
 @lru_cache(maxsize=None)

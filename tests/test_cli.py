@@ -56,6 +56,9 @@ def test_full_workflow(fast_env, capsys, caplog):
     report = json.loads((root / "ex" / "report.json").read_text())
     assert "converged" in report and report["n_refreshes"] == 20
     assert report["kernel_acquisitions"] == 20  # the estimate moves each step
+    # Table time is timed on the acquiring refreshes and summed, beside
+    # the acquisition time.
+    assert report["table_time_total_ns"] > 0 and report["kernel_time_total_ns"] > 0
     assert (root / "ex" / "refresh.csv").exists()
 
     assert main(["gen-dataset", "--out", "data"]) == 0
@@ -375,6 +378,7 @@ def test_zero_initial_state_reports_no_decay_ratio(
     assert "undefined" in capsys.readouterr().out
     # The estimate never moves, so one acquisition serves every refresh.
     assert report["kernel_acquisitions"] == (1 if mode == "exact" else 0)
+    assert (report["table_time_total_ns"] > 0) == (mode == "exact")
 
 
 def test_zero_validation_share_trains_and_empty_test_split_exits_1(

@@ -462,6 +462,31 @@ def _four_corner_rows(tri: np.ndarray, mesh: TriMesh, g: GridSpec) -> np.ndarray
     return np.tril(vals)
 
 
+def _ref_rows_on_grid(tri: np.ndarray, interp: np.ndarray) -> np.ndarray:
+    """Reference: P S P^T of the table S that mirrors tri across the
+    diagonal, built by index scatter, one dense product per head."""
+    n = interp.shape[1]
+    ii, jj = np.tril_indices(n)
+    sym = np.empty((n, n))
+    sym[ii, jj] = sym[jj, ii] = tri
+    return interp @ sym @ interp.T
+
+
+def _ref_grid_caches(kp: KernelPair, g: GridSpec) -> controller._ActiveKernels:
+    """Reference: each head's tables on its own, Kv's from kv_tri."""
+    mesh = kp.mesh
+    interp = np.column_stack([np.interp(g.x, mesh.x, e) for e in np.eye(mesh.n)])
+    w = _volterra_weights(g.n_x + 1, 1.0 / g.n_x)
+    m_u = w * _ref_rows_on_grid(kp.ku_tri, interp)
+    m_v = w * _ref_rows_on_grid(kp.kv_tri, interp)
+    m_u[-1] = w[-1] * np.interp(g.x, mesh.x, kp.ku_tri[-mesh.n :])
+    m_v[-1] = w[-1] * np.interp(g.x, mesh.x, kp.kv_tri[-mesh.n :])
+    denom = 1.0 - m_v[-1, -1]
+    if abs(denom) < 1e-8:
+        raise ArithmeticError("implicit boundary solve is singular")
+    return controller._ActiveKernels(kp=kp, m_u=m_u, m_v=m_v, denom=denom)
+
+
 @pytest.mark.parametrize(
     "mesh_n,n_x",
     [(41, 60), (9, 50), (81, 16)],
@@ -471,19 +496,33 @@ def test_grid_tables_match_four_corner_interpolation(lp, mesh_n, n_x):
     g = GridSpec(n_x=n_x, dt=0.1, t_end=1.0)
     mesh = TriMesh(mesh_n)
     kp = solve_kernels(lp.c_samples(mesh_n), lp, mesh)
-    for tri in (kp.ku_tri, kp.kv_tri):
-        interp = controller._grid_ops(mesh, g.n_x)[0]
-        got = np.tril(controller._rows_on_grid(tri, interp))
-        want = _four_corner_rows(tri, mesh, g)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    # One gather and one stacked product from Ku's triangle alone give
+    # the per-head tables bit for bit, for a negative ratio too.
+    ku = 1e-3 * np.random.default_rng(mesh_n).standard_normal(mesh.n_nodes)
+    negative = KernelPair(mesh, ku, lam_n=lp.lam_n, mu_n=lp.mu_n, r=-5.0)
+    for pair in (kp, negative):
+        got = controller._grid_caches(pair, g)
+        assert "kv_tri" not in vars(pair)
+        want = _ref_grid_caches(pair, g)
+        assert np.array_equal(got.m_u, want.m_u)
+        assert np.array_equal(got.m_v, want.m_v)
+        assert got.denom == want.denom
 
-    # The control row and the implicit-solve denominator come from
-    # _edge_rows alone and must not carry any rounding of the tables.
     ac = controller._grid_caches(kp, g)
-    w_last = _volterra_weights(g.n_x + 1, g.dx)[-1]
-    ku_row, kv_row = controller._edge_rows(kp, g)
-    m_v_last = w_last * kv_row
-    assert np.array_equal(ac.m_u[-1], w_last * ku_row)
+    w = _volterra_weights(g.n_x + 1, g.dx)
+    read = w[:-1] > 0.0  # the entries the loop reads, the x = 1 row aside
+    for got, tri in ((ac.m_u, kp.ku_tri), (ac.m_v, kp.kv_tri)):
+        want = _four_corner_rows(tri, mesh, g)[:-1][read]
+        np.testing.assert_allclose(
+            got[:-1][read] / w[:-1][read], want, rtol=0, atol=1e-13
+        )
+
+    # The control row and the implicit-solve denominator come from the
+    # 1-D interpolants of the mesh's last rows alone and must not carry
+    # any rounding of the tables.
+    m_u_last = w[-1] * np.interp(g.x, mesh.x, kp.ku_tri[-mesh_n:])
+    m_v_last = w[-1] * np.interp(g.x, mesh.x, kp.kv_tri[-mesh_n:])
+    assert np.array_equal(ac.m_u[-1], m_u_last)
     assert np.array_equal(ac.m_v[-1], m_v_last)
     assert ac.denom == 1.0 - m_v_last[-1]
 
@@ -495,10 +534,16 @@ def test_closed_loop_matches_four_corner_tables(params, monkeypatch):
     g = GridSpec(n_x=60, dt=0.1, t_end=5.0)
     cfg = ControllerConfig()
     new = run_closed_loop(params, cfg, g)
-    monkeypatch.setattr(
-        controller, "_rows_on_grid",
-        lambda tri, interp: _four_corner_rows(tri, TriMesh(cfg.mesh_n), g),
-    )
+    grid_caches = controller._grid_caches
+    w = _volterra_weights(g.n_x + 1, g.dx)
+
+    def four_corner_caches(kp, g):
+        ac = grid_caches(kp, g)  # its x = 1 rows set the control
+        for m, tri in ((ac.m_u, kp.ku_tri), (ac.m_v, kp.kv_tri)):
+            m[:-1] = (w * _four_corner_rows(tri, kp.mesh, g))[:-1]
+        return ac
+
+    monkeypatch.setattr(controller, "_grid_caches", four_corner_caches)
     ref = run_closed_loop(params, cfg, g)
     for name in ("u", "v", "u_hat", "v_hat", "c_hat", "control"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
@@ -682,7 +727,7 @@ def _ref_acquire(self, c_mesh):
     return KernelPair(mesh=self.mesh, ku_tri=pred, lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r)
 
 
-_TIMING = ("kernel_ns", "refresh_ns")
+_TIMING = ("kernel_ns", "refresh_ns", "table_ns")
 
 
 def _reference_run(monkeypatch, *args, update=_ref_update_c_hat, **kwargs):

@@ -286,13 +286,27 @@ def test_inverse_kernel_validation(lp):
 
 
 def test_time_derivative(lp):
+    # The two rates are the maxima over both (n, n) squares, bit for bit,
+    # also for a negative r, whose Kv outgrows Ku, and for pairs whose
+    # ratios differ; Kv's is read off Ku's edge lags without building
+    # kv_tri.
     mesh = TriMesh(21)
     a = solve_kernels(lp.c_samples(21), lp, mesh)
     b = solve_kernels(0.5 * lp.c_samples(21), lp, mesh)
-    d_u, d_v = kernel_time_derivative(a, b, 0.1)
-    ii, jj = np.tril_indices(21)
-    np.testing.assert_allclose(d_u, (a.ku - b.ku)[ii, jj] / 0.1, rtol=1e-14)
-    np.testing.assert_allclose(d_v, (a.kv - b.kv)[ii, jj] / 0.1, rtol=1e-14)
+    rng = np.random.default_rng(5)
+    neg, neg2 = (
+        KernelPair(mesh, rng.standard_normal(mesh.n_nodes), lp.lam_n, lp.mu_n, -5.0)
+        for _ in range(2)
+    )
+    kernel_time_derivative(a, b, 0.1)
+    assert "kv_tri" not in vars(a) and "kv_tri" not in vars(b)
+    for curr, prev in ((a, b), (b, a), (neg2, neg), (neg, a)):
+        d_u, d_v = kernel_time_derivative(curr, prev, 0.1)
+        assert d_u == np.abs(curr.ku - prev.ku).max() / 0.1
+        assert d_v == np.abs(curr.kv - prev.kv).max() / 0.1
+        assert d_v == np.abs((curr.kv_tri - prev.kv_tri) / 0.1).max()
+        assert d_u > 0.0 and d_v > 0.0
+    assert neg.ratio < -1 and np.abs(neg.kv).max() > np.abs(neg.ku).max()
     with pytest.raises(ValueError):
         kernel_time_derivative(a, b, 0.0)
     with pytest.raises(ValueError):
