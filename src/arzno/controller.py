@@ -156,7 +156,7 @@ def _grid_ops(mesh: TriMesh, n_x: int) -> tuple[np.ndarray, ...]:
     """
     x = unit_nodes(n_x + 1)
     interp = np.column_stack([np.interp(x, mesh.x, e) for e in np.eye(mesh.n)])
-    ii, jj, lag = _tril_layout(mesh.n)
+    ii, jj, lag, _ = _tril_layout(mesh.n)
     pos = np.empty((mesh.n, mesh.n), np.intp)
     pos[ii, jj] = pos[jj, ii] = np.arange(mesh.n_nodes)
     mirror = np.stack((pos, lag[pos]))

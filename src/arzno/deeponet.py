@@ -6,7 +6,9 @@ mean and leading b POD modes (Lu et al., arXiv 2111.05512), fitted once
 in train and stored with the model.  Only Ku is predicted: Kv is, as in
 every KernelPair and corpus record, the edge trace (lam r / mu)
 Ku(x - xi, 0), derived from it.
-NeuralKernelSource serves the loop.  Everything is float64 numpy with
+NeuralKernelSource serves the loop.  One forward pass over the branch's
+(W, b) pairs serves training, scoring and the loop's acquisition, and
+one backward pass gives the gradients.  Everything is float64 numpy with
 analytic backprop and an adaptive-moment optimizer, so training is
 reproducible bit-for-bit from (seed, config) at a fixed BLAS thread
 count.  BLAS products can also round a row differently with the number
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from arzno.kernels import KernelPair, TriMesh, _kv_from_edge
+from arzno.kernels import KernelPair, TriMesh, _kv_from_edge, _tril_layout
 from arzno.model import LinearizedParams
 
 __all__ = [
@@ -143,43 +145,13 @@ class KernelDataset:
         return self.c.shape[0]
 
 
-class _Workspace:
-    """Scratch arrays reused across calls instead of reallocated.
-
-    Each name keeps one (rows, cols) float64 buffer, grown when a call
-    asks for more rows; a call for fewer rows (a short last batch) gets
-    a view of the leading rows.
-    """
-
-    def __init__(self) -> None:
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def __call__(self, name: str, rows: int, cols: int) -> np.ndarray:
-        buf = self._bufs.get(name)
-        if buf is None or buf.shape[0] < rows or buf.shape[1] != cols:
-            buf = self._bufs[name] = np.empty((rows, cols))
-        return buf[:rows]
-
-
-def _gather(
-    data: KernelDataset, rows: np.ndarray, ws: _Workspace
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c and Ku of the given records, in ws buffers, and their lam r / mu."""
-    nb = rows.size
-    c = np.take(data.c, rows, axis=0, out=ws("c", nb, data.c.shape[1]), mode="clip")
-    yu = np.take(data.ku, rows, axis=0, out=ws("yu", nb, data.ku.shape[1]), mode="clip")
-    return c, yu, data.ratio[rows]
-
-
 @lru_cache(maxsize=None)
 def _edge(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tril positions of the edge nodes (d, 0), and the n - d nodes on
     each line x - xi = d dx, whose Kv is (lam r / mu) Ku(d dx, 0)."""
-    d = np.arange(n)
-    edge = (d * (d + 1) // 2, (n - d).astype(float))
-    for arr in edge:
-        arr.setflags(write=False)
-    return edge
+    count = np.arange(n, 0, -1.0)
+    count.setflags(write=False)
+    return _tril_layout(n)[3], count
 
 
 def _fit_basis(
@@ -248,57 +220,52 @@ def init_model(
     )
 
 
+def _layers(model: DeepONetModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The branch's (W, b) pairs, input layer first."""
+    return [
+        (model.params[f"branch_w{layer}"], model.params[f"branch_b{layer}"])
+        for layer in range(len(model.hidden) + 1)
+    ]
+
+
 def _forward_stack(
-    params: dict[str, np.ndarray],
-    x: np.ndarray,
-    n_hidden: int,
-    ws: _Workspace | None = None,
+    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray
 ) -> list[np.ndarray]:
-    """Activations of the branch, input first; layer outputs go to ws
-    when given (x then must be a 2-D batch), else to fresh arrays."""
+    """Activations of the branch, input first, for a batch of rows or one
+    input: tanh layers, then the linear output."""
     acts = [x]
-    for layer in range(n_hidden + 1):
-        w = params[f"branch_w{layer}"]
-        out = None if ws is None else ws(f"branch{layer}", x.shape[0], w.shape[1])
-        z = np.matmul(acts[-1], w, out=out)
-        z += params[f"branch_b{layer}"]
-        if layer < n_hidden:
-            np.tanh(z, out=z)
-        acts.append(z)
+    for w, b in layers[:-1]:
+        acts.append(np.tanh(acts[-1] @ w + b))
+    w, b = layers[-1]
+    acts.append(acts[-1] @ w + b)
     return acts
 
 
 def _backward_stack(
-    params: dict[str, np.ndarray],
+    layers: list[tuple[np.ndarray, np.ndarray]],
     acts: list[np.ndarray],
     d_out: np.ndarray,
-    grads: dict[str, np.ndarray],
-    ws: _Workspace,
-) -> None:
-    n_hidden = len(acts) - 2
+) -> dict[str, np.ndarray]:
+    """Gradients of the branch arrays, given d_out, the loss gradient at
+    the output of the pass that made acts."""
+    grads: dict[str, np.ndarray] = {}
     d = d_out
-    for layer in range(n_hidden, -1, -1):
+    for layer in range(len(layers) - 1, -1, -1):
         grads[f"branch_w{layer}"] = acts[layer].T @ d
         grads[f"branch_b{layer}"] = d.sum(axis=0)
         if layer > 0:
             # d <- (d W^T) * (1 - a^2), a the tanh output feeding the layer.
             a = acts[layer]
-            w = params[f"branch_w{layer}"]
-            d = np.matmul(d, w.T, out=ws(f"branch_d{layer}", *a.shape))
-            slope = np.multiply(a, a, out=ws(f"branch_s{layer}", *a.shape))
-            np.subtract(1.0, slope, out=slope)
-            d *= slope
+            d = (d @ layers[layer][0].T) * (1.0 - a * a)
+    return grads
 
 
-def _targets(
-    model: DeepONetModel, yu: np.ndarray, ws: _Workspace
-) -> tuple[np.ndarray, np.ndarray]:
-    """POD targets t = (y - mean) Phi^T of the Ku rows yu, in ws, and
-    their out-of-basis energy r = ||y - mean - t Phi||^2, one per row."""
+def _targets(model: DeepONetModel, yu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """POD targets t = (y - mean) Phi^T of the Ku rows yu, and their
+    out-of-basis energy r = ||y - mean - t Phi||^2, one per row."""
     mean, modes = model.params["mean"], model.params["modes"]
-    t = np.matmul(yu, modes.T, out=ws("t", yu.shape[0], model.b))
-    t -= modes @ mean
-    res = np.matmul(t, modes, out=ws("res", *yu.shape))
+    t = yu @ modes.T - modes @ mean
+    res = t @ modes  # updated in place: one (rows, nodes) array beside yu
     res += mean
     res -= yu
     return t, np.einsum("ij,ij->i", res, res)
@@ -322,27 +289,24 @@ class _PodTargets:
         self.t = np.empty((rows.size, model.b))
         self.r = np.empty(rows.size)
         edge, count = _edge(data.mesh_n)
-        ws = _Workspace()  # its (chunk, nodes) buffers go when the cache is built
         ref = 0.0
         for start in range(0, rows.size, chunk):
-            _, yu, ratio = _gather(data, rows[start : start + chunk], ws)
-            part = slice(start, start + yu.shape[0])
-            self.t[part], self.r[part] = _targets(model, yu, ws)
+            sel = rows[start : start + chunk]
+            yu, ratio = data.ku[sel], data.ratio[sel]
+            part = slice(start, start + sel.size)
+            self.t[part], self.r[part] = _targets(model, yu)
             ref += np.vdot(yu, yu) + (ratio * ratio) @ (yu[:, edge] ** 2) @ count
         self.ref = float(ref)
 
     def batch(
-        self, pos: np.ndarray, ws: _Workspace
+        self, pos: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """c, Ku's edge values and lam r / mu of the records at positions
-        pos of rows, and their (t, r); c and t in ws buffers."""
+        pos of rows, and their (t, r)."""
         rows = self.rows[pos]
-        c = np.take(self.data.c, rows, axis=0,
-                    out=ws("c", pos.size, self.data.c.shape[1]), mode="clip")
-        t = np.take(self.t, pos, axis=0, out=ws("tb", pos.size, self.t.shape[1]),
-                    mode="clip")
         yu_edge = self.data.ku[rows[:, None], _edge(self.data.mesh_n)[0]]
-        return c, yu_edge, self.data.ratio[rows], (t, self.r[pos])
+        return (self.data.c[rows], yu_edge, self.data.ratio[rows],
+                (self.t[pos], self.r[pos]))
 
 
 def _residuals(
@@ -351,7 +315,6 @@ def _residuals(
     yu_edge: np.ndarray,
     ratio: np.ndarray,
     targets: tuple[np.ndarray, np.ndarray],
-    ws: _Workspace,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, float]:
     """Branch activations, a - t, Ku's edge residual e, and the squared
     node residuals of both heads summed over the batch.
@@ -359,16 +322,14 @@ def _residuals(
     With orthonormal modes Phi, branch output a, y = Ku and (t, r) its
     targets, ||mean + a Phi - y||^2 = ||a - t||^2 + r, and Kv's is
     (lam r / mu)^2 sum_d (n - d) e_d^2, so no (records, nodes) array is
-    read or formed.  t is overwritten with a - t.
+    read or formed.
     """
     p = model.params
     t, r = targets
-    x = np.divide(c, model.c_scale, out=ws("x", *c.shape))
-    acts = _forward_stack(p, x, len(model.hidden), ws)
+    acts = _forward_stack(_layers(model), c / model.c_scale)
     edge, count = _edge(model.m)
-    e = np.matmul(acts[-1], p["modes"][:, edge], out=ws("e", c.shape[0], model.m))
-    e -= yu_edge - p["mean"][edge]
-    da = np.subtract(acts[-1], t, out=t)
+    e = acts[-1] @ p["modes"][:, edge] - (yu_edge - p["mean"][edge])
+    da = acts[-1] - t
     power = np.sum(r) + (ratio * ratio) @ (e * e) @ count + np.vdot(da, da)
     return acts, da, e, float(power)
 
@@ -378,7 +339,6 @@ def loss_and_grads(
     c_batch: np.ndarray,
     yu: np.ndarray,
     ratio: np.ndarray,
-    ws: _Workspace | None = None,
     targets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean squared node error over both heads and its branch gradients.
@@ -387,45 +347,29 @@ def loss_and_grads(
     their lam r / mu; Kv, predicted and target, is the edge trace of Ku.
     The loss is sum over heads of mean((pred - target)^2).  When targets,
     the rows' (t, r) from _targets, is given, yu holds only Ku's edge
-    columns _edge(m)[0] (train passes its per-fit cache; t is
-    overwritten).  Activations and deltas go to ws when given (train
-    passes one, so a step allocates no large array); the gradients are
-    fresh arrays.
+    columns _edge(m)[0] (train passes its per-fit cache).
     """
-    ws = _Workspace() if ws is None else ws
     edge, count = _edge(model.m)
     if targets is None:
-        targets = _targets(model, yu, ws)
+        targets = _targets(model, yu)
         yu = yu[:, edge]
-    acts, da, e, power = _residuals(model, c_batch, yu, ratio, targets, ws)
+    acts, da, e, power = _residuals(model, c_batch, yu, ratio, targets)
     denom = c_batch.shape[0] * model.params["mean"].size
     e *= (ratio * ratio)[:, None] * count
-    d_out = np.matmul(e, model.params["modes"][:, edge].T, out=ws("dout", *da.shape))
-    d_out += da
-    d_out *= 2.0 / denom
-    grads: dict[str, np.ndarray] = {}
-    _backward_stack(model.params, acts, d_out, grads, ws)
-    return power / denom, grads
+    d_out = (e @ model.params["modes"][:, edge].T + da) * (2.0 / denom)
+    return power / denom, _backward_stack(_layers(model), acts, d_out)
 
 
 def _val_metrics(
-    model: DeepONetModel,
-    data: KernelDataset,
-    rows: np.ndarray,
-    ws: _Workspace,
-    chunk: int,
-    targets: _PodTargets | None = None,
+    model: DeepONetModel, targets: _PodTargets, chunk: int
 ) -> tuple[float, float]:
-    """(mse, relative error) of the given records, summed chunk by chunk
-    from their targets (computed here when not given)."""
-    if targets is None:
-        targets = _PodTargets(model, data, rows, chunk)
-    pos = np.arange(rows.size)
+    """(mse, relative error) of the records whose targets are given,
+    summed chunk by chunk."""
+    pos = np.arange(targets.rows.size)
     res = 0.0
-    for start in range(0, rows.size, chunk):
-        batch = targets.batch(pos[start : start + chunk], ws)
-        res += _residuals(model, *batch, ws)[3]
-    mse = float(res / (rows.size * data.ku.shape[1]))
+    for start in range(0, pos.size, chunk):
+        res += _residuals(model, *targets.batch(pos[start : start + chunk]))[3]
+    mse = float(res / (pos.size * targets.data.ku.shape[1]))
     rel = float(np.sqrt(res / targets.ref)) if targets.ref > 0 else np.inf
     return mse, rel
 
@@ -496,8 +440,6 @@ def train(
     history: list[dict[str, float]] = []
     best_val = np.inf
     best = flat.copy()
-    # Batches and validation chunks share one workspace, released on return.
-    ws = _Workspace()
 
     n_train = tr.size
     for epoch in range(cfg.epochs):
@@ -506,8 +448,7 @@ def train(
         running = 0.0
         for start in range(0, n_train, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            c_b, edge_b, ratio_b, targets = fit.batch(idx, ws)
-            loss, grads = loss_and_grads(model, c_b, edge_b, ratio_b, ws, targets)
+            loss, grads = loss_and_grads(model, *fit.batch(idx))
             np.concatenate([grads[k].ravel() for k in trained], out=grad)
             step += 1
             bc1 = 1.0 - beta1**step
@@ -519,7 +460,7 @@ def train(
         train_mse = running / n_train
         if not np.isfinite(train_mse):
             raise ArithmeticError(f"training diverged at epoch {epoch}")
-        val_mse, val_rel = _val_metrics(model, val, va, ws, cfg.batch_size, scored)
+        val_mse, val_rel = _val_metrics(model, scored, cfg.batch_size)
         history.append(
             {
                 "epoch": float(epoch),
@@ -545,23 +486,21 @@ def eval_accuracy(model: DeepONetModel, data: KernelDataset) -> dict[str, float]
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    rows = np.arange(len(data))
-    ws = _Workspace()
+    layers, mean, modes = _layers(model), model.params["mean"], model.params["modes"]
     worst, total = [0.0, 0.0], [0.0, 0.0]
     chunk = TrainConfig().batch_size
-    for start in range(0, rows.size, chunk):
-        c, yu, ratio = _gather(data, rows[start : start + chunk], ws)
-        x = np.divide(c, model.c_scale, out=ws("x", *c.shape))
-        a = _forward_stack(model.params, x, len(model.hidden), ws)[-1]
-        err = np.matmul(a, model.params["modes"], out=ws("err", *yu.shape))
-        err += model.params["mean"]
-        err -= yu
+    for start in range(0, len(data), chunk):
+        rows = slice(start, start + chunk)
+        a = _forward_stack(layers, data.c[rows] / model.c_scale)[-1]
+        err = a @ modes  # updated in place, as in _targets
+        err += mean
+        err -= data.ku[rows]
         np.abs(err, out=err)
-        err_v = _kv_from_edge(err, np.abs(ratio)[:, None], data.mesh_n)
+        err_v = _kv_from_edge(err, np.abs(data.ratio[rows])[:, None], data.mesh_n)
         for k, e in enumerate((err, err_v)):
             worst[k] = max(worst[k], float(e.max()))
             total[k] += float(e.sum())
-    size = rows.size * data.ku.shape[1]
+    size = data.ku.size
     return {
         "ku_max": worst[0],
         "ku_mean": total[0] / size,
@@ -663,22 +602,14 @@ class NeuralKernelSource:
         self.model = model
         self.mesh = mesh
         self.lp = lp
-        # The branch layers as (W, b) pairs, so an acquisition runs
-        # _forward_stack's arithmetic without its parameter lookups.
-        self._branch = [
-            (model.params[f"branch_w{layer}"], model.params[f"branch_b{layer}"])
-            for layer in range(len(model.hidden) + 1)
-        ]
+        self._layers = _layers(model)
 
     def acquire(self, c_mesh: np.ndarray) -> KernelPair:
         c_mesh = np.asarray(c_mesh, dtype=float)
         if c_mesh.shape != (self.mesh.n,):
             raise ValueError("c_mesh must live on the mesh edge grid")
-        h = c_mesh / self.model.c_scale
-        *hidden, (w_out, b_out) = self._branch
-        for w, b in hidden:
-            h = np.tanh(h @ w + b)
+        a = _forward_stack(self._layers, c_mesh / self.model.c_scale)[-1]
         params = self.model.params
-        ku_tri = (h @ w_out + b_out) @ params["modes"]
+        ku_tri = a @ params["modes"]
         ku_tri += params["mean"]
         return KernelPair(self.mesh, ku_tri, self.lp.lam_n, self.lp.mu_n, self.lp.r)

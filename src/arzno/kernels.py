@@ -131,7 +131,7 @@ class KernelPair:
         times an edge value of Ku, so Kv's sup is read off Ku's n edge
         nodes of the same |Ku| pass and kv_tri is not built."""
         n, mag = self.mesh.n, np.abs(self.ku_tri)
-        edge = mag.take(_tril_layout(n)[2][-n:])  # |Ku(d dx, 0)|
+        edge = mag.take(_tril_layout(n)[3])  # |Ku(d dx, 0)|
         return float(max(mag.max(), abs(self.ratio) * edge.max()))
 
 
@@ -182,12 +182,6 @@ def _geometry(mesh: TriMesh, a: float, b: float) -> dict[str, np.ndarray]:
     foot_rep = np.repeat(foot_x[has_quad], reps[has_quad])
     xi_q = foot_rep - a * h_sigma * q_idx
 
-    # Direct solve: tau[i, q] weighs edge point q in row i's integral, and
-    # entry n - 1 + i - p of n - 1 zeros followed by v is v[i - p].
-    tau = np.tril(np.ones((n, n)))
-    tau[:, 0] = tau[np.diag_indices(n)] = 0.5
-    tau[0, 0] = 0.0
-
     return {
         "eye": np.eye(n),
         "foot_x": foot_x,
@@ -195,8 +189,10 @@ def _geometry(mesh: TriMesh, a: float, b: float) -> dict[str, np.ndarray]:
         "q_idx": q_idx,
         "q_weight": w,
         "xi_q": xi_q,
-        "edge_ids": node_id[cols_j == 0],
-        "tau": tau,
+        "edge_ids": _tril_layout(n)[3],
+        # Direct solve: tau[i, q] weighs edge point q in row i's integral,
+        # and entry n - 1 + i - p of n - 1 zeros followed by v is v[i - p].
+        "tau": _volterra_weights(n, 1.0),
         "d": d_all,
         "diag_ids": node_id[d_all == 0],
         "col_diag_ids": node_id[d_all == 0][cols_j],  # node (j, j) of (i, j)
@@ -389,19 +385,21 @@ def kernel_time_derivative(
     n = curr.mesh.n
     if n != prev.mesh.n:
         raise ValueError("kernel pairs live on different meshes")
-    lags = _tril_layout(n)[2][-n:]
+    lags = _tril_layout(n)[3]
     d_v = curr.ratio * curr.ku_tri.take(lags) - prev.ratio * prev.ku_tri.take(lags)
     d_u = np.abs(curr.ku_tri - prev.ku_tri).max()
     return float(d_u / dt), float(np.abs(d_v).max() / dt)
 
 
 @lru_cache(maxsize=None)
-def _tril_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major lower-triangle indices (i, j) and, per node, the position
-    of its edge node (i - j, 0) in the same order."""
+def _tril_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major lower-triangle indices (i, j), per node the position of
+    its edge node (i - j, 0) in the same order, and the edge nodes'
+    positions d (d + 1) / 2, in increasing d."""
     ii, jj = np.tril_indices(n)
     d = ii - jj
-    layout = (ii, jj, d * (d + 1) // 2)
+    edge = np.arange(n)
+    layout = (ii, jj, d * (d + 1) // 2, edge * (edge + 1) // 2)
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -420,7 +418,7 @@ def _kv_from_edge(ku_tri: np.ndarray, ratio: float | np.ndarray, n: int) -> np.n
 
 def _square(tri: np.ndarray, n: int) -> np.ndarray:
     """A read-only (n, n) table holding tri below and on the diagonal."""
-    ii, jj, _ = _tril_layout(n)
+    ii, jj = _tril_layout(n)[:2]
     sq = np.zeros((n, n))
     sq[ii, jj] = tri
     sq.setflags(write=False)

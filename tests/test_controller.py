@@ -14,7 +14,7 @@ from arzno.controller import (
     initial_plant_state,
     run_closed_loop,
 )
-from arzno.deeponet import NeuralKernelSource, _forward_stack, init_model
+from arzno.deeponet import NeuralKernelSource, _forward_stack, _layers, init_model
 from arzno.diagnostics import (
     derive_constants,
     global_norm_S,
@@ -721,7 +721,7 @@ def _ref_update_c_hat(c_hat, v_hat, u, v, gamma1, gamma, c_bar, g, out=None):
 
 def _ref_acquire(self, c_mesh):
     model = self.model
-    coef = _forward_stack(model.params, c_mesh / model.c_scale, len(model.hidden))[-1]
+    coef = _forward_stack(_layers(model), c_mesh / model.c_scale)[-1]
     pred = model.params["mean"] + coef @ model.params["modes"]
     lp = self.lp
     return KernelPair(mesh=self.mesh, ku_tri=pred, lam_n=lp.lam_n, mu_n=lp.mu_n, r=lp.r)

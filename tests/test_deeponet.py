@@ -14,6 +14,7 @@ from arzno.deeponet import (
     TrainConfig,
     _fit_basis,
     _forward_stack,
+    _layers,
     eval_accuracy,
     init_model,
     load_model,
@@ -276,13 +277,12 @@ def test_neural_source_pairs_are_the_stacked_prediction(lp, hidden):
     mesh = TriMesh(n)
     model = _random_basis(init_model(m=n, b=5, hidden=hidden, seed=4, c_scale=0.02), 4)
     source = NeuralKernelSource(model, mesh, lp)
-    n_hidden = len(hidden)
     ii, jj = np.tril_indices(n)
     upper = np.triu_indices(n, k=1)
     rng = np.random.default_rng(8)
     for _ in range(5):
         c = rng.uniform(-0.02, 0.02, n)
-        a = _forward_stack(model.params, c / model.c_scale, n_hidden)[-1]
+        a = _forward_stack(_layers(model), c / model.c_scale)[-1]
         pred_u = a @ model.params["modes"] + model.params["mean"]
         pred_v = _kv_from_edge(pred_u, lp.lam_n * lp.r / lp.mu_n, n)
         kp = source.acquire(c)

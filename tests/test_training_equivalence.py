@@ -23,9 +23,7 @@ from arzno.deeponet import (
     NeuralKernelSource,
     TrainConfig,
     _PodTargets,
-    _Workspace,
     _fit_basis,
-    _gather,
     _val_metrics,
     eval_accuracy,
     init_model,
@@ -116,22 +114,15 @@ def fitted(records):
     return train(data, cfg, model=model, val_data=records["val"])
 
 
-def test_loss_and_grads_matches_reference_with_and_without_workspace(records, fitted):
+def test_loss_and_grads_matches_reference(records, fitted):
     model, _ = fitted
     data = records["train"]
-    ws = _Workspace()
-    # A full batch, then a shorter one through views of the same buffers.
+    # A full batch, then a shorter one.
     for rows in (np.arange(9), np.arange(9, 13)):
         ru, rv = _ref_residuals(model, data, rows)
         ref_loss = (np.sum(ru * ru) + np.sum(rv * rv)) / ru.size
-        args = (model, data.c[rows], data.ku[rows], data.ratio[rows])
-        loss, grads = loss_and_grads(*args)
+        loss, _ = loss_and_grads(model, data.c[rows], data.ku[rows], data.ratio[rows])
         assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0.0)
-        loss_ws, grads_ws = loss_and_grads(*args, ws)
-        assert loss_ws == loss
-        assert set(grads_ws) == set(grads)
-        for key, grad in grads.items():
-            assert np.array_equal(grads_ws[key], grad), key
 
 
 @pytest.mark.parametrize("chunk", [5, 7], ids=["short-last-chunk", "one-chunk"])
@@ -139,7 +130,7 @@ def test_scores_match_node_space_reference(records, fitted, chunk):
     model, history = fitted
     val = records["val"]
     rows = np.arange(len(val))
-    mse, rel = _val_metrics(model, val, rows, _Workspace(), chunk)
+    mse, rel = _val_metrics(model, _PodTargets(model, val, rows, chunk), chunk)
     ref_mse, ref_rel = _ref_scores(model, val, rows)
     assert mse == pytest.approx(ref_mse, rel=1e-10, abs=0.0)
     assert rel == pytest.approx(ref_rel, rel=1e-10, abs=0.0)
@@ -168,7 +159,7 @@ def test_cached_targets_reproduce_node_space_scores_and_loss(records, fitted):
     kv = _kv_from_edge(val.ku, val.ratio[:, None], val.mesh_n)
     assert targets.ref == pytest.approx(np.sum(val.ku**2) + np.sum(kv**2), rel=1e-12)
 
-    mse, rel = _val_metrics(model, val, rows, _Workspace(), 4, targets)
+    mse, rel = _val_metrics(model, targets, 4)
     ref_mse, ref_rel = _ref_scores(model, val, rows)
     assert mse == pytest.approx(ref_mse, rel=1e-10, abs=0.0)
     assert rel == pytest.approx(ref_rel, rel=1e-10, abs=0.0)
@@ -177,10 +168,10 @@ def test_cached_targets_reproduce_node_space_scores_and_loss(records, fitted):
     # targets and Ku edge is the node-space loss, and the gradients are
     # those of the same records' whole Ku rows.
     pos = np.arange(4)
-    c_b, edge_b, ratio_b, cached = targets.batch(pos, _Workspace())
+    c_b, edge_b, ratio_b, cached = targets.batch(pos)
     # Ku's edge values: the nodes (d, 0), at tril positions d (d + 1) / 2.
     assert np.array_equal(edge_b, val.ku[:4][:, [0, 1, 3, 6, 10, 15, 21, 28, 36, 45, 55]])
-    loss, grads = loss_and_grads(model, c_b, edge_b, ratio_b, _Workspace(), cached)
+    loss, grads = loss_and_grads(model, c_b, edge_b, ratio_b, cached)
     ru, rv = _ref_residuals(model, val, pos)
     assert loss == pytest.approx((np.sum(ru * ru) + np.sum(rv * rv)) / ru.size,
                                  rel=1e-10, abs=0.0)
@@ -249,14 +240,6 @@ def test_derived_kv_is_the_solver_kv(sets, records):
     assert np.unique(data.ratio).size == len(data)
     assert np.array_equal(data.ku, ku)
     assert np.array_equal(_kv_from_edge(data.ku, data.ratio[:, None], n), kv)
-    # Batches gathered into one workspace: a full batch, then a short one.
-    ws = _Workspace()
-    rows = np.random.default_rng(0).permutation(len(data))
-    for sel in (rows[:9], rows[9:13]):
-        c_b, yu_b, ratio_b = _gather(data, sel, ws)
-        assert np.array_equal(c_b, data.c[sel])
-        assert np.array_equal(yu_b, ku[sel])
-        assert np.array_equal(_kv_from_edge(yu_b, ratio_b[:, None], n), kv[sel])
 
 
 # -- the Ku-only set holds surrogate pairs as it holds solved ones -------------
@@ -350,7 +333,7 @@ def test_eval_peak_does_not_grow_with_test_records():
     assert peaks[1] - peaks[0] <= _SLACK, peaks
 
 
-def test_training_workspace_is_released_on_return():
+def test_training_keeps_nothing_after_return():
     mesh_n = 21
     data = _synthetic(200, mesh_n, 3)
     model = init_model(m=mesh_n, b=8, hidden=(16, 16), seed=0, c_scale=0.02)
@@ -364,8 +347,8 @@ def test_training_workspace_is_released_on_return():
     finally:
         tracemalloc.stop()
     # While training runs it holds the basis fit's centred records and
-    # Gram matrix, then the workspace's (64, nodes) batch buffers;
-    # afterwards only the best parameters, the basis and the history remain.
+    # Gram matrix, then each target chunk's (64, nodes) arrays; nothing is
+    # kept after return but the best parameters, the basis and the history.
     assert peak > 4 * 64 * data.ku.shape[1] * 8
     assert kept <= params_bytes + _SLACK, kept
     assert len(history) == 2
